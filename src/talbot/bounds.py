@@ -8,7 +8,6 @@ graph-dimension intervals, and smoothing/Strichartz floors.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union

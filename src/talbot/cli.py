@@ -37,8 +37,8 @@ import numpy as np
 
 from . import __version__
 from ._fftsum import grid_values, next_pow2
-from .bounds import (BoundReport, bound_table, exponent_pair_bound,
-                     frac_nls_beta, heath_brown_exponent, oblique_interval,
+from .bounds import (bound_table, exponent_pair_bound, frac_nls_beta,
+                     heath_brown_exponent, oblique_interval,
                      strichartz_lower, t32_dimension_interval, t32_exponent,
                      vdc_beta, vinogradov_interval, weyl_exponent)
 from .acceptance import run_acceptance

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from .fixedpoint import FRAC_BITS, FixedReal
 from .dispersion import IntPolynomial, TimePoint

@@ -28,21 +28,18 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import linregress
 
-from ._fftsum import (AnchoredEvaluator, grid_values, next_pow2, refine_supremum,
+from ._fftsum import (frequency_span, grid_values, next_pow2, refine_supremum,
                       tree_sum)
 from .dispersion import (DispersionRelation, IntPolynomial, TimePoint,
                          linear_frac_array, parse_relation,
                          theta_omega_frac_array)
 from .diophantine import ctr_constant
-from .fixedpoint import FRAC_BITS, ONE, FixedReal
+from .fixedpoint import ONE, FixedReal
 
 MAX_BLOCK = 1 << 20
 MAX_GRID = 1 << 20
 TWO_PI = 2.0 * math.pi
-
-_IDENTITY = IntPolynomial((1, 0))  # omega(n) = n, used to phase plain integers
 
 
 def _default_threads() -> int:
@@ -153,6 +150,28 @@ class ExponentFit:
         }
 
 
+def least_squares_line(xs: np.ndarray, ys: np.ndarray,
+                       scales: Sequence[int]) -> ExponentFit:
+    """Ordinary least-squares line through (xs, ys), by the formula of
+    scipy.stats.linregress: moments from np.cov(bias=1), r clipped to
+    [-1, 1], slope stderr sqrt((1 - r^2) ssy / ssx / (n - 2)), 0 for n = 2."""
+    if np.amax(xs) == np.amin(xs) and len(xs) > 1:
+        raise ValueError("Cannot calculate a linear regression "
+                         "if all x values are identical")
+    n = len(xs)
+    ssxm, ssxym, _, ssym = np.cov(xs, ys, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = min(1.0, max(-1.0, ssxym / np.sqrt(ssxm * ssym)))
+    slope = ssxym / ssxm
+    intercept = np.mean(ys, None) - slope * np.mean(xs, None)
+    stderr = 0.0 if n == 2 else np.sqrt((1 - r ** 2) * ssym / ssxm / (n - 2))
+    return ExponentFit(slope=float(slope), intercept=float(intercept),
+                       stderr=float(stderr) if np.isfinite(stderr) else 0.0,
+                       r_squared=float(r) ** 2, scales=tuple(int(s) for s in scales))
+
+
 def fit_exponent(scales: Sequence[int], values: Sequence[float]) -> ExponentFit:
     """Fit values ~ C * scale^slope through log-log least squares."""
     if len(scales) != len(values):
@@ -166,11 +185,7 @@ def fit_exponent(scales: Sequence[int], values: Sequence[float]) -> ExponentFit:
         raise ValueError("exponent fits need strictly positive values")
     xs = np.log2(np.array([float(s) for s in scales]))
     ys = np.log2(np.array(vals))
-    res = linregress(xs, ys)
-    stderr = float(res.stderr) if np.isfinite(res.stderr) else 0.0
-    return ExponentFit(slope=float(res.slope), intercept=float(res.intercept),
-                       stderr=stderr, r_squared=float(res.rvalue) ** 2,
-                       scales=tuple(int(s) for s in scales))
+    return least_squares_line(xs, ys, scales)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +292,11 @@ def _sweep_cell(relation: DispersionRelation, at, N: int, grid: int | None,
 
     G = next_pow2(16 * N) if grid is None else int(grid)
     G = min(G, MAX_GRID)
+    span = frequency_span(freqs)
     warnings: list[str] = []
-    if G < 16 * N:
-        warnings.append(f"N={N}: grid {G} below 16*N={16 * N}; supremum may be under-resolved")
+    if G < 16 * (span + 1):
+        warnings.append(f"N={N}: grid {G} below 16*(span+1)={16 * (span + 1)}; "
+                        "supremum may be under-resolved")
 
     vals = grid_values(freqs, coeffs, G)
     absvals = np.abs(vals)
@@ -287,7 +304,7 @@ def _sweep_cell(relation: DispersionRelation, at, N: int, grid: int | None,
     l2 = float(np.sqrt(np.mean(absvals ** 2)))
     l4 = float(np.mean(absvals ** 4) ** 0.25)
     if refine:
-        sup = refine_supremum(freqs, coeffs, G, absvals, top=top, iters=iters)
+        sup = refine_supremum(freqs, coeffs, G, absvals, top=top, iters=iters, span=span)
     return SweepRow(N=N, sup_abs=sup, l2=l2, l4=l4, grid=G, refined=refine), warnings
 
 

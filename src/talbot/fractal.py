@@ -15,9 +15,8 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import linregress
 
-from .expsum import ExponentFit
+from .expsum import ExponentFit, least_squares_line
 
 MIN_SAMPLES = 1 << 12
 
@@ -38,11 +37,7 @@ def _as_real_samples(samples) -> np.ndarray:
 
 
 def _fit_loglog(log2_x: np.ndarray, log2_y: np.ndarray, scales: Sequence[int]) -> ExponentFit:
-    res = linregress(log2_x, log2_y)
-    stderr = float(res.stderr) if np.isfinite(res.stderr) else 0.0
-    return ExponentFit(slope=float(res.slope), intercept=float(res.intercept),
-                       stderr=stderr, r_squared=float(res.rvalue) ** 2,
-                       scales=tuple(int(s) for s in scales))
+    return least_squares_line(log2_x, log2_y, scales)
 
 
 def _column_oscillations(ys: np.ndarray, k: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fixedpoint import FixedReal, pi as pi_fixed
+from .fixedpoint import pi as pi_fixed
 
 TWO_PI = 2.0 * math.pi
 
