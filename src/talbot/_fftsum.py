@@ -176,14 +176,13 @@ def golden_section_peak(f: Callable[[float], float], lo: float, hi: float, iters
 
 
 def refine_supremum(freqs: Sequence[int], coeffs: np.ndarray, G: int, absvals: np.ndarray,
-                    top: int = 10, iters: int = 30, *, span: int | None = None) -> float:
+                    top: int = 10, iters: int = 30) -> float:
     """Golden-section refinement of the grid supremum around the top grid
     peaks (one grid cell to each side).  Never below the grid sup.
 
-    ``span`` is max f - min f (computed here when not given); it selects
-    the Taylor evaluator when pi*span/G <= 1 and the direct one otherwise."""
-    if span is None:
-        span = frequency_span(freqs)
+    The Taylor evaluator runs when pi*(max f - min f)/G <= 1, the direct
+    one otherwise."""
+    span = frequency_span(freqs)
     if math.pi * span <= G:
         ev = TaylorEvaluator(freqs, coeffs, G, span)
     else:

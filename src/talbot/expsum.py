@@ -304,7 +304,7 @@ def _sweep_cell(relation: DispersionRelation, at, N: int, grid: int | None,
     l2 = float(np.sqrt(np.mean(absvals ** 2)))
     l4 = float(np.mean(absvals ** 4) ** 0.25)
     if refine:
-        sup = refine_supremum(freqs, coeffs, G, absvals, top=top, iters=iters, span=span)
+        sup = refine_supremum(freqs, coeffs, G, absvals, top=top, iters=iters)
     return SweepRow(N=N, sup_abs=sup, l2=l2, l4=l4, grid=G, refined=refine), warnings
 
 

@@ -116,7 +116,47 @@ def test_oblique_rows_warn_and_default_horizontal_rows_do_not():
                                "supremum may be under-resolved"]
 
 
-# -- least squares --------------------------------------------------------------
+def test_sign_both_rows_warn_at_the_default_grid():
+    # |n| in [N, 2N) on both sides spans 4N - 2, four times a one-sided block,
+    # so the default 16N grid is a quarter of 16*(span+1)
+    scales = [16, 32, 64, 128]
+    both = sup_norm_sweep(SCHRODINGER, seeded_theta(3), scales, sign="both")
+    assert [row.grid for row in both.rows] == [16 * N for N in scales]
+    assert both.fit_payload()["warnings"] == [
+        f"N={N}: grid {16 * N} below 16*(span+1)={16 * (4 * N - 1)}; "
+        "supremum may be under-resolved" for N in scales]
+    one_sided = sup_norm_sweep(SCHRODINGER, seeded_theta(3), scales, sign="-")
+    assert "warnings" not in one_sided.fit_payload()
+
+
+# scipy.stats.linregress 1.17.1 on these inputs: slope, intercept, stderr
+# (0 where not finite) and rvalue**2, as float.hex
+LINREGRESS = [
+    ([4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0], [3.1, 3.82, 4.61, 5.33, 6.07, 6.88, 7.59],
+     ["0x1.80ea0ea0ea0eap-1", "0x1.4924924924900p-4", "0x1.27e05a00e71c9p-8",
+      "0x1.ffe85e92f41abp-1"]),
+    ([4.0, 5.0], [1.0, 2.5],  # n = 2: stderr 0
+     ["0x1.8000000000000p+0", "-0x1.4000000000000p+2", "0x0.0p+0", "0x1.0000000000000p+0"]),
+    ([1.0, 2.0, 3.0], [2.0, 2.0, 2.0],  # constant y: r is nan
+     ["0x0.0p+0", "0x1.0000000000000p+1", "0x0.0p+0", "nan"]),
+    ([0.0, 1.0, 2.0, 3.0], [0.1, 0.2, 0.3, 0.4],
+     ["0x1.999999999999ap-4", "0x1.9999999999998p-4", "0x0.0p+0", "0x1.0000000000000p+0"]),
+    ([1.5, -2.0, 7.25, 3.0, 0.5], [-1.0, 4.0, -9.5, 0.25, 2.0],
+     ["-0x1.718366902fe1ap+0", "0x1.0df37c53caadap+1", "0x1.0c155da2a1858p-2",
+      "0x1.d2023d1178ff9p-1"]),
+]
+
+
+@pytest.mark.parametrize("xs, ys, want", LINREGRESS)
+def test_least_squares_line_matches_frozen_linregress(xs, ys, want):
+    got = least_squares_line(np.array(xs), np.array(ys), [1] * len(xs))
+    assert [v.hex() for v in (got.slope, got.intercept, got.stderr, got.r_squared)] == want
+
+
+def test_least_squares_line_rejects_identical_x():
+    with pytest.raises(ValueError, match="all x values are identical"):
+        least_squares_line(np.array([3.0, 3.0, 3.0]), np.array([1.0, 2.0, 3.0]), [1, 1, 1])
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.floats(-20, 20), st.floats(-20, 20)), min_size=2, max_size=12))
