@@ -283,6 +283,14 @@ class QuantizeCheck:
     reconstruction: StepFunction
 
 
+def _step_grid_values(g: StepFunction, length: int) -> np.ndarray:
+    """g at the turns jj/length, jj = 0..length-1, in exact integer arithmetic:
+    grid point jj lies at or past breakpoint b iff jj >= ceil(b * length)."""
+    thresholds = np.array([math.ceil(b * length) for b in g.breakpoints], dtype=np.int64)
+    piece = np.searchsorted(thresholds, np.arange(length), side="right") - 1
+    return np.array(g.values, dtype=np.complex128)[piece]  # -1 wraps to the last piece
+
+
 def quantize_verify(rel: DispersionRelation, g: StepFunction, a: int, q: int,
                     M: int = 1 << 12, length: int = 1 << 13) -> QuantizeCheck:
     """Maximum deviation between the truncated evolution at theta = a/q and
@@ -297,8 +305,7 @@ def quantize_verify(rel: DispersionRelation, g: StepFunction, a: int, q: int,
         d = np.abs(ts - float(b))
         np.minimum(dist, np.minimum(d, 1.0 - d), out=dist)
     mask = dist >= float(OFF_JUMP_RADIUS) - 1e-12
-    exact = np.array([complex(recon.value_at_turns(Fraction(jj, length)))
-                      for jj in range(length)])
+    exact = _step_grid_values(recon, length)
     deviation = float(np.max(np.abs(series.samples[mask] - exact[mask])))
     return QuantizeCheck(deviation=deviation, compared=int(np.sum(mask)),
                          excluded=int(length - np.sum(mask)),

@@ -1,11 +1,16 @@
 """Regularity and dimension estimators for sampled graphs.
 
 Box-counting dimension via column oscillation counts, Hölder exponents via
-the grid modulus of continuity, dyadic-block (Littlewood-Paley) Besov
-profiles via FFT masks, and the exact exponent formulas that turn
-(r, gamma, q) data into dimension bounds.  The Weierstrass family W(x) = sum 2^{-j gamma} cos(2^j x)
-serves as the calibration oracle: its graph has box dimension 2 - gamma,
-Hölder exponent gamma, and one Fourier mode per dyadic block.
+the grid modulus of continuity, hard-cutoff dyadic-block (Littlewood-Paley)
+Besov profiles, and the exact exponent formulas that turn (r, gamma, q) data
+into dimension bounds.  Each block is evaluated band-limited, as one batched
+call of 4N-point inverse FFTs with exact integer twiddles; its L^2 norm comes
+from the spectrum by Parseval.  Block norms agree with a full-length masked
+inverse FFT per block to 1e-12 relative.
+
+The Weierstrass family W(x) = sum 2^{-j gamma} cos(2^j x) serves as the
+calibration oracle: its graph has box dimension 2 - gamma, Hölder exponent
+gamma, and one Fourier mode per dyadic block.
 """
 from __future__ import annotations
 
@@ -183,6 +188,23 @@ class BesovProfile:
         return None if fit is None else -fit.slope
 
 
+def _block_samples(spec: np.ndarray, table: np.ndarray, N: int) -> np.ndarray:
+    """All L samples of P_N f from one batched B-point inverse FFT, B = 4N.
+
+    The 2N block frequencies are distinct mod B, so with sample j = r + R s
+    (R = L/B), P_N f(j/L) = sum_n [c_n e(n r/L)] e(n s/B): row r of the
+    (R, B) array holds the coefficients times exact twiddles e(n r/L), read
+    from ``table`` (e(k/L) for 0 <= k < L/2) at the integer product |n| r.
+    Samples come back in (r, s) order, which grid-measure norms ignore."""
+    L = len(spec)
+    B = 4 * N
+    tw = table[np.outer(np.arange(L // B), np.arange(N, 2 * N))]
+    X = np.zeros((L // B, B), dtype=np.complex128)
+    np.multiply(tw, spec[N:2 * N], out=X[:, N:2 * N])
+    np.multiply(np.conjugate(tw, out=tw), spec[L - N:L - 2 * N:-1], out=X[:, 3 * N:2 * N:-1])
+    return np.fft.ifft(X, axis=1, norm="forward")
+
+
 def besov_profile(samples, ps: Sequence = (1, 2, math.inf),
                   fit_min_block: int = 4) -> BesovProfile:
     """Hard-cutoff Littlewood-Paley block norms of the sampled function.
@@ -191,26 +213,30 @@ def besov_profile(samples, ps: Sequence = (1, 2, math.inf),
     the normalised grid measure, so ||.||_1 <= ||.||_2 <= ||.||_inf per
     block.  Hard cutoffs (not smooth ones) are the operative surrogate here;
     fits use blocks from ``fit_min_block`` up to len/8 whose norm exceeds
-    1e-13."""
+    1e-13.  ||P_N f||_2 comes from the spectrum by Parseval; the other norms
+    reduce samples of each block evaluated as 4N-point batched transforms
+    (``_block_samples``), never as a full-length inverse FFT."""
     arr = samples.samples if hasattr(samples, "samples") else samples
     arr = np.asarray(arr, dtype=np.complex128)
     if arr.ndim != 1 or len(arr) < MIN_SAMPLES or len(arr) & (len(arr) - 1):
         raise ValueError(f"need a 1-d power-of-two sample array of length >= {MIN_SAMPLES}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("samples must be finite")
     L = len(arr)
-    spec = np.fft.fft(arr) / L
-    absfreq = np.abs(np.fft.fftfreq(L) * L)
+    spec = np.fft.fft(arr, norm="forward")
+    need_samples = any(p != 2 for p in ps)
+    table = np.exp(2j * np.pi / L * np.arange(L // 2)) if need_samples else None
 
     Ns, by_p = [], {p: [] for p in ps}
     N = 1
     while 2 * N <= L // 8:
-        mask = (absfreq >= N) & (absfreq < 2 * N)
-        block = np.fft.ifft(np.where(mask, spec, 0.0)) * L
-        a = np.abs(block)
+        a = np.abs(_block_samples(spec, table, N)) if need_samples else None
         for p in ps:
             if p == 1:
                 by_p[p].append(float(np.mean(a)))
             elif p == 2:
-                by_p[p].append(float(np.sqrt(np.mean(a ** 2))))
+                band = np.concatenate((spec[N:2 * N], spec[L - 2 * N + 1:L - N + 1]))
+                by_p[p].append(float(np.sqrt(np.sum(band.real ** 2 + band.imag ** 2))))
             elif p in (math.inf, "inf"):
                 by_p[p].append(float(np.max(a)))
             else:
@@ -279,14 +305,18 @@ def dimension_upper_bound(gamma):
 def weierstrass(gamma: float, J: int = 16, length: int = 1 << 18) -> np.ndarray:
     """Samples of W(x) = sum_{j=0}^{J} 2^{-j gamma} cos(2^j x) on a uniform
     power-of-two grid over one period.  Frequencies are reduced modulo the
-    grid length in integers, so every cosine argument is evaluated exactly."""
+    grid length in integers, so every cosine argument is evaluated exactly:
+    term j reads the one table cos(2 pi k/length) at stride 2^j, repeated
+    2^j times, and terms with 2^j >= length are the constant table[0]."""
     if length & (length - 1) or length < 2:
         raise ValueError("length must be a power of two")
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
-    m = np.arange(length, dtype=np.int64)
+    table = np.cos(2.0 * np.pi * np.arange(length, dtype=np.int64) / length)
     out = np.zeros(length, dtype=np.float64)
     for j in range(J + 1):
-        r = (m << j) & (length - 1) if (1 << j) < length else (m * (1 << j)) % length
-        out += 2.0 ** (-j * gamma) * np.cos(2.0 * np.pi * r / length)
+        if (1 << j) < length:
+            out.reshape(1 << j, -1)[:] += 2.0 ** (-j * gamma) * table[:: 1 << j]
+        else:
+            out += 2.0 ** (-j * gamma) * table[0]
     return out

@@ -11,6 +11,7 @@ from talbot import (IntPolynomial, SampleGrid, SliceSpec, StepFunction,
                     TimePoint, evolve_slice, kl_theta, parse_relation,
                     parse_slice, quantize_coefficients, quantize_reconstruct,
                     quantize_verify)
+from talbot import evolution
 
 SCHRODINGER = parse_relation("poly:-1,0,0")
 AIRY = parse_relation("poly:1,0,0,0")
@@ -283,3 +284,24 @@ def test_quantize_verify_half_turn():
     chk = quantize_verify(SCHRODINGER, step_datum(), 1, 2, M=1 << 10, length=1 << 12)
     assert chk.deviation < 0.05
     np.testing.assert_allclose(chk.coefficients, [0.0, 1.0], atol=1e-14)
+
+
+def _exact_samples_by_bisection(g: StepFunction, length: int) -> np.ndarray:
+    """Per-point reference: one exact Fraction lookup per grid point."""
+    return np.array([complex(g.value_at_turns(Fraction(jj, length)))
+                     for jj in range(length)])
+
+
+@pytest.mark.parametrize("g", [
+    step_datum(),
+    StepFunction.constant(2.0 - 1.0j),
+    StepFunction((Fraction(1, 7), Fraction(1, 3), Fraction(5, 6)), (1.0, -2.0j, 0.5)),
+    # breakpoints closer than one grid cell share a threshold
+    StepFunction((Fraction(1, 5), Fraction(1, 5) + Fraction(1, 1000), Fraction(3, 4)),
+                 (3.0, 4.0, 5.0)),
+    quantize_reconstruct(SCHRODINGER, step_datum(), 1, 3),
+])
+@pytest.mark.parametrize("length", [1 << 6, 1 << 9])
+def test_step_grid_values_match_bisection(g, length):
+    got = evolution._step_grid_values(g, length)
+    assert np.array_equal(got, _exact_samples_by_bisection(g, length))

@@ -133,6 +133,82 @@ def test_besov_validation():
         besov_profile(np.zeros(1 << 10))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_besov_rejects_non_finite_samples(bad):
+    ys = np.sin(2.0 * np.pi * X).astype(np.complex128)
+    ys[17] = bad
+    with pytest.raises(ValueError, match="samples must be finite"):
+        besov_profile(ys)
+    with pytest.raises(ValueError, match="samples must be finite"):
+        besov_profile(ys, ps=(2,))
+
+
+def _besov_norms_full_ifft(samples, ps):
+    """Test oracle: mask the spectrum to each block and run one full-length
+    inverse FFT per block."""
+    arr = np.asarray(samples, dtype=np.complex128)
+    n = len(arr)
+    spec = np.fft.fft(arr) / n
+    absfreq = np.abs(np.fft.fftfreq(n) * n)
+    norms = {p: [] for p in ps}
+    N = 1
+    while 2 * N <= n // 8:
+        mask = (absfreq >= N) & (absfreq < 2 * N)
+        a = np.abs(np.fft.ifft(np.where(mask, spec, 0.0)) * n)
+        for p in ps:
+            if p == math.inf:
+                norms[p].append(float(np.max(a)))
+            else:
+                norms[p].append(float(np.mean(a ** p) ** (1.0 / p)))
+        N *= 2
+    return norms
+
+
+def _oracle_input(kind, n):
+    rng = np.random.default_rng(n)
+    x = np.arange(n) / n
+    if kind == "real":
+        return rng.standard_normal(n) * (1.0 + np.sin(2.0 * np.pi * x))
+    if kind == "complex":
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if kind == "single-mode":
+        return np.exp(-2j * np.pi * 37 * x)
+    return weierstrass(0.4, J=int(math.log2(n)) - 3, length=n)
+
+
+ORACLE_PS = (1, 2, 3, math.inf)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "single-mode", "weierstrass"])
+@pytest.mark.parametrize("log2n", range(12, 17))
+def test_besov_matches_full_ifft_oracle(kind, log2n):
+    ys = _oracle_input(kind, 1 << log2n)
+    prof = besov_profile(ys, ps=ORACLE_PS)
+    ref = _besov_norms_full_ifft(ys, ORACLE_PS)
+    for p in ORACLE_PS:
+        got, want = np.array(prof.norms[p]), np.array(ref[p])
+        live = want > 1e-13  # the fit floor; blocks below it are rounding noise
+        np.testing.assert_allclose(got[live], want[live], rtol=1e-12, atol=0.0)
+        assert np.all(got[~live] <= 1e-13)
+        keep = [i for i, N in enumerate(prof.Ns) if N >= 4 and live[i]]
+        if len(keep) < 4:
+            assert prof.gamma(p) is None
+        else:
+            gamma = -np.polyfit(np.log2([prof.Ns[i] for i in keep]), np.log2(want[keep]), 1)[0]
+            assert prof.gamma(p) == pytest.approx(gamma, abs=1e-12)
+    if kind == "weierstrass":
+        assert prof.gamma(math.inf) == pytest.approx(0.4, abs=1e-9)
+
+
+def test_besov_l2_only_matches_default_profile():
+    ys = _oracle_input("complex", L)
+    default = besov_profile(ys)
+    alone = besov_profile(ys, ps=(2,))
+    assert alone.Ns == default.Ns
+    assert alone.norms[2] == default.norms[2]
+    assert alone.gamma(2) == default.gamma(2)
+
+
 # -- calibration family ---------------------------------------------------------------
 
 @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7])
@@ -150,6 +226,24 @@ def test_weierstrass_value_at_zero():
     w = weierstrass(gamma, J=J, length=1 << 12)
     assert w[0] == pytest.approx(sum(2.0 ** (-j * gamma) for j in range(J + 1)),
                                  abs=1e-12)
+
+
+def _weierstrass_direct(gamma, J, length):
+    """The direct formula: one integer-reduced cosine per term and sample."""
+    m = np.arange(length, dtype=np.int64)
+    out = np.zeros(length, dtype=np.float64)
+    for j in range(J + 1):
+        r = (m << j) & (length - 1) if (1 << j) < length else (m * (1 << j)) % length
+        out += 2.0 ** (-j * gamma) * np.cos(2.0 * np.pi * r / length)
+    return out
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7, 1.0])
+@pytest.mark.parametrize("J,length", [(12, 1 << 14), (14, 1 << 12), (6, 1 << 3), (3, 2)])
+def test_weierstrass_matches_direct_formula_bitwise(gamma, J, length):
+    # (14, 2^12) and the two small grids include terms with 2^j >= length
+    assert np.array_equal(weierstrass(gamma, J=J, length=length),
+                          _weierstrass_direct(gamma, J, length))
 
 
 def test_weierstrass_validation():
