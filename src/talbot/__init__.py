@@ -17,7 +17,7 @@ from .diophantine import (ContinuedFractionExpansion, DiophantineClass,
                           continued_fraction, ctr_constant, dirichlet_approx,
                           gauss_coefficient_sum, khinchin_levy_test,
                           solve_time_for_ctr)
-from .dispersion import (Angle, BenjaminOno, Boussinesq, DispersionRelation,
+from .dispersion import (BenjaminOno, Boussinesq, DispersionRelation,
                          FractionalPower, Gravity, GravityCapillary,
                          IntPolynomial, TimePoint, kl_theta, linear_frac_array,
                          parse_relation, parse_theta, seeded_theta,

@@ -26,6 +26,11 @@ import numpy as np
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: Refinement searches the TOP largest grid peaks, ITERS golden-section
+#: steps each.
+TOP = 10
+ITERS = 30
+
 
 def next_pow2(n: int) -> int:
     return 1 << max(0, (int(n) - 1).bit_length())
@@ -155,7 +160,8 @@ def local_maxima(absvals: np.ndarray, top: int) -> list[int]:
     return [int(i) for i in order[:top]]
 
 
-def golden_section_peak(f: Callable[[float], float], lo: float, hi: float, iters: int = 30) -> tuple[float, float]:
+def golden_section_peak(f: Callable[[float], float], lo: float, hi: float,
+                        iters: int = ITERS) -> tuple[float, float]:
     """Maximise f on [lo, hi] by golden-section; returns (argmax, max)."""
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
@@ -175,10 +181,9 @@ def golden_section_peak(f: Callable[[float], float], lo: float, hi: float, iters
     return d, fd
 
 
-def refine_supremum(freqs: Sequence[int], coeffs: np.ndarray, G: int, absvals: np.ndarray,
-                    top: int = 10, iters: int = 30) -> float:
-    """Golden-section refinement of the grid supremum around the top grid
-    peaks (one grid cell to each side).  Never below the grid sup.
+def refine_supremum(freqs: Sequence[int], coeffs: np.ndarray, G: int, absvals: np.ndarray) -> float:
+    """Golden-section refinement of the grid supremum around the TOP largest
+    grid peaks (one grid cell to each side).  Never below the grid sup.
 
     The Taylor evaluator runs when pi*(max f - min f)/G <= 1, the direct
     one otherwise."""
@@ -188,8 +193,8 @@ def refine_supremum(freqs: Sequence[int], coeffs: np.ndarray, G: int, absvals: n
     else:
         ev = AnchoredEvaluator(freqs, coeffs, G)
     best = float(np.max(absvals))
-    for j in local_maxima(absvals, top):
-        _, val = golden_section_peak(ev.local(j), -1.0, 1.0, iters)
+    for j in local_maxima(absvals, TOP):
+        _, val = golden_section_peak(ev.local(j), -1.0, 1.0)
         if val > best:
             best = val
     return best

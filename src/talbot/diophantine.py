@@ -21,8 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 from .fixedpoint import FRAC_BITS, FixedReal
-from .dispersion import IntPolynomial, TimePoint
+from .dispersion import IntPolynomial, TimePoint, theta_omega_frac_array
 
 RealLike = Union[int, float, Fraction, FixedReal]
 
@@ -201,11 +203,8 @@ def gauss_coefficient_sum(a: int, q: int, omega) -> complex:
     if math.gcd(a, q) != 1:
         raise ValueError("gauss_coefficient_sum requires gcd(a, q) = 1")
     rel = omega if isinstance(omega, IntPolynomial) else IntPolynomial(list(omega))
-    total = 0j
-    for j in range(q):
-        r = (a * rel.omega_int(j)) % q
-        total += complex(math.cos(2 * math.pi * r / q), math.sin(2 * math.pi * r / q))
-    return total
+    phases = theta_omega_frac_array(rel, Fraction(a, q), range(q))
+    return complex(np.sum(np.exp(2j * np.pi * phases)))
 
 
 def solve_time_for_ctr(c_target: RealLike, r: int) -> FixedReal:

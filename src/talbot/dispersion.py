@@ -6,12 +6,19 @@ theta = t / (2*pi) and xi = x / (2*pi), the phase of mode n is
 
     e(theta*omega(n) + n*xi),        e(y) := exp(2*pi*i*y),
 
-so only the fractional part of theta*omega(n) + n*xi matters.  For integer
-valued omega and rational theta = a/q that fraction is an exact residue
-(a*omega(n) mod q)/q; for irrational theta it is computed in wide fixed
-point, where the product of an exact integer with a 192-bit real is
-error-free.  Phases are therefore trustworthy for |omega(n)| far beyond
-anything double precision could reduce mod 2*pi.
+so only the fractional part of theta*omega(n) + n*xi matters.  The time
+part theta*omega(n) mod 1 is reduced in one place, ``theta_omega_frac_array``,
+by one of three paths chosen from the kinds of theta and omega:
+
+* rational theta = a/q, integer omega: the exact residue (a*omega(n) mod q)/q,
+  in int64 for polynomials with q < 2^31, in Python integers otherwise;
+* 192-bit fixed-point theta, integer omega: the exact product of the
+  mantissa with omega(n), reduced mod 1;
+* any theta, non-integer omega: omega(n) in fixed point to one ulp, times
+  the fixed-point theta, floored to one more ulp.
+
+Only the final conversion to double rounds, so phases are trustworthy for
+|omega(n)| far beyond anything double precision could reduce mod 2*pi.
 
 Supported relations (spec strings in parentheses):
 
@@ -39,55 +46,8 @@ Turns = Union[Fraction, FixedReal]
 
 
 # ---------------------------------------------------------------------------
-# Angles and time points
+# Time points
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Angle:
-    """A point on the torus, stored in turns (fractions of a full circle).
-
-    ``turns`` is a Fraction for exactly-representable angles (rational
-    multiples of 2*pi) and a FixedReal otherwise; it is normalised to [0, 1).
-    """
-
-    turns: Turns
-
-    def __post_init__(self):
-        t = self.turns
-        if isinstance(t, Fraction):
-            object.__setattr__(self, "turns", t % 1)
-        elif isinstance(t, FixedReal):
-            object.__setattr__(self, "turns", t.frac())
-        else:
-            raise TypeError("Angle.turns must be Fraction or FixedReal")
-
-    @classmethod
-    def from_turns(cls, x) -> "Angle":
-        if isinstance(x, (Fraction, FixedReal)):
-            return cls(x)
-        if isinstance(x, int):
-            return cls(Fraction(x))
-        if isinstance(x, float):
-            return cls(FixedReal.from_float(x))
-        raise TypeError(f"cannot build Angle from {type(x).__name__}")
-
-    @classmethod
-    def from_radians(cls, x: float) -> "Angle":
-        return cls(FixedReal.from_float(x) / two_pi())
-
-    @classmethod
-    def zero(cls) -> "Angle":
-        return cls(Fraction(0))
-
-    @property
-    def radians(self) -> float:
-        if isinstance(self.turns, Fraction):
-            return 2.0 * math.pi * float(self.turns)
-        return 2.0 * math.pi * self.turns.frac_float()
-
-    def turns_float(self) -> float:
-        return float(self.turns) if isinstance(self.turns, Fraction) else self.turns.frac_float()
 
 
 @dataclass(frozen=True)
@@ -144,11 +104,6 @@ class TimePoint:
     def t(self) -> float:
         return 2.0 * math.pi * self.theta_float
 
-    def theta_fixed(self) -> FixedReal:
-        if isinstance(self.theta, FixedReal):
-            return self.theta
-        return FixedReal.from_fraction(self.theta)
-
     def describe(self) -> str:
         if self.label:
             return self.label
@@ -187,18 +142,17 @@ def parse_theta(spec: str) -> TimePoint:
     Grammar: ``rat:a/q`` | ``kl:sqrt2|phi|e`` | ``rand:<seed>`` | a decimal
     or fraction literal (parsed exactly, hence rational).
     """
-    if spec.startswith("rat:"):
-        body = spec[4:]
-        fr = Fraction(body)
-        return TimePoint.rational(fr.numerator, fr.denominator)
     if spec.startswith("kl:"):
         return kl_theta(spec[3:])
     if spec.startswith("rand:"):
         return seeded_theta(int(spec[5:]))
+    rational = spec.startswith("rat:")
     try:
-        fr = Fraction(spec)
+        fr = Fraction(spec[4:] if rational else spec)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse theta spec {spec!r}") from exc
+    if rational:
+        return TimePoint.rational(fr.numerator, fr.denominator)
     return TimePoint(fr, spec)
 
 
@@ -208,7 +162,7 @@ def parse_theta(spec: str) -> TimePoint:
 
 
 class DispersionRelation:
-    """Base class: omega as exact integer, wide fixed point, and double."""
+    """Base class: omega as an exact integer and in wide fixed point."""
 
     spec: str = ""
     integer_valued: bool = False
@@ -218,10 +172,7 @@ class DispersionRelation:
         raise TypeError(f"{self.spec or type(self).__name__} is not integer-valued")
 
     def omega_fixed(self, n: int) -> FixedReal:
-        raise NotImplementedError
-
-    def omega_float(self, n: int) -> float:
-        return float(self.omega_fixed(n))
+        return FixedReal.from_int(self.omega_int(n))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.spec!r})"
@@ -260,12 +211,6 @@ class IntPolynomial(DispersionRelation):
             acc = acc * n + c
         return acc
 
-    def omega_fixed(self, n: int) -> FixedReal:
-        return FixedReal.from_int(self.omega_int(n))
-
-    def omega_float(self, n: int) -> float:
-        return float(self.omega_int(n))
-
 
 class FractionalPower(DispersionRelation):
     """omega(n) = |n|^alpha for a positive rational alpha = p/q.
@@ -289,13 +234,7 @@ class FractionalPower(DispersionRelation):
 
     def omega_fixed(self, n: int) -> FixedReal:
         p, q = self.alpha.numerator, self.alpha.denominator
-        if q == 1:
-            return FixedReal.from_int(abs(n) ** p)
-        m = iroot(abs(n) ** p << (q * FRAC_BITS), q)
-        return FixedReal(m)
-
-    def omega_float(self, n: int) -> float:
-        return abs(n) ** float(self.alpha)
+        return FixedReal(iroot(abs(n) ** p << (q * FRAC_BITS), q))
 
 
 def _sqrt_fraction_fixed(fr: Fraction) -> FixedReal:
@@ -335,9 +274,6 @@ class Boussinesq(DispersionRelation):
         r = n * n + n**4
         return FixedReal(math.isqrt(r << (2 * FRAC_BITS)))
 
-    def omega_float(self, n: int) -> float:
-        return math.sqrt(n * n + float(n) ** 4)
-
 
 class BenjaminOno(DispersionRelation):
     """omega(n) = n|n| (integer-valued, odd in n)."""
@@ -347,12 +283,6 @@ class BenjaminOno(DispersionRelation):
 
     def omega_int(self, n: int) -> int:
         return n * abs(n)
-
-    def omega_fixed(self, n: int) -> FixedReal:
-        return FixedReal.from_int(self.omega_int(n))
-
-    def omega_float(self, n: int) -> float:
-        return float(n * abs(n))
 
 
 class Gravity(DispersionRelation):
@@ -364,10 +294,6 @@ class Gravity(DispersionRelation):
         m = abs(n)
         return _sqrt_fraction_fixed(m * _tanh_fraction(m))
 
-    def omega_float(self, n: int) -> float:
-        m = abs(n)
-        return math.sqrt(m * math.tanh(m)) if m else 0.0
-
 
 class GravityCapillary(DispersionRelation):
     """omega(n) = sqrt((n + n^3) tanh n); even in n, |n|^(3/2) + O(1)."""
@@ -377,10 +303,6 @@ class GravityCapillary(DispersionRelation):
     def omega_fixed(self, n: int) -> FixedReal:
         m = abs(n)
         return _sqrt_fraction_fixed((m + m**3) * _tanh_fraction(m))
-
-    def omega_float(self, n: int) -> float:
-        m = abs(n)
-        return math.sqrt((m + float(m) ** 3) * math.tanh(m)) if m else 0.0
 
 
 SCHRODINGER = "poly:-1,0,0"
@@ -397,7 +319,11 @@ def parse_relation(spec: str) -> DispersionRelation:
             raise ValueError(f"bad polynomial coefficients in {spec!r}") from exc
         return IntPolynomial(coeffs)
     if spec.startswith("frac:"):
-        return FractionalPower(Fraction(spec[5:]))
+        try:
+            alpha = Fraction(spec[5:])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad exponent in {spec!r}") from exc
+        return FractionalPower(alpha)
     fixed = {
         "boussinesq": Boussinesq,
         "bo": BenjaminOno,
@@ -414,23 +340,12 @@ def parse_relation(spec: str) -> DispersionRelation:
 # ---------------------------------------------------------------------------
 
 
-def theta_omega_frac(rel: DispersionRelation, theta: Turns, n: int):
-    """frac(theta * omega(n)) in [0, 1); Fraction on the exact branch."""
-    if isinstance(theta, Fraction) and rel.integer_valued:
-        a, q = theta.numerator, theta.denominator
-        return Fraction((a * rel.omega_int(n)) % q, q)
-    tf = theta if isinstance(theta, FixedReal) else FixedReal.from_fraction(theta)
-    if rel.integer_valued:
-        return ((tf.m * rel.omega_int(n)) % ONE) / ONE
-    w = rel.omega_fixed(n).m
-    return (((w * tf.m) >> FRAC_BITS) % ONE) / ONE
-
-
 def theta_omega_frac_array(rel: DispersionRelation, theta: Turns, ns: Iterable[int]) -> np.ndarray:
-    """frac(theta * omega(n)) for each n, as float64 turns in [0, 1).
+    """frac(theta * omega(n)) for each n, as float64 turns in [0, 1].
 
     The reduction itself is exact (or one fixed-point ulp for non-integer
-    omega); only the final conversion to double rounds.
+    omega); only the final conversion to double rounds, which takes a
+    fraction within 2^-54 of 1 to 1.0.
     """
     ns_list = [int(v) for v in ns]
     out = np.empty(len(ns_list), dtype=np.float64)
@@ -452,16 +367,7 @@ def theta_omega_frac_array(rel: DispersionRelation, theta: Turns, ns: Iterable[i
             out[i] = ((a * rel.omega_int(n)) % q) / q
         return out
 
-    tm = (theta if isinstance(theta, FixedReal) else FixedReal.from_fraction(theta)).m
-
-    if isinstance(rel, IntPolynomial):
-        cs = [(c * tm) % ONE for c in rel.coeffs]
-        for i, n in enumerate(ns_list):
-            acc = cs[0]
-            for c in cs[1:]:
-                acc = (acc * n + c) % ONE
-            out[i] = acc / ONE
-        return out
+    tm = FixedReal.convert(theta).m
     if rel.integer_valued:
         for i, n in enumerate(ns_list):
             out[i] = ((tm * rel.omega_int(n)) % ONE) / ONE
@@ -480,35 +386,13 @@ def linear_frac_array(x: Turns, ns: Iterable[int]) -> np.ndarray:
     if isinstance(x, Fraction):
         p, q = x.numerator, x.denominator
         return np.array([((n * p) % q) / q for n in ns_list], dtype=np.float64)
-    xf = x if isinstance(x, FixedReal) else FixedReal.convert(x)
-    m = xf.m
+    m = FixedReal.convert(x).m
     return np.array([((n * m) % ONE) / ONE for n in ns_list], dtype=np.float64)
 
 
-def phase(rel: DispersionRelation, n: int, t: TimePoint, x: Angle | None = None) -> Angle:
-    """The phase angle of mode n at time t and position x, in [0, 2*pi).
-
-    Exact (a rational number of turns) whenever theta is rational, omega is
-    integer-valued, and x is a rational angle.
-    """
-    tpart = theta_omega_frac(rel, t.theta, n)
-    if x is None:
-        x = Angle.zero()
-    if isinstance(tpart, Fraction) and isinstance(x.turns, Fraction):
-        return Angle((tpart + n * x.turns) % 1)
-    xf = x.turns if isinstance(x.turns, FixedReal) else FixedReal.from_fraction(x.turns)
-    xfrac = ((n * xf.m) % ONE) / ONE
-    tfrac = float(tpart)
-    return Angle(FixedReal.from_float((tfrac + xfrac) % 1.0))
-
-
-def oblique_frequency(rel: DispersionRelation, k: int, ell: int, n: int) -> int:
+def oblique_frequencies(rel: DispersionRelation, k: int, ell: int, ns: Iterable[int]) -> list[int]:
     """h(n) = ell*n - k*omega(n), the integer frequency of mode n along an
     oblique line (x, t) = (ell*z + x0, k*z + t0) with integer slope k/ell."""
-    return ell * n - k * rel.omega_int(n)
-
-
-def gravity_capillary_gap(n: int) -> float:
-    """|omega_gravcap(n) - |n|^(3/2)|; bounded by 1 for all |n| >= 2."""
-    m = abs(n)
-    return abs(GravityCapillary().omega_float(m) - m**1.5)
+    if not rel.integer_valued:
+        raise ValueError("oblique lines need an integer-valued dispersion relation")
+    return [ell * n - k * rel.omega_int(n) for n in ns]

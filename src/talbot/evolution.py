@@ -24,8 +24,8 @@ import numpy as np
 
 from ._fftsum import grid_values
 from .dispersion import (DispersionRelation, IntPolynomial, TimePoint,
-                         linear_frac_array, parse_relation, parse_theta,
-                         theta_omega_frac_array)
+                         linear_frac_array, oblique_frequencies, parse_relation,
+                         parse_theta, theta_omega_frac_array)
 from .fixedpoint import FixedReal
 from .initial_data import StepFunction, parse_position
 
@@ -33,6 +33,7 @@ MAX_TRUNCATION = 1 << 18
 MAX_DIRECT_WORK = 1 << 26
 MAX_QUANTIZE_DENOM = 1 << 12
 OFF_JUMP_RADIUS = Fraction(1, 64)  # turns; 2*pi/64 in radians
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
 def _is_pow2(n: int) -> bool:
@@ -190,10 +191,8 @@ def evolve_slice(rel: DispersionRelation | str, g, slc: SliceSpec,
         return SampleGrid(vals, 2.0 * math.pi, M, provenance)
 
     if slc.kind == "oblique":
-        if not rel.integer_valued:
-            raise ValueError("oblique slices need an integer-valued dispersion relation")
+        freqs = oblique_frequencies(rel, slc.k, slc.ell, ns)
         fr = theta_omega_frac_array(rel, slc.c.theta, ns)
-        freqs = [slc.ell * n - slc.k * rel.omega_int(n) for n in ns]
         vals = grid_values(freqs, coeffs * np.exp(2j * np.pi * fr), length)
         return SampleGrid(vals, 2.0 * math.pi * slc.ell, M, provenance)
 
@@ -204,9 +203,7 @@ def evolve_slice(rel: DispersionRelation | str, g, slc: SliceSpec,
     if isinstance(th0, Fraction) and isinstance(th1, Fraction):
         dth = (th1 - th0) / length
     else:
-        f0 = th0 if isinstance(th0, FixedReal) else FixedReal.from_fraction(th0)
-        f1 = th1 if isinstance(th1, FixedReal) else FixedReal.from_fraction(th1)
-        dth = (f1 - f0) / length
+        dth = (FixedReal.convert(th1) - FixedReal.convert(th0)) / length
     base = theta_omega_frac_array(rel, th0, ns) + linear_frac_array(slc.x0, ns)
     mu = theta_omega_frac_array(rel, dth, ns)
     amp = coeffs
@@ -232,26 +229,31 @@ def quantize_coefficients(rel: DispersionRelation, a: int, q: int) -> np.ndarray
         c_m = (1/q) sum_{j mod q} e((a omega(j) + j m) / q)
 
     i.e. the inverse DFT of the unimodular multiplier sequence
-    e(a omega(j) / q); all residue arithmetic is exact."""
+    e(a omega(j) / q), whose residue phases are exact."""
     if not isinstance(rel, IntPolynomial):
         raise ValueError("quantization needs an integer-coefficient polynomial relation")
     if q < 1 or q > MAX_QUANTIZE_DENOM:
         raise ValueError(f"q must be in [1, {MAX_QUANTIZE_DENOM}], got {q}")
     if gcd(a, q) != 1:
         raise ValueError(f"a/q must be reduced, got {a}/{q}")
-    ms = np.arange(q, dtype=np.int64)
-    total = np.zeros(q, dtype=np.complex128)
-    for j in range(q):
-        res = (a * rel.omega_int(j) + j * ms) % q
-        total += np.exp(2j * np.pi * res / q)
-    return total / q
+    fr = theta_omega_frac_array(rel, Fraction(a, q), range(q))
+    # e(fr) = i^k e(fr - k/4) with k = rint(4 fr): the subtraction is exact,
+    # so multipliers at quarter turns, and the weights of small q, are exact
+    k = np.rint(4.0 * fr)
+    multipliers = _QUARTER_TURNS[k.astype(np.int64) % 4] * np.exp(2j * np.pi * (fr - k / 4.0))
+    return np.fft.ifft(multipliers)
 
 
 def quantize_reconstruct(rel: DispersionRelation, g: StepFunction, a: int, q: int) -> StepFunction:
     """The evolution of a step datum at theta = a/q as an exact step function:
     sum_m c_m g(x - 2 pi m / q), on the refined breakpoint set
     {b_i + m/q mod 1}."""
-    c = quantize_coefficients(rel, a, q)
+    return _reconstruct(g, quantize_coefficients(rel, a, q))
+
+
+def _reconstruct(g: StepFunction, c: np.ndarray) -> StepFunction:
+    """sum_m c_m g(x - 2 pi m / q) for the q = len(c) translate weights c."""
+    q = len(c)
     breaks: set[Fraction] = set()
     for b in g.breakpoints:
         for m in range(q):
@@ -296,7 +298,8 @@ def quantize_verify(rel: DispersionRelation, g: StepFunction, a: int, q: int,
     """Maximum deviation between the truncated evolution at theta = a/q and
     the exact translate reconstruction, over grid points at torus distance
     >= 1/64 of a turn from every reconstructed jump."""
-    recon = quantize_reconstruct(rel, g, a, q)
+    c = quantize_coefficients(rel, a, q)
+    recon = _reconstruct(g, c)
     series = evolve_slice(rel, g, SliceSpec.horizontal(TimePoint.rational(a, q)),
                           M=M, length=length)
     ts = np.arange(length, dtype=np.float64) / length
@@ -309,5 +312,5 @@ def quantize_verify(rel: DispersionRelation, g: StepFunction, a: int, q: int,
     deviation = float(np.max(np.abs(series.samples[mask] - exact[mask])))
     return QuantizeCheck(deviation=deviation, compared=int(np.sum(mask)),
                          excluded=int(length - np.sum(mask)),
-                         coefficients=quantize_coefficients(rel, a, q),
+                         coefficients=c,
                          reconstruction=recon)

@@ -32,8 +32,8 @@ import numpy as np
 from ._fftsum import (frequency_span, grid_values, next_pow2, refine_supremum,
                       tree_sum)
 from .dispersion import (DispersionRelation, IntPolynomial, TimePoint,
-                         linear_frac_array, parse_relation,
-                         theta_omega_frac_array)
+                         linear_frac_array, oblique_frequencies,
+                         parse_relation, theta_omega_frac_array)
 from .diophantine import ctr_constant
 from .fixedpoint import ONE, FixedReal
 
@@ -111,9 +111,6 @@ def _as_theta(at) -> tuple[object, str]:
 # single-point sums
 # ---------------------------------------------------------------------------
 
-_x_turn_fracs = linear_frac_array
-
-
 def block_sum(spec: BlockSpec, t, x=0) -> complex:
     """sum_n w(n) e(theta*omega(n) + x*n) over the block, phased exactly in
     192-bit turns and reduced by a fixed-shape tree.
@@ -123,7 +120,7 @@ def block_sum(spec: BlockSpec, t, x=0) -> complex:
     theta, _ = _as_theta(t)
     ns = spec.modes()
     coeffs = _modulated_coefficients(spec, theta, ns)
-    xfr = _x_turn_fracs(x, ns)
+    xfr = linear_frac_array(x, ns)
     return tree_sum(coeffs * np.exp(2j * np.pi * xfr))
 
 
@@ -266,11 +263,8 @@ def _cell_frequencies(spec: BlockSpec, at, ns: Sequence[int]) -> tuple[list[int]
         theta, _ = _as_theta(at)
         return list(ns), theta
     c, k, ell = ob
-    if not spec.relation.integer_valued:
-        raise ValueError("oblique sweeps need an integer-valued dispersion relation")
     theta, _ = _as_theta(c)
-    freqs = [ell * n - k * spec.relation.omega_int(n) for n in ns]
-    return freqs, theta
+    return oblique_frequencies(spec.relation, k, ell, ns), theta
 
 
 def _at_label(at) -> str:
@@ -284,7 +278,7 @@ def _at_label(at) -> str:
 
 
 def _sweep_cell(relation: DispersionRelation, at, N: int, grid: int | None,
-                refine: bool, top: int, iters: int, weight: str, sign: str) -> tuple[SweepRow, list[str]]:
+                refine: bool, weight: str, sign: str) -> tuple[SweepRow, list[str]]:
     spec = BlockSpec(relation, N, sign=sign, weight=weight)
     ns = spec.modes()
     freqs, theta = _cell_frequencies(spec, at, ns)
@@ -304,13 +298,13 @@ def _sweep_cell(relation: DispersionRelation, at, N: int, grid: int | None,
     l2 = float(np.sqrt(np.mean(absvals ** 2)))
     l4 = float(np.mean(absvals ** 4) ** 0.25)
     if refine:
-        sup = refine_supremum(freqs, coeffs, G, absvals, top=top, iters=iters)
+        sup = refine_supremum(freqs, coeffs, G, absvals)
     return SweepRow(N=N, sup_abs=sup, l2=l2, l4=l4, grid=G, refined=refine), warnings
 
 
 def sup_norm_sweep(relation: DispersionRelation | str, at, scales: Iterable[int], *,
-                   grid: int | None = None, refine: bool = True, top: int = 10,
-                   iters: int = 30, weight: str = "unit", sign: str = "+",
+                   grid: int | None = None, refine: bool = True,
+                   weight: str = "unit", sign: str = "+",
                    threads: int | None = None) -> SweepResult:
     """Sup/L^2/L^4 norms of the block sums across dyadic scales.
 
@@ -325,7 +319,7 @@ def sup_norm_sweep(relation: DispersionRelation | str, at, scales: Iterable[int]
     workers = _default_threads() if threads is None else max(1, int(threads))
 
     def job(N: int) -> tuple[SweepRow, list[str]]:
-        return _sweep_cell(rel, at, N, grid, refine, top, iters, weight, sign)
+        return _sweep_cell(rel, at, N, grid, refine, weight, sign)
 
     if workers == 1 or len(scale_list) <= 1:
         outcomes = [job(N) for N in scale_list]
@@ -503,10 +497,6 @@ class BProcessComparison:
         return self.discrepancy <= constant * self.budget_scale
 
 
-def _fx(x) -> FixedReal:
-    return x if isinstance(x, FixedReal) else FixedReal.convert(x)
-
-
 def bprocess_dual_compare(r: int, t, x, N: int) -> BProcessComparison:
     """Compare the direct sum over [N, 2N) with its stationary-phase dual.
 
@@ -519,16 +509,16 @@ def bprocess_dual_compare(r: int, t, x, N: int) -> BProcessComparison:
     if not _is_dyadic(N) or N > 1 << 16:
         raise ValueError(f"N must be a power of two <= {1 << 16}, got {N}")
     alpha = Fraction(r, r - 1)
-    tf = _fx(t)
+    tf = FixedReal.convert(t)
     if not tf > FixedReal.from_int(0):
         raise ValueError("the dual sum needs t > 0")
-    xf = _fx(x)
+    xf = FixedReal.convert(x)
 
     from .dispersion import FractionalPower
     rel = FractionalPower(alpha)
     ns = list(range(N, 2 * N))
     tfr = theta_omega_frac_array(rel, tf, ns)
-    xfr = _x_turn_fracs(xf, ns)
+    xfr = linear_frac_array(xf, ns)
     direct = tree_sum(np.exp(2j * np.pi * (tfr + xfr)))
 
     # dual range: f'(u) = t*alpha*u^(alpha-1) + x over u in [N, 2N-1]

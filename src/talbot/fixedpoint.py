@@ -165,14 +165,6 @@ class FixedReal:
     def floor(self) -> int:
         return self.m >> FRAC_BITS
 
-    def frac(self) -> "FixedReal":
-        """Fractional part in [0, 1); mathematical convention for negatives."""
-        return FixedReal(self.m % ONE)
-
-    def frac_float(self) -> float:
-        """Fractional part converted once to a double (correctly rounded)."""
-        return (self.m % ONE) / ONE
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.m, ONE)
 

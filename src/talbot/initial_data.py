@@ -220,15 +220,18 @@ def _parse_breakpoint(token: str) -> Fraction:
     ("pi", "pi/2", "3pi/2", "2pi/3"); plain numerics are rounded to 2^-48
     of a turn."""
     tok = token.strip().lower()
-    if "pi" in tok:
-        head, _, tail = tok.partition("pi")
-        num = Fraction(head) if head not in ("", "+", "-") else Fraction(f"{head}1")
-        if tail.startswith("/"):
-            num /= int(tail[1:])
-        elif tail:
-            raise ValueError(f"bad breakpoint token {token!r}")
-        return (num / 2) % 1  # x*pi radians = x/2 turns
-    val = Fraction(tok)
+    try:
+        if "pi" in tok:
+            head, _, tail = tok.partition("pi")
+            num = Fraction(head) if head not in ("", "+", "-") else Fraction(f"{head}1")
+            if tail.startswith("/"):
+                num /= int(tail[1:])
+            elif tail:
+                raise ValueError(f"bad breakpoint token {token!r}")
+            return (num / 2) % 1  # x*pi radians = x/2 turns
+        val = Fraction(tok)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in breakpoint token {token!r}") from exc
     turns = val / (2 * pi_fixed().as_fraction())
     return (turns % 1).limit_denominator(1 << 48)
 

@@ -1,0 +1,66 @@
+"""The package entry points that perfbench's tracer wraps must still exist.
+
+perfbench/tracing.py rebinds the functions in its SPANS table, talbot's
+``iroot`` and ``AnchoredEvaluator.__call__``, and its counters read named
+arguments of the wrapped calls.  A rename or deletion would otherwise first
+show up as a failed traced benchmark run; these tests read the tracer
+without changing it and fail fast instead.
+"""
+import importlib
+import importlib.util
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+#: argument names each counter reads, by wrapped function
+COUNTED_ARGUMENTS = {
+    ("talbot.dispersion", "theta_omega_frac_array"): ("rel", "theta"),
+    ("talbot._fftsum", "grid_values"): ("G",),
+    ("talbot._fftsum", "refine_supremum"): ("absvals",),
+    ("talbot.nonlinear", "nls_wick_solve"): ("dt", "t_max"),
+    ("talbot.nonlinear", "kdv_solve"): ("dt", "t_max"),
+    ("talbot.fractal", "box_dimension"): ("samples",),
+    ("talbot.fractal", "holder_exponent"): ("samples",),
+    ("talbot.fractal", "besov_profile"): ("samples",),
+}
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve(modname: str, attr: str):
+    return getattr(importlib.import_module(modname), attr)
+
+
+def test_every_span_entry_point_resolves():
+    for _name, modname, fname, _counter in _tracing().SPANS:
+        assert callable(_resolve(modname, fname)), f"{modname}.{fname}"
+
+
+def test_leaf_entry_points_resolve():
+    assert callable(_resolve("talbot.dispersion", "iroot"))
+    evaluator = _resolve("talbot._fftsum", "AnchoredEvaluator")
+    assert list(inspect.signature(evaluator.__call__).parameters) == ["self", "j", "delta"]
+
+
+@pytest.mark.parametrize("key, names", sorted(COUNTED_ARGUMENTS.items()))
+def test_counted_arguments_are_parameters(key, names):
+    params = inspect.signature(_resolve(*key)).parameters
+    for name in names:
+        assert name in params, f"{key[0]}.{key[1]} lost parameter {name!r}"
+
+
+def test_argument_table_covers_the_tracer():
+    spans = {(modname, fname) for _name, modname, fname, _counter in _tracing().SPANS}
+    assert set(COUNTED_ARGUMENTS) <= spans
+    read = set(re.findall(r'\ba\["(\w+)"\]', TRACING.read_text()))
+    listed = {name for names in COUNTED_ARGUMENTS.values() for name in names}
+    assert read == listed

@@ -220,6 +220,19 @@ def test_dimension_needs_slice(capsys):
     assert run(capsys, "dimension", "--rel", "poly:-1,0,0")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--rel", "poly:-1,0,0", "--at", "rat:1/0", "--scales", "6..7"),
+    ("sweep", "--rel", "frac:1/0", "--at", "rat:1/3", "--scales", "6..7"),
+    ("dimension", "--rel", "poly:-1,0,0", "--data", "step:0,pi/0", "--slice", "horiz:rat:1/3"),
+    ("dimension", "--rel", "poly:-1,0,0", "--slice", "vert:pi/0:0,1"),
+    ("dimension", "--rel", "poly:-1,0,0", "--slice", "obliq:rat:1/0:1/1"),
+])
+def test_zero_denominator_is_a_config_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "config error:" in err
+
+
 # -- acceptance -----------------------------------------------------------------------
 
 def test_acceptance_only_exact_criterion(capsys, tmp_path):

@@ -155,6 +155,18 @@ def test_gauss_sum_accepts_coefficient_list():
     assert gauss_coefficient_sum(1, 4, (1, 0, 0)) == pytest.approx(2 + 2j, abs=1e-12)
 
 
+@pytest.mark.parametrize("coeffs", [(1, 0, 0), (1, 0, 0, 0), (-3, 2, 1), (1, -1, 0, 2, 7)])
+@pytest.mark.parametrize("a, q", [(1, 1), (1, 97), (-5, 128), (7, 1000), (3, 4099)])
+def test_gauss_sum_matches_cosine_loop(coeffs, a, q):
+    rel = IntPolynomial(coeffs)
+    want = 0j
+    for j in range(q):
+        r = (a * rel.omega_int(j)) % q
+        want += complex(math.cos(2 * math.pi * r / q), math.sin(2 * math.pi * r / q))
+    got = gauss_coefficient_sum(a, q, rel)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_gauss_sum_validation():
     with pytest.raises(ValueError):
         gauss_coefficient_sum(2, 4, IntPolynomial((1, 0, 0)))

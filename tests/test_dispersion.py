@@ -4,15 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from talbot import (Angle, BenjaminOno, Boussinesq, FractionalPower, Gravity,
+from talbot import (BenjaminOno, Boussinesq, FractionalPower, Gravity,
                     GravityCapillary, IntPolynomial, TimePoint, kl_theta,
                     linear_frac_array, parse_relation, parse_theta,
                     seeded_theta, theta_omega_frac_array)
-from talbot.dispersion import oblique_frequency, phase
-from talbot.fixedpoint import FRAC_BITS, FixedReal, sqrt2, two_pi
+from talbot.dispersion import oblique_frequencies
+from talbot.expsum import MAX_BLOCK
+from talbot.fixedpoint import FRAC_BITS, ONE, FixedReal, sqrt2, two_pi
 
 
 # -- TimePoint ----------------------------------------------------------------
@@ -86,7 +87,7 @@ def test_fractional_power_integer_case():
     assert rel.integer_valued and rel.omega_int(-3) == 9
     half = FractionalPower(Fraction(1, 2))
     assert not half.integer_valued
-    assert half.omega_float(4) == pytest.approx(2.0, abs=1e-15)
+    assert float(half.omega_fixed(4)) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_fractional_power_fixed_point_accuracy():
@@ -100,11 +101,11 @@ def test_fractional_power_fixed_point_accuracy():
 
 
 def test_water_wave_values():
-    assert Gravity().omega_float(1) == pytest.approx(math.sqrt(math.tanh(1.0)), abs=1e-12)
-    assert Gravity().omega_float(1) == pytest.approx(0.8726936208978296, abs=1e-12)
-    assert GravityCapillary().omega_float(2) == pytest.approx(
+    assert float(Gravity().omega_fixed(1)) == pytest.approx(math.sqrt(math.tanh(1.0)), abs=1e-12)
+    assert float(Gravity().omega_fixed(1)) == pytest.approx(0.8726936208978296, abs=1e-12)
+    assert float(GravityCapillary().omega_fixed(2)) == pytest.approx(
         math.sqrt((2 + 8) * math.tanh(2.0)), abs=1e-12)
-    assert Boussinesq().omega_float(3) == pytest.approx(math.sqrt(9 + 81), abs=1e-12)
+    assert float(Boussinesq().omega_fixed(3)) == pytest.approx(math.sqrt(9 + 81), abs=1e-12)
     assert BenjaminOno().omega_int(-4) == -16
 
 
@@ -164,16 +165,12 @@ def test_linear_frac_array():
     assert np.allclose(fr, [0.0, 0.25, 0.5, 0.75, 0.0], atol=1e-15)
 
 
-def test_phase_object():
-    ang = phase(IntPolynomial((-1, 0, 0)), 2, TimePoint.rational(1, 8))
-    assert isinstance(ang, Angle)
-    assert ang.turns_float() == pytest.approx(0.5, abs=1e-15)
-
-
 def test_oblique_frequency():
     rel = IntPolynomial((-1, 0, 0))
-    assert oblique_frequency(rel, 1, 1, 3) == 3 + 9
-    assert oblique_frequency(rel, 2, 3, -2) == 3 * (-2) + 2 * 4
+    assert oblique_frequencies(rel, 1, 1, [3]) == [3 + 9]
+    assert oblique_frequencies(rel, 2, 3, [3, -2]) == [3 * 3 + 2 * 9, 3 * (-2) + 2 * 4]
+    with pytest.raises(ValueError, match="integer-valued"):
+        oblique_frequencies(FractionalPower(Fraction(3, 2)), 1, 1, [1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,3 +183,52 @@ def test_rational_reduction_property(n, q, a_raw):
     fr = theta_omega_frac_array(rel, Fraction(a, q), [n])[0]
     assert fr == pytest.approx(float((Fraction(a, q) * rel.omega_int(n)) % 1), abs=1e-14)
     assert 0.0 <= fr < 1.0
+
+
+# -- differential test of the one phase path against exact Fraction arithmetic --
+
+_POLYS = st.integers(min_value=1, max_value=4).flatmap(
+    lambda d: st.tuples(st.integers(min_value=-9, max_value=9).filter(bool),
+                        st.lists(st.integers(min_value=-9, max_value=9), min_size=d, max_size=d))
+).map(lambda lead_rest: IntPolynomial((lead_rest[0], *lead_rest[1])))
+_NAMED = ("bo", "frac:2", "frac:3/2", "frac:9/5", "gravity", "gravcap", "boussinesq")
+_RELATIONS = st.one_of(_POLYS, st.sampled_from(_NAMED).map(parse_relation))
+
+# denominators on both sides of the int64 residue path's q < 2^31 limit
+_FRACTIONS = st.builds(Fraction, st.integers(min_value=-(1 << 40), max_value=1 << 40),
+                       st.one_of(st.integers(min_value=1, max_value=1000),
+                                 st.integers(min_value=1 << 31, max_value=1 << 40)))
+_THETAS = st.one_of(
+    _FRACTIONS,
+    st.integers(min_value=1, max_value=4 * ONE).map(FixedReal),
+    st.integers(min_value=-4 * ONE, max_value=-1).map(FixedReal),
+    _FRACTIONS.map(FixedReal.from_fraction),
+)
+_MODES = st.lists(st.one_of(st.integers(min_value=-MAX_BLOCK, max_value=MAX_BLOCK),
+                            st.sampled_from([-MAX_BLOCK, -1, 0, 1, MAX_BLOCK])),
+                  min_size=1, max_size=16)
+
+
+def _exact_frac(rel, theta, n: int) -> float:
+    """float((theta * omega(n)) % 1) in exact Fraction arithmetic.  A
+    non-integer omega enters as its fixed-point value, so this checks the
+    reduction, not the root or tanh that produced omega(n)."""
+    th = theta if isinstance(theta, Fraction) else theta.as_fraction()
+    w = Fraction(rel.omega_int(n)) if rel.integer_valued else rel.omega_fixed(n).as_fraction()
+    return float((th * w) % 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RELATIONS, _THETAS, _MODES)
+@example(IntPolynomial((-1, 0, 0)), Fraction(-3, 7), [-MAX_BLOCK, -5, 0, MAX_BLOCK])
+@example(IntPolynomial((1, 0, 0, 0)), FixedReal(-ONE // 3), [-MAX_BLOCK, MAX_BLOCK])
+@example(parse_relation("frac:9/5"), FixedReal(-1), [-MAX_BLOCK, MAX_BLOCK])
+def test_phase_path_matches_exact_fractions(rel, theta, ns):
+    got = theta_omega_frac_array(rel, theta, ns)
+    want = np.array([_exact_frac(rel, theta, n) for n in ns])
+    assert np.all((got >= 0.0) & (got <= 1.0))  # 1 - 2^-192 rounds to 1.0
+    if rel.integer_valued:
+        assert np.array_equal(got, want)
+    else:
+        d = np.abs(got - want)
+        assert np.max(np.minimum(d, 1.0 - d)) <= 1e-15

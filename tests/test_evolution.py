@@ -253,6 +253,28 @@ def test_quantize_coefficients_invariants(q, a, rel_text):
     assert complex(np.sum(c)) == pytest.approx(1.0 + 0j, abs=1e-12)
 
 
+def _quantize_coefficients_by_loop(rel, a: int, q: int) -> np.ndarray:
+    """Reference: c_m = (1/q) sum_j e((a omega(j) + j m) / q), one exact
+    residue per (j, m)."""
+    ms = np.arange(q, dtype=np.int64)
+    total = np.zeros(q, dtype=np.complex128)
+    for j in range(q):
+        res = (a * rel.omega_int(j) + j * ms) % q
+        total += np.exp(2j * np.pi * res / q)
+    return total / q
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=64), st.integers(min_value=-64, max_value=64),
+       st.sampled_from(["poly:-1,0,0", "poly:1,0,0,0", "poly:1,1,0", "poly:-2,3,0,5,-1"]))
+def test_quantize_coefficients_match_residue_loop(q, a, rel_text):
+    if math.gcd(a, q) != 1:
+        a = 1
+    rel = parse_relation(rel_text)
+    got = quantize_coefficients(rel, a, q)
+    assert np.max(np.abs(got - _quantize_coefficients_by_loop(rel, a, q))) <= 1e-14
+
+
 def test_quantize_reconstruct_half_turn_is_a_translate():
     # theta = 1/2 for the schroedinger relation shifts the datum by half a turn
     g = step_datum()
