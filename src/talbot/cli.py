@@ -582,12 +582,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep the oblique slice with this slope instead of a fixed time")
     sweep.add_argument("--scales", help="dyadic exponent range lo..hi or comma list of Ns "
                                         "(default 8..16)")
-    sweep.add_argument("--grid", type=int, help="quadrature grid override (power of two)")
+    sweep.add_argument("--grid", type=int,
+                       help="quadrature grid override (power of two, 2..2^20)")
     sweep.add_argument("--no-refine", action="store_true", default=None,
                        help="skip golden-section refinement of the supremum")
     sweep.add_argument("--weight", choices=("unit", "reciprocal"), help="mode weights")
     sweep.add_argument("--sign", choices=("+", "-", "both"), help="block sign")
-    sweep.add_argument("--threads", type=int, help="worker threads (default TALBOT_THREADS)")
+    sweep.add_argument("--threads", type=int,
+                       help="worker threads, at least 1 (default TALBOT_THREADS)")
     sweep.add_argument("--min-slope", type=float, help="fail if a sup slope is below this")
     sweep.add_argument("--max-slope", type=float, help="fail if a sup slope is above this")
     sweep.add_argument("--csv", help="write per-scale norms here")

@@ -284,8 +284,7 @@ def _sweep_cell(relation: DispersionRelation, at, N: int, grid: int | None,
     freqs, theta = _cell_frequencies(spec, at, ns)
     coeffs = _modulated_coefficients(spec, theta, ns)
 
-    G = next_pow2(16 * N) if grid is None else int(grid)
-    G = min(G, MAX_GRID)
+    G = min(next_pow2(16 * N), MAX_GRID) if grid is None else grid
     span = frequency_span(freqs)
     warnings: list[str] = []
     if G < 16 * (span + 1):
@@ -310,13 +309,20 @@ def sup_norm_sweep(relation: DispersionRelation | str, at, scales: Iterable[int]
 
     ``at`` is either a TimePoint (restriction to a fixed time) or an oblique
     slice descriptor with fields kind='oblique', c (TimePoint), k, ell.
-    Grid defaults to 16*N capped at 2^20; the supremum is refined by
-    golden-section search around the top grid peaks.  Scales are processed
-    in the given order and merged deterministically, whatever the thread
-    count."""
+    Grid defaults to 16*N capped at 2^20; a given grid must be a power of
+    two in [2, 2^20], and a given thread count at least 1 (ValueError
+    otherwise).  The supremum is refined by golden-section search around
+    the top grid peaks.  Scales are processed in the given order and merged
+    deterministically, whatever the thread count."""
     rel = parse_relation(relation) if isinstance(relation, str) else relation
     scale_list = [int(N) for N in scales]
-    workers = _default_threads() if threads is None else max(1, int(threads))
+    if grid is not None:
+        grid = int(grid)
+        if grid < 2 or not _is_dyadic(grid) or grid > MAX_GRID:
+            raise ValueError(f"grid must be a power of two in [2, {MAX_GRID}], got {grid}")
+    workers = _default_threads() if threads is None else int(threads)
+    if workers < 1:
+        raise ValueError(f"threads must be at least 1, got {workers}")
 
     def job(N: int) -> tuple[SweepRow, list[str]]:
         return _sweep_cell(rel, at, N, grid, refine, weight, sign)

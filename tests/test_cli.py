@@ -114,6 +114,35 @@ def test_sweep_usage_errors(capsys):
                "--scales", "9..25")[0] == 2  # exponent out of range
 
 
+SWEEP_SMALL = ("sweep", "--rel", "poly:-1,0,0", "--at", "rat:1/3", "--scales", "4..7")
+
+
+@pytest.mark.parametrize("extra, reason", [
+    (("--grid", "3"), "grid must be a power of two"),
+    (("--grid", "0"), "grid must be a power of two"),
+    (("--grid", "-1024"), "grid must be a power of two"),
+    (("--grid", str(2 ** 21)), "grid must be a power of two"),
+    (("--oblique", "1/1", "--grid", "1"), "grid must be a power of two"),
+    (("--threads", "-3"), "threads must be at least 1"),
+    (("--threads", "0"), "threads must be at least 1"),
+])
+def test_sweep_out_of_range_grid_or_threads_is_a_config_error(capsys, extra, reason):
+    code, out, err = run(capsys, *SWEEP_SMALL, *extra)
+    assert code == 2
+    assert out == ""
+    assert f"config error: {reason}" in err
+
+
+def test_sweep_accepts_the_grid_range_ends(capsys, tmp_path):
+    csv_path = tmp_path / "rows.csv"
+    for grid in (2, 2 ** 20):
+        code, _, _ = run(capsys, *SWEEP_SMALL, "--grid", str(grid), "--threads", "2",
+                         "--csv", str(csv_path))
+        assert code == 0
+        rows = csv_path.read_text().splitlines()[1:]
+        assert [int(line.split(",")[5]) for line in rows] == [grid] * 4
+
+
 # -- quantize ------------------------------------------------------------------------
 
 def test_quantize_default_run_passes(capsys, tmp_path):

@@ -107,10 +107,14 @@ def test_sweep_rows_and_csv_deterministic():
 
 
 def test_sweep_threads_agree_with_serial():
+    # the oblique rows take the wide-span refinement, whose evaluator caches
+    # the anchored coefficients per peak
     scales = [64, 128, 256, 512]
-    serial = sup_norm_sweep(AIRY, kl_theta("phi"), scales, threads=1)
-    threaded = sup_norm_sweep(AIRY, kl_theta("phi"), scales, threads=4)
-    assert serial.csv_text() == threaded.csv_text()
+    for relation, at in ((AIRY, kl_theta("phi")),
+                         (SCHRODINGER, SliceSpec.oblique(seeded_theta(3), 1, 1))):
+        serial = sup_norm_sweep(relation, at, scales, threads=1)
+        threaded = sup_norm_sweep(relation, at, scales, threads=4)
+        assert serial.csv_text() == threaded.csv_text()
 
 
 def test_oblique_sweep_accepts_slice_descriptor():

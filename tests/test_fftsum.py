@@ -1,5 +1,6 @@
-"""Sup refinement: the Taylor path against the direct-sum oracle, the path
-choice, the under-resolution warning, and the numpy least-squares fit."""
+"""Sup refinement: the Taylor and table-phasor paths against the direct-sum
+oracle, the path choice, the under-resolution warning, and the numpy
+least-squares fit."""
 import math
 import os
 import subprocess
@@ -15,13 +16,34 @@ from hypothesis import strategies as st
 import talbot
 from talbot import (BlockSpec, SliceSpec, fit_exponent, parse_relation,
                     seeded_theta, sup_norm_sweep, theta_omega_frac_array)
-from talbot._fftsum import (AnchoredEvaluator, TaylorEvaluator, frequency_span,
+from talbot import expsum
+from talbot._fftsum import (PHASOR_TABLE, AnchoredEvaluator, TaylorEvaluator,
+                            _unit_phasor, fold_frequencies, frequency_span,
                             golden_section_peak, grid_values, local_maxima,
                             refine_supremum, taylor_order)
 from talbot.expsum import least_squares_line
 
 SCHRODINGER = "poly:-1,0,0"
 RELATIONS = ("frac:1/2", "frac:3/2", "frac:9/5", "gravity", "gravcap", "poly:1,0,0,0")
+
+
+class DirectEvaluator:
+    """The oracle: S at z = (2*pi/G)*(j + delta) as the plain N-term sum of
+    complex exponentials, the anchor and offset phases added in radians."""
+
+    def __init__(self, freqs, coeffs, G):
+        self.G = G
+        self.fmod = fold_frequencies(freqs, G)
+        self.ffloat = np.array([float(f) for f in freqs])
+        self.coeffs = np.asarray(coeffs, dtype=np.complex128)
+
+    def __call__(self, j, delta):
+        base = (self.fmod * (j % self.G)) % self.G
+        phases = (2.0 * np.pi / self.G) * base + (2.0 * np.pi / self.G) * delta * self.ffloat
+        return complex(np.sum(self.coeffs * np.exp(1j * phases)))
+
+    def local(self, j):
+        return lambda delta: abs(self(j, delta))
 
 
 def _golden_sup(local, absvals, top=10, iters=30):
@@ -32,7 +54,15 @@ def _golden_sup(local, absvals, top=10, iters=30):
 
 
 def _direct_sup(freqs, coeffs, G, absvals):
-    return _golden_sup(AnchoredEvaluator(freqs, coeffs, G).local, absvals)
+    return _golden_sup(DirectEvaluator(freqs, coeffs, G).local, absvals)
+
+
+def _oblique_cell(rel, theta, N, sign="+", weight="unit"):
+    """Frequencies, coefficients and default grid of one slope-1/1 sweep cell."""
+    spec = BlockSpec(parse_relation(rel), N, sign=sign, weight=weight)
+    ns = spec.modes()
+    freqs, turns = expsum._cell_frequencies(spec, SliceSpec.oblique(theta, 1, 1), ns)
+    return freqs, expsum._modulated_coefficients(spec, turns, ns), 16 * N
 
 
 @pytest.fixture
@@ -63,12 +93,12 @@ def test_taylor_evaluator_matches_direct_sum_off_grid():
     freqs = list(range(40, 104))
     coeffs = np.exp(2j * np.pi * rng.random(len(freqs)))
     G = 1024
-    direct = AnchoredEvaluator(freqs, coeffs, G)
+    direct = DirectEvaluator(freqs, coeffs, G)
     taylor = TaylorEvaluator(freqs, coeffs, G, frequency_span(freqs))
     for j in (0, 3, 517, 1023):
         local = taylor.local(j)
         for delta in (-1.0, -0.37, 0.0, 0.5, 1.0):
-            want = direct.abs_at(j, delta)
+            want = abs(direct(j, delta))
             assert local(delta) == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
@@ -98,11 +128,79 @@ def test_narrow_span_rows_skip_the_direct_sum(direct_calls):
 
 
 def test_wide_span_oblique_cell_keeps_the_direct_path(direct_calls):
-    # the direct N-term refinement's values, pinned bit for bit
+    # every probe is an N-term sum through AnchoredEvaluator; the table
+    # kernel's refined values and the direct-exponential oracle's, pinned
+    # bit for bit (they differ by one rounding in the first)
     at = SliceSpec.oblique(seeded_theta(3), 1, 1)
     sweep = sup_norm_sweep(SCHRODINGER, at, [64, 128])
-    assert [row.sup_abs for row in sweep.rows] == [24.964447820715666, 37.84729555007791]
+    assert [row.sup_abs for row in sweep.rows] == [24.964447820715662, 37.84729555007791]
     assert len(direct_calls) == 2 * 10 * 32
+    oracle = []
+    for N in (64, 128):
+        freqs, coeffs, G = _oblique_cell(SCHRODINGER, seeded_theta(3), N)
+        oracle.append(_direct_sup(freqs, coeffs, G, np.abs(grid_values(freqs, coeffs, G))))
+    assert oracle == [24.964447820715666, 37.84729555007791]
+
+
+def test_unit_phasor_series_order():
+    # |x| <= pi/L: the order-6 series (cosine to x^4, sine to x^5) leaves a
+    # tail below 2^-60
+    assert PHASOR_TABLE == 1 << 11
+    assert taylor_order(math.pi / PHASOR_TABLE) == 6
+
+
+def test_unit_phasor_matches_exp_at_any_magnitude():
+    rng = np.random.default_rng(11)
+    mags = 2.0 ** rng.uniform(-30, 40, 20_000)
+    t = np.concatenate([mags * rng.choice([-1.0, 1.0], mags.size),
+                        [0.0, 0.5, -0.5, 2.0**40 - 0.5, -(2.0**40) + 2.0**-12]])
+    cos, sin = _unit_phasor(t)
+    want = np.exp(2j * np.pi * (t - np.rint(t)))
+    assert np.max(np.abs(cos + 1j * sin - want)) <= 2e-15
+
+
+def test_unit_phasor_at_table_points():
+    k = np.arange(-3 * PHASOR_TABLE, 3 * PHASOR_TABLE + 1)
+    t = np.concatenate([k / PHASOR_TABLE, k / PHASOR_TABLE + 2.0**30,
+                        k / PHASOR_TABLE - 2.0**39])
+    cos, sin = _unit_phasor(t)
+    want = np.exp(2j * np.pi * (t - np.rint(t)))
+    assert np.max(np.abs(cos + 1j * sin - want)) <= 2e-15
+
+
+@pytest.mark.parametrize("rel", [SCHRODINGER, "poly:1,0,0,0", "bo"])
+@pytest.mark.parametrize("sign", ["+", "both"])
+@pytest.mark.parametrize("weight", ["unit", "reciprocal"])
+def test_table_phasor_probes_match_direct_sum(rel, sign, weight):
+    """Every probe of the wide-span refinement, and the refined sup, against
+    the plain direct sum on oblique cells, N = 2^4..2^11.  Both paths round
+    phases of up to max|f|/G turns to doubles, so besides 1e-11 of the grid
+    sup a probe may differ by four half-ulps of that turn count, in radians,
+    times |coeffs|_2 (a random walk of N rounding errors).  On cubic rows
+    (~2^21 turns at N = 2^11) that allowance dominates; elsewhere 1e-11
+    does.  The refined sups agree to 1e-11 on every row."""
+    for log2N in range(4, 12):
+        freqs, coeffs, G = _oblique_cell(rel, seeded_theta(50 + log2N), 1 << log2N,
+                                         sign, weight)
+        absvals = np.abs(grid_values(freqs, coeffs, G))
+        grid_sup = float(np.max(absvals))
+        ev, oracle = AnchoredEvaluator(freqs, coeffs, G), DirectEvaluator(freqs, coeffs, G)
+        rounding = (2.0 ** -51 * 2.0 * np.pi * max(abs(f) for f in freqs) / G
+                    * float(np.sqrt(np.sum(np.abs(coeffs) ** 2))))
+        probes = []
+
+        def recorded(j):
+            def at(delta):
+                value = ev(j, delta)
+                probes.append((j, delta, value))
+                return abs(value)
+            return at
+        got = _golden_sup(recorded, absvals)
+        assert len(probes) == 32 * len(local_maxima(absvals, 10))
+        for j, delta, value in probes:
+            assert abs(value - oracle(j, delta)) <= 1e-11 * grid_sup + rounding
+        assert got == refine_supremum(freqs, coeffs, G, absvals)
+        assert got == pytest.approx(_direct_sup(freqs, coeffs, G, absvals), rel=1e-11)
 
 
 def test_oblique_rows_warn_and_default_horizontal_rows_do_not():
