@@ -20,7 +20,8 @@ byte-identical CSV.  Threshold flags (``--max-slope``, ``--min-holder``,
 Exit codes: 0 -- all requested thresholds met; 1 -- a threshold failed
 (reports are still written); 2 -- configuration error.
 
-The environment variable TALBOT_THREADS caps worker threads for sweeps.
+The environment variable TALBOT_THREADS caps worker threads for sweeps; a
+value that is not an integer >= 1 is a configuration error (exit 2).
 """
 from __future__ import annotations
 
@@ -589,7 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--weight", choices=("unit", "reciprocal"), help="mode weights")
     sweep.add_argument("--sign", choices=("+", "-", "both"), help="block sign")
     sweep.add_argument("--threads", type=int,
-                       help="worker threads, at least 1 (default TALBOT_THREADS)")
+                       help="worker threads, at least 1 (default: TALBOT_THREADS if set, "
+                            "which must also be at least 1; else 1)")
     sweep.add_argument("--min-slope", type=float, help="fail if a sup slope is below this")
     sweep.add_argument("--max-slope", type=float, help="fail if a sup slope is above this")
     sweep.add_argument("--csv", help="write per-scale norms here")

@@ -43,10 +43,15 @@ TWO_PI = 2.0 * math.pi
 
 
 def _default_threads() -> int:
+    """Worker threads from TALBOT_THREADS (default 1), which must be an integer >= 1."""
+    text = os.environ.get("TALBOT_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("TALBOT_THREADS", "1")))
+        workers = int(text)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"TALBOT_THREADS must be an integer >= 1, got {text!r}")
+    return workers
 
 
 def _is_dyadic(n: int) -> bool:

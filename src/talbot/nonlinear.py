@@ -5,7 +5,10 @@ solved by Strang splitting in which both substeps are exact: the linear
 half-steps are diagonal phase rotations in mode space, and the nonlinear
 step is a pointwise phase rotation u → u·e^{±i(|u|²−P)dt} on a padded
 physical grid.  KdV  u_t + u_xxx + u·u_x = 0 is solved by integrating-factor
-RK4 in mode space with an alias-free quadratic term.
+RK4 in mode space with an alias-free quadratic term; the field is real, so
+only the modes n = 0..M are stepped, through one real FFT pair per stage.
+Both solvers run one stepping loop that keeps the snapshots, the L² drift
+and the blow-up guard.
 
 Both solvers declare the truncated datum P_{≤M}g as the actual initial
 condition of the experiment; ``smoothing_residual`` subtracts the exact
@@ -154,9 +157,10 @@ def _solver_checks(M: int, dt: float, t_max: float) -> int:
         raise ValueError("t_max must be an integer multiple of dt")
     return steps
 
-def _snapshot_steps(snapshot_times, dt: float, steps: int) -> list[int]:
+
+def _snapshot_steps(snapshot_times, dt: float, steps: int) -> set[int]:
     """Map requested times to step indices; the final step is always kept."""
-    idxs = set()
+    idxs = {steps}
     for t in snapshot_times or ():
         i = int(round(float(t) / dt))
         if not 0 <= i <= steps:
@@ -164,8 +168,36 @@ def _snapshot_steps(snapshot_times, dt: float, steps: int) -> list[int]:
         if abs(i * dt - float(t)) > dt / 2 + 1e-12:
             raise ValueError(f"snapshot time {t!r} is not near a step boundary")
         idxs.add(i)
-    idxs.add(steps)
-    return sorted(idxs)
+    return idxs
+
+
+def _march(kind: str, step, c: np.ndarray, modes, weight: float, dt: float, steps: int,
+           snaps: set[int], rotation_modes: int = 0, **run) -> Trajectory:
+    """The stepping loop both solvers share.
+
+    ``step(c)`` advances the state one step and returns it with the sup of
+    the field it sampled, stopping early once that sup crosses BLOWUP_LINF.
+    ``modes(c)`` is the centred mode array of a state, weight·Σ|c|² its
+    squared L² norm.  rotation_modes = M warns once if dt·linf·M > π/4.
+    """
+    def l2(v: np.ndarray) -> float:
+        return float(np.sqrt(weight * np.sum(np.abs(v) ** 2)))
+
+    l2_ref, drift, warnings = l2(c), 0.0, []
+    fields = [SpectralField(modes=modes(c), step=0, time=0.0)] if 0 in snaps else []
+    for i in range(1, steps + 1):
+        c_next, linf = step(c)
+        if linf > BLOWUP_LINF:
+            raise BlowUpError(kind, i, i * dt, linf, l2(c))
+        if rotation_modes and not warnings and dt * linf * rotation_modes > math.pi / 4:
+            warnings.append(f"nonlinear rotation per step dt*linf*M = "
+                            f"{dt * linf * rotation_modes:.3g} exceeds pi/4 at t={i * dt:.6g}")
+        c = c_next
+        drift = max(drift, abs(l2(c) - l2_ref))
+        if i in snaps:
+            fields.append(SpectralField(modes=modes(c), step=i, time=i * dt))
+    return Trajectory(kind=kind, dt=dt, fields=tuple(fields), l2_drift=drift,
+                      warnings=tuple(warnings), **run)
 
 
 def nls_wick_solve(g, sign: int = 1, M: int = 1 << 10, dt: float = 1e-4,
@@ -181,46 +213,35 @@ def nls_wick_solve(g, sign: int = 1, M: int = 1 << 10, dt: float = 1e-4,
     steps = _solver_checks(M, dt, t_max)
     snaps = _snapshot_steps(snapshot_times, dt, steps)
 
-    c = _datum_coefficients(g, M).astype(np.complex128)
-    datum = c.copy()
-    P = 2.0 * float(np.sum(np.abs(c) ** 2))
-    ns = np.arange(-M, M + 1, dtype=np.int64)
+    datum = _datum_coefficients(g, M).astype(np.complex128)
+    P = wick_constant(datum)
+    half = np.exp(-1j * dt / 2.0 * np.arange(-M, M + 1, dtype=np.float64) ** 2)
     G = next_pow2(2 * (2 * M + 1))
-    idx = ns % G
+    spec = np.zeros(G, dtype=np.complex128)   # modes 0..M, then -M..-1 at the top
+    # reused every step: a fresh FFT output this size costs page faults each call
+    vals, out, rot = (np.empty(G, dtype=np.complex128) for _ in range(3))
 
-    half = np.exp(-1j * dt / 2.0 * ns.astype(np.float64) ** 2)
-    l2_ref = float(np.sqrt(np.sum(np.abs(c) ** 2)))
-    drift = 0.0
-
-    fields = []
-    if snaps and snaps[0] == 0:
-        fields.append(SpectralField(modes=c.copy(), step=0, time=0.0))
-        snaps = snaps[1:]
-
-    spec = np.zeros(G, dtype=np.complex128)
-    for i in range(1, steps + 1):
+    def step(c: np.ndarray) -> tuple[np.ndarray, float]:
         c *= half
-        spec[:] = 0.0
-        spec[idx] = c
-        vals = np.fft.ifft(spec) * G
+        spec[:M + 1] = c[M:]
+        spec[G - M:] = c[:M]
+        np.fft.ifft(spec, norm="forward", out=vals)
         absq = np.abs(vals) ** 2
         linf = float(np.sqrt(absq.max()))
         if linf > BLOWUP_LINF:
-            raise BlowUpError("nls", i, i * dt, linf,
-                              math.sqrt(float(np.mean(absq))))
-        vals *= np.exp((1j * sign * dt) * (absq - P))
-        c = np.fft.fft(vals)[idx] / G
+            return c, linf
+        angle = (sign * dt) * (absq - P)
+        np.cos(angle, out=rot.real)
+        np.sin(angle, out=rot.imag)
+        np.multiply(vals, rot, out=vals)
+        np.fft.fft(vals, norm="forward", out=out)
+        c[:M] = out[G - M:]
+        c[M:] = out[:M + 1]
         c *= half
-        drift = max(drift, abs(float(np.sqrt(np.sum(np.abs(c) ** 2))) - l2_ref))
-        if snaps and i == snaps[0]:
-            fields.append(SpectralField(modes=c.copy(), step=i, time=i * dt))
-            snaps = snaps[1:]
-    if not fields:
-        fields.append(SpectralField(modes=c.copy(), step=0, time=0.0))
+        return c, linf
 
-    return Trajectory(kind="nls", relation=NLS_RELATION, datum_modes=datum,
-                      M=M, dt=dt, grid=G, fields=tuple(fields), sign=sign,
-                      wick=P, l2_drift=drift)
+    return _march("nls", step, datum.copy(), np.copy, 1.0, dt, steps, snaps,
+                  relation=NLS_RELATION, datum_modes=datum, M=M, grid=G, sign=sign, wick=P)
 
 
 def kdv_solve(g, M: int = 1 << 10, dt: float = 1e-4, t_max: float = 0.5,
@@ -230,8 +251,9 @@ def kdv_solve(g, M: int = 1 << 10, dt: float = 1e-4, t_max: float = 0.5,
     In mode space c_n' = in³c_n − (in/2)·(û²)_n; the stiff in³ factor is
     removed exactly, and the quadratic term is evaluated on a grid of at
     least 4M points, which is alias-free for the retained band.  The datum
-    must be real and mean-zero; the mean is then conserved exactly (the
-    quadratic term contributes in·(û²)_n/2 = 0 at n = 0).
+    must be real and mean-zero.  The field stays real, so only the modes
+    n = 0..M are stepped (c_{−n} = conj c_n), and the mean is conserved
+    exactly (the quadratic term contributes in·(û²)_n/2 = 0 at n = 0).
     """
     steps = _solver_checks(M, dt, t_max)
     snaps = _snapshot_steps(snapshot_times, dt, steps)
@@ -240,63 +262,40 @@ def kdv_solve(g, M: int = 1 << 10, dt: float = 1e-4, t_max: float = 0.5,
     sym = np.conj(c[::-1])
     if float(np.max(np.abs(c - sym))) > 1e-9 * max(1.0, float(np.max(np.abs(c)))):
         raise ValueError("KdV datum must be real-valued (conjugate-symmetric modes)")
-    c = (c + sym) / 2.0
-    if abs(c[M]) > 1e-12:
+    datum = (c + sym) / 2.0
+    if abs(datum[M]) > 1e-12:
         raise ValueError("KdV datum must be mean-zero")
-    c[M] = 0.0
-    datum = c.copy()
+    datum[M] = 0.0
 
-    ns = np.arange(-M, M + 1, dtype=np.int64)
+    ns = np.arange(M + 1, dtype=np.float64)
     G = max(next_pow2(4 * M), 16)
-    idx = ns % G
-    E = np.exp(1j * (dt / 2.0) * ns.astype(np.float64) ** 3)
+    E = np.exp(1j * (dt / 2.0) * ns ** 3)
     E2 = E * E
-    halfin = -0.5j * ns.astype(np.float64)
+    halfin = -0.5j * ns
 
-    spec = np.zeros(G, dtype=np.complex128)
+    def rhs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """−(in/2)·(û²)_n for n = 0..M, and the real field on the grid."""
+        vals = np.fft.irfft(a, G, norm="forward")
+        return halfin * np.fft.rfft(vals * vals, norm="forward")[:M + 1], vals
 
-    def rhs(modes: np.ndarray) -> tuple[np.ndarray, float]:
-        spec[:] = 0.0
-        spec[idx] = modes
-        vals = (np.fft.ifft(spec) * G).real
+    def step(a: np.ndarray) -> tuple[np.ndarray, float]:
+        k1, vals = rhs(a)
         linf = float(np.max(np.abs(vals)))
-        return halfin * (np.fft.fft(vals * vals)[idx] / G), linf
-
-    l2_ref = float(np.sqrt(np.sum(np.abs(c) ** 2)))
-    drift = 0.0
-    warnings: list[str] = []
-    warned = False
-
-    fields = []
-    if snaps and snaps[0] == 0:
-        fields.append(SpectralField(modes=c.copy(), step=0, time=0.0))
-        snaps = snaps[1:]
-
-    for i in range(1, steps + 1):
-        k1, linf = rhs(c)
         if linf > BLOWUP_LINF:
-            raise BlowUpError("kdv", i, i * dt, linf,
-                              float(np.sqrt(np.sum(np.abs(c) ** 2))))
-        if not warned and dt * linf * M > math.pi / 4:
-            warnings.append(f"nonlinear rotation per step dt*linf*M = "
-                            f"{dt * linf * M:.3g} exceeds pi/4 at t={i * dt:.6g}")
-            warned = True
-        k2, _ = rhs(E * (c + (dt / 2.0) * k1))
-        k3, _ = rhs(E * c + (dt / 2.0) * k2)
-        k4, _ = rhs(E2 * c + dt * (E * k3))
-        c = E2 * c + (dt / 6.0) * (E2 * k1 + 2.0 * (E * (k2 + k3)) + k4)
-        c = (c + np.conj(c[::-1])) / 2.0
-        c[M] = 0.0
-        drift = max(drift, abs(float(np.sqrt(np.sum(np.abs(c) ** 2))) - l2_ref))
-        if snaps and i == snaps[0]:
-            fields.append(SpectralField(modes=c.copy(), step=i, time=i * dt))
-            snaps = snaps[1:]
-    if not fields:
-        fields.append(SpectralField(modes=c.copy(), step=0, time=0.0))
+            return a, linf
+        Ea, E2a = E * a, E2 * a
+        k2 = rhs(E * (a + (dt / 2.0) * k1))[0]
+        k3 = rhs(Ea + (dt / 2.0) * k2)[0]
+        k4 = rhs(E2a + dt * (E * k3))[0]
+        a = E2a + (dt / 6.0) * (E2 * k1 + 2.0 * (E * (k2 + k3)) + k4)
+        a[0] = 0.0
+        return a, linf
 
-    return Trajectory(kind="kdv", relation=KDV_RELATION, datum_modes=datum,
-                      M=M, dt=dt, grid=G, fields=tuple(fields),
-                      l2_drift=drift, mean_drift=0.0, warnings=tuple(warnings))
+    def modes(a: np.ndarray) -> np.ndarray:   # c_{-n} = conj(a_n)
+        return np.concatenate((np.conj(a[:0:-1]), a))
+
+    return _march("kdv", step, datum[M:].copy(), modes, 2.0, dt, steps, snaps, M,
+                  relation=KDV_RELATION, datum_modes=datum, M=M, grid=G)
 
 
 def linear_flow_modes(traj: Trajectory, snapshot: int = -1) -> np.ndarray:

@@ -133,6 +133,15 @@ def test_sweep_out_of_range_grid_or_threads_is_a_config_error(capsys, extra, rea
     assert f"config error: {reason}" in err
 
 
+@pytest.mark.parametrize("value", ["-3", "0", "abc"])
+def test_sweep_bad_threads_environment_is_a_config_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("TALBOT_THREADS", value)
+    code, out, err = run(capsys, *SWEEP_SMALL)
+    assert code == 2
+    assert out == ""
+    assert f"config error: TALBOT_THREADS must be an integer >= 1, got {value!r}" in err
+
+
 def test_sweep_accepts_the_grid_range_ends(capsys, tmp_path):
     csv_path = tmp_path / "rows.csv"
     for grid in (2, 2 ** 20):

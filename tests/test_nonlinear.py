@@ -8,6 +8,8 @@ import pytest
 from talbot import (BlowUpError, SpectralField, StepFunction, kdv_solve,
                     linear_flow_modes, nls_wick_solve, smoothing_residual,
                     wick_constant, write_snapshot_csv)
+from talbot._fftsum import next_pow2
+from talbot.nonlinear import BLOWUP_LINF
 
 
 def mode_array(M: int, **modes: complex) -> np.ndarray:
@@ -24,6 +26,150 @@ def cosine_datum(M: int, amplitude: float = 1.0) -> np.ndarray:
     return c
 
 
+# -- complex-FFT oracles ---------------------------------------------------------------
+# The solvers' earlier loops: the full centred spectrum through complex FFTs, scaled
+# by G by hand, and for KdV a re-projection onto conjugate symmetry every step.  Each
+# returns (snapshot modes, l2 drift, warnings) or raises the same BlowUpError.
+
+def nls_oracle(c, sign, M, dt, steps, snaps):
+    c = np.array(c, dtype=np.complex128)
+    P = 2.0 * float(np.sum(np.abs(c) ** 2))
+    ns = np.arange(-M, M + 1, dtype=np.int64)
+    G = next_pow2(2 * (2 * M + 1))
+    idx = ns % G
+    half = np.exp(-1j * dt / 2.0 * ns.astype(np.float64) ** 2)
+    l2_ref = float(np.sqrt(np.sum(np.abs(c) ** 2)))
+    drift, fields = 0.0, [c.copy()] if 0 in snaps else []
+    spec = np.zeros(G, dtype=np.complex128)
+    for i in range(1, steps + 1):
+        c *= half
+        spec[:] = 0.0
+        spec[idx] = c
+        vals = np.fft.ifft(spec) * G
+        absq = np.abs(vals) ** 2
+        linf = float(np.sqrt(absq.max()))
+        if linf > BLOWUP_LINF:
+            raise BlowUpError("nls", i, i * dt, linf, math.sqrt(float(np.mean(absq))))
+        vals *= np.exp((1j * sign * dt) * (absq - P))
+        c = np.fft.fft(vals)[idx] / G
+        c *= half
+        drift = max(drift, abs(float(np.sqrt(np.sum(np.abs(c) ** 2))) - l2_ref))
+        if i in snaps:
+            fields.append(c.copy())
+    return fields, drift, ()
+
+
+def kdv_oracle(c, M, dt, steps, snaps):
+    c = np.array(c, dtype=np.complex128)
+    c = (c + np.conj(c[::-1])) / 2.0
+    c[M] = 0.0
+    ns = np.arange(-M, M + 1, dtype=np.int64)
+    G = max(next_pow2(4 * M), 16)
+    idx = ns % G
+    E = np.exp(1j * (dt / 2.0) * ns.astype(np.float64) ** 3)
+    E2 = E * E
+    halfin = -0.5j * ns.astype(np.float64)
+    spec = np.zeros(G, dtype=np.complex128)
+
+    def rhs(modes):
+        spec[:] = 0.0
+        spec[idx] = modes
+        vals = (np.fft.ifft(spec) * G).real
+        return halfin * (np.fft.fft(vals * vals)[idx] / G), float(np.max(np.abs(vals)))
+
+    l2_ref = float(np.sqrt(np.sum(np.abs(c) ** 2)))
+    drift, warnings, fields = 0.0, [], [c.copy()] if 0 in snaps else []
+    for i in range(1, steps + 1):
+        k1, linf = rhs(c)
+        if linf > BLOWUP_LINF:
+            raise BlowUpError("kdv", i, i * dt, linf, float(np.sqrt(np.sum(np.abs(c) ** 2))))
+        if not warnings and dt * linf * M > math.pi / 4:
+            warnings.append(f"nonlinear rotation per step dt*linf*M = "
+                            f"{dt * linf * M:.3g} exceeds pi/4 at t={i * dt:.6g}")
+        k2, _ = rhs(E * (c + (dt / 2.0) * k1))
+        k3, _ = rhs(E * c + (dt / 2.0) * k2)
+        k4, _ = rhs(E2 * c + dt * (E * k3))
+        c = E2 * c + (dt / 6.0) * (E2 * k1 + 2.0 * (E * (k2 + k3)) + k4)
+        c = (c + np.conj(c[::-1])) / 2.0
+        c[M] = 0.0
+        drift = max(drift, abs(float(np.sqrt(np.sum(np.abs(c) ** 2))) - l2_ref))
+        if i in snaps:
+            fields.append(c.copy())
+    return fields, drift, tuple(warnings)
+
+
+NLS_STEP = StepFunction((Fraction(0), Fraction(1, 3), Fraction(3, 4)), (1 + 0.5j, -0.5, 0.25j))
+KDV_STEP = StepFunction((Fraction(0), Fraction(1, 4), Fraction(5, 8)), (0.9, -0.9, 0.3))
+NLS_DT, KDV_DT, STEPS = 1e-4, 1e-3, 20
+
+
+def scaled(g: StepFunction, lam: float) -> StepFunction:
+    return StepFunction(g.breakpoints, [lam * v for v in g.values])
+
+
+def solve_both(kind, lam, M):
+    g = scaled(NLS_STEP if kind == "nls" else KDV_STEP, lam)
+    c = g.coefficients_array(M)
+    snaps = {0, STEPS // 2, STEPS}
+    if kind == "nls":
+        dt = NLS_DT
+        traj = nls_wick_solve(g, sign=1, M=M, dt=dt, t_max=STEPS * dt,
+                              snapshot_times=(0.0, STEPS // 2 * dt))
+        return traj, nls_oracle(c, 1, M, dt, STEPS, snaps)
+    dt = KDV_DT
+    traj = kdv_solve(g, M=M, dt=dt, t_max=STEPS * dt, snapshot_times=(0.0, STEPS // 2 * dt))
+    return traj, kdv_oracle(c, M, dt, STEPS, snaps)
+
+
+@pytest.mark.parametrize("M", [8, 64, 1024])
+@pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("kind", ["nls", "kdv"])
+def test_solver_matches_complex_fft_oracle(kind, lam, M):
+    traj, (modes, drift, warnings) = solve_both(kind, lam, M)
+    assert [f.step for f in traj.fields] == [0, STEPS // 2, STEPS]
+    for f, ref in zip(traj.fields, modes, strict=True):
+        scale = float(np.max(np.abs(ref)))
+        np.testing.assert_allclose(f.modes, ref, rtol=0, atol=1e-12 * scale)
+    assert traj.l2_drift == pytest.approx(drift, rel=0, abs=1e-12)
+    assert traj.warnings == warnings
+
+
+def test_oracle_comparison_covers_the_rotation_warning():
+    traj, (_, _, warnings) = solve_both("kdv", 1.0, 1024)
+    assert len(warnings) == 1 and traj.warnings == warnings
+
+
+@pytest.mark.parametrize("kind, lam, M", [
+    ("nls", 800, 64), ("nls", 700, 1024), ("nls", 900, 8),
+    ("kdv", 700, 8), ("kdv", 500, 1024), ("kdv", 900, 64),
+])
+def test_blowup_step_matches_complex_fft_oracle(kind, lam, M):
+    with pytest.raises(BlowUpError) as new:
+        solve_both(kind, lam, M)
+    g = scaled(NLS_STEP if kind == "nls" else KDV_STEP, lam)
+    c = g.coefficients_array(M)
+    with pytest.raises(BlowUpError) as ref:
+        if kind == "nls":
+            nls_oracle(c, 1, M, NLS_DT, STEPS, {STEPS})
+        else:
+            kdv_oracle(c, M, KDV_DT, STEPS, {STEPS})
+    assert (new.value.kind, new.value.step) == (ref.value.kind, ref.value.step)
+    assert new.value.time == ref.value.time
+    assert new.value.linf == pytest.approx(ref.value.linf, rel=1e-12)
+    assert new.value.l2 == pytest.approx(ref.value.l2, rel=1e-12)
+
+
+@pytest.mark.parametrize("M", [8, 64, 1024])
+def test_kdv_snapshots_are_exactly_conjugate_symmetric(M):
+    traj = kdv_solve(scaled(KDV_STEP, 1.0), M=M, dt=KDV_DT, t_max=STEPS * KDV_DT,
+                     snapshot_times=(0.0, STEPS // 2 * KDV_DT))
+    for f in traj.fields:
+        c = f.modes
+        assert np.array_equal(c, np.conj(c[::-1]))
+        assert c[M] == 0.0
+    assert np.array_equal(traj.datum_modes, traj.fields[0].modes)
+
+
 # -- Wick constant -------------------------------------------------------------------
 
 def test_wick_constant_of_step_datum():
@@ -35,6 +181,13 @@ def test_wick_constant_of_mode_array():
     c = mode_array(4, n_0=0.5)
     assert wick_constant(c) == pytest.approx(0.5, abs=1e-14)
     assert wick_constant(StepFunction.constant(2.0), M=4) == pytest.approx(8.0)
+
+
+def test_nls_wick_is_the_truncated_wick_constant():
+    M = 64
+    c = NLS_STEP.coefficients_array(M)
+    traj = nls_wick_solve(NLS_STEP, M=M, dt=NLS_DT, t_max=0.0)
+    assert traj.wick == wick_constant(c) == 2.0 * float(np.sum(np.abs(c) ** 2))
 
 
 def test_wick_constant_validation():
