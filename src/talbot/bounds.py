@@ -16,10 +16,6 @@ Exact = Union[int, Fraction]
 Number = Union[int, float, Fraction]
 
 
-def _rational(*xs) -> bool:
-    return all(isinstance(x, (int, Fraction)) for x in xs)
-
-
 def _num(x: Number):
     return Fraction(x) if isinstance(x, (int, Fraction)) else float(x)
 

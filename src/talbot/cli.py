@@ -65,17 +65,14 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """The resolved options of one run; round-trips through JSON losslessly."""
+    """The resolved options of one run; ``to_dict()``, saved as a ``--config``
+    file, reproduces the run."""
 
     subcommand: str
     options: dict
 
     def to_dict(self) -> dict:
         return {"subcommand": self.subcommand, "options": dict(self.options)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(subcommand=d["subcommand"], options=dict(d["options"]))
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> ExperimentConfig:

@@ -1,4 +1,4 @@
-"""Continued fractions and Diophantine classification of time points.
+"""Continued fractions, rational approximation and Gauss sums of time points.
 
 The qualitative behaviour of a dispersive evolution at time t = 2*pi*theta
 is governed by how well theta is approximated by rationals: rational theta
@@ -128,71 +128,6 @@ def dirichlet_approx(theta: RealLike, Q: int) -> tuple[Fraction, float]:
         else:
             break
     return best, float(value - best)
-
-
-@dataclass
-class DiophantineClass:
-    """Finite-depth verdict on the Khinchin-Levy condition.
-
-    The check q_{n+1} <= q_n^(1+eps) runs over the computed prefix past a
-    burn-in; it is a heuristic surrogate for an asymptotic definition, and
-    the verdict records the depth actually inspected.  A witnessed
-    violation takes precedence over rational detection, so finite Liouville
-    constructions report ``khinchin-levy-fail`` with the witnessing index.
-    """
-
-    verdict: str
-    witness_depth: int
-    epsilon: float
-    expansion: ContinuedFractionExpansion
-
-
-def khinchin_levy_test(
-    x: RealLike,
-    depth: int = 40,
-    eps: float = 0.25,
-    burn_in: int = 3,
-    q_floor: int = 256,
-    tail_clear: int = 6,
-) -> DiophantineClass:
-    """Test whether the CF prefix of x obeys q_{n+1} <= q_n^(1+eps).
-
-    The underlying condition is asymptotic: it need only hold past some
-    N_eps, so isolated early violations are expected even for conforming
-    numbers (the golden ratio has 5 > 3^1.25, and e has one excursion near
-    q ~ 10^3 before its ratios settle).  The surrogate therefore demands
-    that violations *stop*: pairs are inspected for n >= burn_in with
-    q_n >= q_floor, and the verdict is a fail only when some violation is
-    followed by fewer than ``tail_clear`` clean pairs before the prefix
-    ends -- i.e. the excursions persist to the precision horizon, as they
-    do for Liouville-type constructions.
-    """
-    if depth < 5:
-        raise ValueError("khinchin_levy_test needs depth >= 5")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    exp = continued_fraction(x, depth=depth)
-    qs = [c.denominator for c in exp.convergents]
-
-    violations: list[int] = []
-    checked: list[int] = []
-    for n in range(burn_in, len(qs) - 1):
-        if qs[n] < max(2, q_floor):
-            continue
-        checked.append(n)
-        if math.log(qs[n + 1]) > (1.0 + eps) * math.log(qs[n]) + 1e-12:
-            violations.append(n)
-
-    if violations:
-        last = violations[-1]
-        clean_after = sum(1 for n in checked if n > last)
-        if clean_after < tail_clear:
-            return DiophantineClass("khinchin-levy-fail", last + 1, eps, exp)
-    if exp.terminated or exp.rational_cutoff:
-        return DiophantineClass("rational", exp.achieved_depth, eps, exp)
-    if len(checked) < 2:
-        return DiophantineClass("undetermined", exp.achieved_depth, eps, exp)
-    return DiophantineClass("khinchin-levy-pass", exp.achieved_depth, eps, exp)
 
 
 def gauss_coefficient_sum(a: int, q: int, omega) -> complex:

@@ -9,9 +9,9 @@ sampled along one-dimensional slices of space-time: horizontal (fixed t),
 vertical (fixed x), or oblique lines of rational slope.  At rational
 theta = t/2pi = a/q with a polynomial integer frequency map, the evolution
 collapses to a finite combination of translates of the datum whose
-coefficients are complete residue sums; ``quantize_reconstruct`` builds that
-combination exactly and ``quantize_verify`` compares it against the
-truncated series away from the jumps.
+coefficients are complete residue sums; ``quantize_verify`` builds that
+combination exactly and compares it against the truncated series away
+from the jumps.
 """
 from __future__ import annotations
 
@@ -153,12 +153,15 @@ class SampleGrid:
 
 
 def _datum_coefficients(g, M: int) -> np.ndarray:
-    """Centered coefficient array [g_hat(-M), ..., g_hat(M)]."""
+    """Centered coefficient array [g_hat(-M), ..., g_hat(M)], all finite."""
     if hasattr(g, "coefficients_array"):
-        return g.coefficients_array(M)
-    arr = np.asarray(g, dtype=np.complex128)
-    if arr.shape != (2 * M + 1,):
-        raise ValueError(f"datum array must have shape (2M+1,) = ({2 * M + 1},)")
+        arr = g.coefficients_array(M)
+    else:
+        arr = np.asarray(g, dtype=np.complex128)
+        if arr.shape != (2 * M + 1,):
+            raise ValueError(f"datum array must have shape (2M+1,) = ({2 * M + 1},)")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("datum must be finite")
     return arr
 
 
@@ -242,13 +245,6 @@ def quantize_coefficients(rel: DispersionRelation, a: int, q: int) -> np.ndarray
     k = np.rint(4.0 * fr)
     multipliers = _QUARTER_TURNS[k.astype(np.int64) % 4] * np.exp(2j * np.pi * (fr - k / 4.0))
     return np.fft.ifft(multipliers)
-
-
-def quantize_reconstruct(rel: DispersionRelation, g: StepFunction, a: int, q: int) -> StepFunction:
-    """The evolution of a step datum at theta = a/q as an exact step function:
-    sum_m c_m g(x - 2 pi m / q), on the refined breakpoint set
-    {b_i + m/q mod 1}."""
-    return _reconstruct(g, quantize_coefficients(rel, a, q))
 
 
 def _reconstruct(g: StepFunction, c: np.ndarray) -> StepFunction:

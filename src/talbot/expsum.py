@@ -7,7 +7,6 @@ is carried in exact fixed-point turns.  The module provides:
 * ``block_sum``       -- one sum evaluated at a single point, exactly phased;
 * ``sup_norm_sweep``  -- sup/L^2/L^4 norms across dyadic scales with
                          golden-section refinement and exponent fits;
-* ``lp_norm``         -- single-block L^p quadrature on an alias-free grid;
 * ``l4_quadruple_oracle``     -- exact combinatorial count behind L^4 norms;
 * ``airy_l4_identity_check``  -- quadrature vs. the cubic resonance identity;
 * ``bprocess_dual_compare``   -- a stationary-phase dual sum against the
@@ -18,8 +17,6 @@ order across worker threads.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -223,18 +220,6 @@ class SweepResult:
     def l4_fit(self) -> ExponentFit:
         return fit_exponent(self.scales(), [row.l4 for row in self.rows])
 
-    def write_csv(self, stream) -> None:
-        writer = csv.writer(stream)
-        writer.writerow(["N", "sup_abs", "l2", "l4", "grid", "refined"])
-        for row in self.rows:
-            writer.writerow([row.N, repr(row.sup_abs), repr(row.l2), repr(row.l4),
-                             row.grid, int(row.refined)])
-
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
-
     def fit_payload(self) -> dict:
         out = {"relation": self.relation, "at": self.at,
                "sup": self.sup_fit().payload()}
@@ -341,31 +326,6 @@ def sup_norm_sweep(relation: DispersionRelation | str, at, scales: Iterable[int]
     rows = [row for row, _ in outcomes]
     warnings = [w for _, ws in outcomes for w in ws]
     return SweepResult(relation=rel.spec, at=_at_label(at), rows=rows, warnings=warnings)
-
-
-# ---------------------------------------------------------------------------
-# L^p norms
-# ---------------------------------------------------------------------------
-
-def lp_norm(spec: BlockSpec, t, p, grid: int | None = None) -> float:
-    """L^p norm (normalised by the period) of the block sum at time ``t``.
-
-    p in {2, 4, inf}.  Quadrature on ``grid`` points; with the default grid
-    of 16*N (power of two) the p = 2 and p = 4 quadratures are alias-free,
-    hence exact up to FFT rounding.  p = inf adds golden-section refinement."""
-    theta, _ = _as_theta(t)
-    ns = spec.modes()
-    coeffs = _modulated_coefficients(spec, theta, ns)
-    G = next_pow2(16 * spec.N) if grid is None else int(grid)
-    vals = grid_values(list(ns), coeffs, G)
-    absvals = np.abs(vals)
-    if p == 2:
-        return float(np.sqrt(np.mean(absvals ** 2)))
-    if p == 4:
-        return float(np.mean(absvals ** 4) ** 0.25)
-    if p in (math.inf, "inf", "sup"):
-        return refine_supremum(list(ns), coeffs, G, absvals)
-    raise ValueError(f"p must be 2, 4 or inf, got {p!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +463,6 @@ class BProcessComparison:
     N: int
     r: int
     budget_scale: float
-
-    def within_budget(self, constant: float) -> bool:
-        return self.discrepancy <= constant * self.budget_scale
 
 
 def bprocess_dual_compare(r: int, t, x, N: int) -> BProcessComparison:

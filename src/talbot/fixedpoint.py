@@ -229,11 +229,6 @@ def e_fraction(extra_bits: int = 2 * FRAC_BITS) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
-def euler_e() -> FixedReal:
-    return FixedReal.from_fraction(e_fraction())
-
-
 def _atan_inv(x: int, bits: int) -> int:
     """arctan(1/x) scaled by 2**bits, alternating integer series."""
     scale = 1 << bits

@@ -2,9 +2,8 @@
 
 Box-counting dimension via column oscillation counts, Hölder exponents via
 the grid modulus of continuity, hard-cutoff dyadic-block (Littlewood-Paley)
-Besov profiles, and the exact exponent formulas that turn (r, gamma, q) data
-into dimension bounds.  Each block is evaluated band-limited, as one batched
-call of 4N-point inverse FFTs with exact integer twiddles; its L^2 norm comes
+Besov profiles.  Each block is evaluated band-limited, as one batched call
+of 4N-point inverse FFTs with exact integer twiddles; its L^2 norm comes
 from the spectrum by Parseval.  Block norms agree with a full-length masked
 inverse FFT per block to 1e-12 relative.
 
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -66,8 +64,9 @@ class BoxCountResult:
     """Column-counting cover sizes of the rescaled graph.
 
     eps_list is decreasing; counts[i] boxes of side eps_list[i] cover the
-    graph in [0,1]^2.  ``fit`` is over the central window (two largest and
-    two smallest eps dropped); ``fit_window`` recomputes with another drop.
+    graph in [0,1]^2.  ``fit`` is over the central window that
+    ``box_dimension``'s ``drop`` leaves (by default the two largest and two
+    smallest eps are dropped).
     """
 
     eps_list: tuple[float, ...]
@@ -78,19 +77,6 @@ class BoxCountResult:
     @property
     def dimension(self) -> float:
         return self.fit.slope
-
-    def fit_window(self, drop_large: int, drop_small: int) -> ExponentFit:
-        """Refit over another central window, same floor removal as ``fit``."""
-        if self.degenerate:
-            return self.fit
-        lo, hi = drop_large, len(self.eps_list) - drop_small
-        if hi - lo < 4:
-            raise ValueError("window too small for a fit")
-        ks = [int(round(-math.log2(e))) for e in self.eps_list[lo:hi]]
-        excess = [max(c - (1 << k), 1) for c, k in zip(self.counts[lo:hi], ks)]
-        return _fit_loglog(np.array(ks, dtype=np.float64),
-                           np.log2(np.array(excess, dtype=np.float64)),
-                           [1 << k for k in ks])
 
 
 def box_dimension(samples, k_min: int = 2, k_max: int | None = None,
@@ -255,47 +241,6 @@ def besov_profile(samples, ps: Sequence = (1, 2, math.inf),
         fits[p] = _fit_loglog(xs, np.log2(vals[keep]), [Ns[i] for i in keep])
     return BesovProfile(Ns=tuple(Ns), norms={p: tuple(v) for p, v in by_p.items()},
                         fits=fits)
-
-
-# ---------------------------------------------------------------------------
-# exponent formulas
-# ---------------------------------------------------------------------------
-
-def _maybe_fraction(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    return None
-
-
-def dimension_lower_bound(r, gamma, q):
-    """D >= 2 - (2r - gamma q')/(2 - q') with q' = q/(q-1), from an L^q
-    block-norm growth exponent r and a Hölder exponent gamma.  Exact when
-    the inputs are rational; q = inf gives the no-gain floor 2 - 2r + gamma."""
-    if q != math.inf and not q > 2:
-        raise ValueError("q must exceed 2 (or be inf)")
-    if not 0 <= float(gamma) <= 1:
-        raise ValueError("gamma must lie in [0, 1]")
-    if float(r) < 0:
-        raise ValueError("r must be nonnegative")
-    rq, gq = _maybe_fraction(r), _maybe_fraction(gamma)
-    if q == math.inf:
-        if rq is not None and gq is not None:
-            return 2 - 2 * rq + gq
-        return 2.0 - 2.0 * float(r) + float(gamma)
-    qq = _maybe_fraction(q)
-    if rq is not None and gq is not None and qq is not None:
-        qp = qq / (qq - 1)
-        return 2 - (2 * rq - gq * qp) / (2 - qp)
-    qp = float(q) / (float(q) - 1.0)
-    return 2.0 - (2.0 * float(r) - float(gamma) * qp) / (2.0 - qp)
-
-
-def dimension_upper_bound(gamma):
-    """D <= 2 - gamma for a C^gamma graph, 0 < gamma <= 1; exact on rationals."""
-    if not 0 < float(gamma) <= 1:
-        raise ValueError("gamma must lie in (0, 1]")
-    g = _maybe_fraction(gamma)
-    return 2 - g if g is not None else 2.0 - float(gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -16,27 +16,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .fixedpoint import pi as pi_fixed
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class RegularityTag:
-    """What is known a priori about a datum's smoothness.
-
-    ``r0`` is the supremum of r with g in H^r (1/2 for a non-constant step
-    function, +inf for a constant); ``in_bv`` records membership in BV.
-    """
-
-    r0: float
-    in_bv: bool
 
 
 class StepFunction:
@@ -122,9 +109,6 @@ class StepFunction:
         """(1/2*pi) * integral of |g|^2 over the torus."""
         return float(sum(abs(v) ** 2 * float(l) for v, l in zip(self.values, self.interval_lengths())))
 
-    def regularity(self) -> RegularityTag:
-        return RegularityTag(math.inf if self.is_constant() else 0.5, True)
-
     def fourier_coefficient(self, n: int) -> complex:
         """Exact closed-form ghat(n); ghat(0) is the mean."""
         if n == 0:
@@ -185,34 +169,6 @@ class StepFunction:
     def __repr__(self) -> str:
         bits = ", ".join(f"{b}->{v:g}" for b, v in zip(self.breakpoints, self.values))
         return f"StepFunction({bits})"
-
-
-@dataclass(frozen=True)
-class CompositeDatum:
-    """A step function plus an optional absolutely continuous part.
-
-    The smooth part is supplied as a coefficient callback n -> coefficient
-    and only enters through Fourier data; all structural queries (jumps,
-    variation of the singular part) defer to the step component.
-    """
-
-    step: StepFunction
-    ac_coefficients: Callable[[int], complex] | None = None
-
-    def fourier_coefficient(self, n: int) -> complex:
-        base = self.step.fourier_coefficient(n)
-        if self.ac_coefficients is not None:
-            base += self.ac_coefficients(n)
-        return base
-
-    def coefficients_array(self, M: int) -> np.ndarray:
-        out = self.step.coefficients_array(M)
-        if self.ac_coefficients is not None:
-            out = out + np.array([self.ac_coefficients(int(n)) for n in range(-M, M + 1)])
-        return out
-
-    def regularity(self) -> RegularityTag:
-        return self.step.regularity()
 
 
 def _parse_breakpoint(token: str) -> Fraction:

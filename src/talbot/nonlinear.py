@@ -82,10 +82,6 @@ class SpectralField:
     def M(self) -> int:
         return (len(self.modes) - 1) // 2
 
-    def l2_norm(self) -> float:
-        """‖u‖ with the normalised measure dx/2π: sqrt(Σ|c_n|²)."""
-        return float(np.sqrt(np.sum(np.abs(self.modes) ** 2)))
-
     def values(self, grid: int | None = None) -> np.ndarray:
         """Physical samples on a uniform grid over [0, 2π)."""
         M = self.M

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from talbot import __version__
-from talbot.cli import ConfigError, ExperimentConfig, main
+from talbot.cli import ConfigError, main
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -230,6 +230,15 @@ def test_kdv_blowup_reports_failure(capsys):
     assert report["failures"]
 
 
+@pytest.mark.parametrize("kind, value", [("nls", "nan"), ("kdv", "inf")])
+def test_solver_non_finite_datum_is_a_config_error(capsys, kind, value):
+    code, out, err = run(capsys, kind, "--data", f"step:0,pi:{value},1",
+                         "--M", "8", "--dt", "1e-3", "--t-max", "0.01")
+    assert code == 2
+    assert out == ""
+    assert "config error: datum must be finite" in err
+
+
 # -- dimension ------------------------------------------------------------------------
 
 def test_dimension_quick_run(capsys, tmp_path):
@@ -330,11 +339,19 @@ def test_config_file_unreadable(capsys, tmp_path):
                "--config", str(broken))[0] == 2
 
 
-def test_experiment_config_round_trip():
-    cfg = ExperimentConfig("sweep", {"rel": "poly:-1,0,0", "scales": "6..9",
-                                     "threads": None, "min_slope": 0.5})
-    again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-    assert again == cfg
+def test_experiment_config_round_trip(capsys, tmp_path):
+    # a report's config block, saved as a file, reproduces the run on its own
+    code, out, _ = run(capsys, "sweep", "--rel", "poly:-1,0,0", "--at", "kl:sqrt2",
+                       "--scales", "6..9", "--min-slope", "0.3")
+    assert code == 0
+    first = json.loads(out)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(first["config"]))
+    code, out, _ = run(capsys, "sweep", "--config", str(cfg))
+    assert code == 0
+    again = json.loads(out)
+    assert again["config"] == first["config"]
+    assert again["results"] == first["results"]
 
 
 def test_report_envelope_fields(capsys):

@@ -1,4 +1,4 @@
-"""Continued fractions, Diophantine classification, Gauss sums, and the
+"""Continued fractions, rational approximation, Gauss sums, and the
 curvature-constant solver."""
 import math
 from fractions import Fraction
@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talbot import (ContinuedFractionExpansion, IntPolynomial, TimePoint,
-                    continued_fraction, ctr_constant, dirichlet_approx,
-                    gauss_coefficient_sum, khinchin_levy_test,
-                    solve_time_for_ctr)
-from talbot.fixedpoint import FixedReal, euler_e, golden_ratio, pi, sqrt2
+from talbot import (IntPolynomial, TimePoint, continued_fraction, ctr_constant,
+                    dirichlet_approx, gauss_coefficient_sum, solve_time_for_ctr)
+from talbot.fixedpoint import golden_ratio, pi, sqrt2
 
 
 # -- continued fractions ------------------------------------------------------
@@ -97,39 +95,6 @@ def test_dirichlet_box_bound_holds_generally():
 def test_dirichlet_validation():
     with pytest.raises(ValueError):
         dirichlet_approx(sqrt2(), 0)
-
-
-# -- Khinchin-Levy surrogate --------------------------------------------------
-
-def test_reference_irrationals_pass():
-    assert khinchin_levy_test(sqrt2()).verdict == "khinchin-levy-pass"
-    assert khinchin_levy_test(golden_ratio()).verdict == "khinchin-levy-pass"
-    assert khinchin_levy_test(euler_e()).verdict == "khinchin-levy-pass"
-
-
-def test_rationals_report_rational():
-    assert khinchin_levy_test(Fraction(3, 7)).verdict == "rational"
-
-
-def test_liouville_like_tail_fails():
-    # Dyadic analogue of a Liouville construction: factorially sparse bits
-    # keep violating q_{n+1} <= q_n^{1+eps} all the way to the horizon.
-    theta = FixedReal(sum(1 << (192 - math.factorial(k)) for k in range(1, 6)))
-    assert khinchin_levy_test(theta).verdict == "khinchin-levy-fail"
-
-
-def test_verdict_metadata():
-    verdict = khinchin_levy_test(sqrt2(), depth=30, eps=0.5)
-    assert verdict.epsilon == 0.5
-    assert isinstance(verdict.expansion, ContinuedFractionExpansion)
-    assert verdict.witness_depth <= 30
-
-
-def test_kl_validation():
-    with pytest.raises(ValueError):
-        khinchin_levy_test(sqrt2(), depth=3)
-    with pytest.raises(ValueError):
-        khinchin_levy_test(sqrt2(), eps=0.0)
 
 
 # -- Gauss coefficient sums ---------------------------------------------------

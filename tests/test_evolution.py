@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from talbot import (IntPolynomial, SampleGrid, SliceSpec, StepFunction,
                     TimePoint, evolve_slice, kl_theta, parse_relation,
-                    parse_slice, quantize_coefficients, quantize_reconstruct,
-                    quantize_verify)
+                    parse_slice, quantize_coefficients, quantize_verify)
 from talbot import evolution
 
 SCHRODINGER = parse_relation("poly:-1,0,0")
@@ -200,6 +199,13 @@ def test_datum_array_shape_validation():
                      SliceSpec.horizontal(TimePoint.rational(0, 1)), M=4, length=32)
 
 
+def test_evolve_slice_rejects_an_infinite_step_datum():
+    g = StepFunction((Fraction(0), Fraction(1, 2)), (math.inf, 1.0))
+    with pytest.raises(ValueError, match="datum must be finite"):
+        evolve_slice(SCHRODINGER, g, SliceSpec.horizontal(TimePoint.rational(1, 3)),
+                     M=8, length=64)
+
+
 def test_evolve_slice_validation():
     g = step_datum()
     with pytest.raises(ValueError):
@@ -275,17 +281,22 @@ def test_quantize_coefficients_match_residue_loop(q, a, rel_text):
     assert np.max(np.abs(got - _quantize_coefficients_by_loop(rel, a, q))) <= 1e-14
 
 
+def reconstruction(a: int, q: int) -> StepFunction:
+    """The exact translate reconstruction of step_datum() at theta = a/q."""
+    return quantize_verify(SCHRODINGER, step_datum(), a, q,
+                           M=1 << 6, length=1 << 10).reconstruction
+
+
 def test_quantize_reconstruct_half_turn_is_a_translate():
     # theta = 1/2 for the schroedinger relation shifts the datum by half a turn
-    g = step_datum()
-    recon = quantize_reconstruct(SCHRODINGER, g, 1, 2)
+    recon = reconstruction(1, 2)
     assert complex(recon.value_at_turns(Fraction(1, 4))) == pytest.approx(0.0)
     assert complex(recon.value_at_turns(Fraction(3, 4))) == pytest.approx(1.0)
     assert set(recon.breakpoints) == {Fraction(0), Fraction(1, 2)}
 
 
 def test_quantize_reconstruct_refines_breakpoints():
-    recon = quantize_reconstruct(SCHRODINGER, step_datum(), 1, 3)
+    recon = reconstruction(1, 3)
     assert set(recon.breakpoints) == {
         Fraction(0), Fraction(1, 6), Fraction(1, 3), Fraction(1, 2),
         Fraction(2, 3), Fraction(5, 6)}
@@ -321,7 +332,7 @@ def _exact_samples_by_bisection(g: StepFunction, length: int) -> np.ndarray:
     # breakpoints closer than one grid cell share a threshold
     StepFunction((Fraction(1, 5), Fraction(1, 5) + Fraction(1, 1000), Fraction(3, 4)),
                  (3.0, 4.0, 5.0)),
-    quantize_reconstruct(SCHRODINGER, step_datum(), 1, 3),
+    reconstruction(1, 3),
 ])
 @pytest.mark.parametrize("length", [1 << 6, 1 << 9])
 def test_step_grid_values_match_bisection(g, length):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from talbot import (BlockSpec, IntPolynomial, SliceSpec, TimePoint,
                     airy_l4_identity_check, block_sum, bprocess_dual_compare,
-                    fit_exponent, kl_theta, l4_quadruple_oracle, lp_norm,
+                    fit_exponent, kl_theta, l4_quadruple_oracle,
                     parse_relation, seeded_theta, sup_norm_sweep)
 from talbot.fixedpoint import sqrt2
 
@@ -68,24 +68,14 @@ def test_fit_exponent_needs_enough_points():
 
 def test_l2_norm_is_parseval_exact():
     # mean |S|^2 over the period = block length, whatever the time
-    spec = BlockSpec(parse_relation(SCHRODINGER), 64)
     for t in (TimePoint.rational(1, 3), kl_theta("sqrt2")):
-        assert lp_norm(spec, t, 2) == pytest.approx(8.0, abs=1e-10)
+        row, = sup_norm_sweep(SCHRODINGER, t, [64]).rows
+        assert row.l2 == pytest.approx(8.0, abs=1e-10)
 
 
 def test_sup_norm_bounds():
-    spec = BlockSpec(parse_relation(AIRY), 32)
-    sup = lp_norm(spec, kl_theta("sqrt2"), math.inf)
-    l2 = lp_norm(spec, kl_theta("sqrt2"), 2)
-    assert l2 <= sup <= 32.0 + 1e-9
-    l4 = lp_norm(spec, kl_theta("sqrt2"), 4)
-    assert l2 <= l4 <= sup + 1e-12
-
-
-def test_lp_norm_validation():
-    spec = BlockSpec(parse_relation(AIRY), 8)
-    with pytest.raises(ValueError):
-        lp_norm(spec, kl_theta("sqrt2"), 3)
+    row, = sup_norm_sweep(AIRY, kl_theta("sqrt2"), [32]).rows
+    assert row.l2 <= row.l4 <= row.sup_abs <= 32.0 + 1e-9
 
 
 # -- sweeps -----------------------------------------------------------------------
@@ -102,7 +92,7 @@ def test_sweep_rows_and_csv_deterministic():
     scales = [64, 128, 256]
     a = sup_norm_sweep(AIRY, kl_theta("sqrt2"), scales)
     b = sup_norm_sweep(AIRY, kl_theta("sqrt2"), scales)
-    assert a.csv_text() == b.csv_text()
+    assert a.rows == b.rows
     assert a.scales() == scales
 
 
@@ -114,7 +104,7 @@ def test_sweep_threads_agree_with_serial():
                          (SCHRODINGER, SliceSpec.oblique(seeded_theta(3), 1, 1))):
         serial = sup_norm_sweep(relation, at, scales, threads=1)
         threaded = sup_norm_sweep(relation, at, scales, threads=4)
-        assert serial.csv_text() == threaded.csv_text()
+        assert serial.rows == threaded.rows
 
 
 def test_oblique_sweep_accepts_slice_descriptor():
@@ -225,6 +215,6 @@ def test_dual_sum_validation():
        st.integers(min_value=0, max_value=11), st.integers(min_value=1, max_value=12))
 def test_parseval_property(N, a, q):
     # the L^2 quadrature equals sqrt(N) regardless of the rational time
-    spec = BlockSpec(parse_relation(SCHRODINGER), N)
-    assert lp_norm(spec, TimePoint.rational(a, q), 2) == pytest.approx(
-        math.sqrt(N), rel=1e-10)
+    row, = sup_norm_sweep(SCHRODINGER, TimePoint.rational(a, q), [N]).rows
+    assert row.l2 == pytest.approx(math.sqrt(N), rel=1e-10)
+    assert row.l2 <= row.l4 <= row.sup_abs <= N + 1e-9

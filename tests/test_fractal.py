@@ -1,12 +1,10 @@
 """Box counting, Hölder and Besov estimators, and the calibration family."""
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from talbot import (besov_profile, box_dimension, dimension_lower_bound,
-                    dimension_upper_bound, holder_exponent, weierstrass)
+from talbot import besov_profile, box_dimension, holder_exponent, weierstrass
 
 L = 1 << 14
 X = np.arange(L) / L  # turns
@@ -66,15 +64,6 @@ def test_box_dimension_validation():
         box_dimension(ys, k_min=8, k_max=4)
     with pytest.raises(ValueError):
         box_dimension(np.exp(2j * np.pi * X))  # complex without .real
-
-
-def test_fit_window_refits_and_guards():
-    res = box_dimension(weierstrass(0.5, J=12, length=L))  # ks 2..8
-    full = res.fit_window(0, 0)
-    assert len(full.scales) == len(res.eps_list)
-    assert full.slope == pytest.approx(res.dimension, abs=0.2)
-    with pytest.raises(ValueError):
-        res.fit_window(2, 4)  # only one point would remain
 
 
 # -- Hölder exponent ----------------------------------------------------------------
@@ -253,37 +242,3 @@ def test_weierstrass_validation():
         weierstrass(0.0)
     with pytest.raises(ValueError):
         weierstrass(1.5)
-
-
-# -- exponent formulas ----------------------------------------------------------------
-
-def test_dimension_lower_bound_exact_rationals():
-    got = dimension_lower_bound(Fraction(1, 4), Fraction(1, 4), 4)
-    assert got == Fraction(7, 4)
-    assert isinstance(got, Fraction)
-    assert dimension_lower_bound(Fraction(1, 2), Fraction(1, 2), math.inf) == Fraction(3, 2)
-
-
-def test_dimension_lower_bound_float_path():
-    got = dimension_lower_bound(0.25, 0.25, 4.0)
-    assert isinstance(got, float)
-    assert got == pytest.approx(1.75, abs=1e-12)
-
-
-def test_dimension_lower_bound_validation():
-    with pytest.raises(ValueError):
-        dimension_lower_bound(Fraction(1, 4), Fraction(1, 4), 2)
-    with pytest.raises(ValueError):
-        dimension_lower_bound(Fraction(1, 4), Fraction(3, 2), 4)
-    with pytest.raises(ValueError):
-        dimension_lower_bound(-1, Fraction(1, 4), 4)
-
-
-def test_dimension_upper_bound():
-    assert dimension_upper_bound(Fraction(3, 8)) == Fraction(13, 8)
-    assert dimension_upper_bound(1) == 1
-    assert dimension_upper_bound(0.5) == pytest.approx(1.5)
-    with pytest.raises(ValueError):
-        dimension_upper_bound(0)
-    with pytest.raises(ValueError):
-        dimension_upper_bound(Fraction(9, 8))

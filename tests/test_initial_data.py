@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talbot import CompositeDatum, StepFunction, parse_datum, parse_position
+from talbot import StepFunction, parse_datum, parse_position
 
 
 def _half_indicator() -> StepFunction:
@@ -112,27 +112,6 @@ def test_parseval_partial_sums_increase_to_l2():
     assert partial <= g.l2_mean() + 1e-15
     # tail of the 1/n series: sum_{odd n > M} 2/(pi n)^2 ~ 1/(pi^2 M)
     assert g.l2_mean() - partial == pytest.approx(1.0 / (math.pi ** 2 * (1 << 12)), rel=1e-2)
-
-
-def test_regularity_tag():
-    tag = _half_indicator().regularity()
-    assert tag.r0 == 0.5 and tag.in_bv
-    assert StepFunction.constant(1.0).regularity().r0 == math.inf
-
-
-# -- composite data --------------------------------------------------------------
-
-def test_composite_adds_smooth_part():
-    g = CompositeDatum(_half_indicator(), lambda n: 1.0 / (1 + n * n))
-    base = _half_indicator().fourier_coefficient(3)
-    assert g.fourier_coefficient(3) == pytest.approx(base + 0.1, abs=1e-15)
-    arr = g.coefficients_array(4)
-    assert arr[4 + 0] == pytest.approx(0.5 + 1.0, abs=1e-15)
-
-
-def test_composite_without_smooth_part():
-    g = CompositeDatum(_half_indicator())
-    assert g.fourier_coefficient(1) == _half_indicator().fourier_coefficient(1)
 
 
 # -- parser ----------------------------------------------------------------------

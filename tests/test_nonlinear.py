@@ -295,6 +295,16 @@ def test_kdv_rejects_nonzero_mean():
         kdv_solve(mode_array(M, n_0=0.3), M=M, dt=1e-3, t_max=0.01)
 
 
+@pytest.mark.parametrize("solve, g", [
+    (nls_wick_solve, mode_array(8, n_0=math.nan)),
+    (kdv_solve, mode_array(8, n_0=math.nan)),
+    (kdv_solve, StepFunction((Fraction(0), Fraction(1, 2)), (math.inf, 1.0))),
+])
+def test_solvers_reject_a_non_finite_datum(solve, g):
+    with pytest.raises(ValueError, match="datum must be finite"):
+        solve(g, M=8, dt=1e-3, t_max=0.01)
+
+
 def test_solver_parameter_validation():
     M = 8
     g = mode_array(M, n_0=0.1)
