@@ -377,7 +377,7 @@ def _cmd_l4count(args: argparse.Namespace) -> int:
         quad = None if opt["skip_quadrature"] else _l4_quadrature(h, K)
         rel_err = None if quad is None else abs(quad - oracle.count) / oracle.count
         rows.append({"K": K, "count": oracle.count,
-                     "nontrivial_resonances": len(oracle.resonances),
+                     "nontrivial_resonances": oracle.nontrivial,
                      "quadrature": quad, "relative_error": rel_err})
         if rel_err is not None and rel_err > 1e-9:
             failures.append(f"K={K}: quadrature {quad!r} vs count {oracle.count}, "

@@ -71,17 +71,13 @@ class ContinuedFractionExpansion:
     rational_cutoff: bool = False
     exhausted: bool = False
 
-    @property
-    def achieved_depth(self) -> int:
-        return len(self.partial_quotients)
-
 
 def continued_fraction(x: RealLike, depth: int = 32) -> ContinuedFractionExpansion:
     """Continued fraction expansion of x to at most ``depth`` quotients.
 
     Exact Fractions expand exactly (terminating for rationals); float and
-    FixedReal inputs stop early at the precision trust horizon, recording
-    the achieved depth.
+    FixedReal inputs stop early at the precision trust horizon, so
+    ``partial_quotients`` may hold fewer than ``depth`` terms.
     """
     if not 1 <= depth <= 64:
         raise ValueError("depth must be between 1 and 64")

@@ -88,9 +88,9 @@ class TimePoint:
         raise TypeError(f"cannot build TimePoint from {type(x).__name__}")
 
     @classmethod
-    def from_time(cls, t: float, label: str = "") -> "TimePoint":
+    def from_time(cls, t: float) -> "TimePoint":
         """Exact dyadic t divided by 2*pi in fixed point."""
-        return cls(FixedReal.from_float(t) / two_pi(), label or f"t={t!r}")
+        return cls(FixedReal.from_float(t) / two_pi(), f"t={t!r}")
 
     @property
     def is_rational(self) -> bool:

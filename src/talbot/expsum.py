@@ -337,18 +337,17 @@ class QuadrupleCount:
     """Exact count of resonant quadruples in a block.
 
     ``count`` is the number of (n1, n2, n3, n4) in the block with
-    h(n1) + h(n3) = h(n2) + h(n4); ``resonances`` lists the nontrivial ones
-    (those with {n1, n3} != {n2, n4} as multisets), truncated to the cap."""
+    h(n1) + h(n3) = h(n2) + h(n4); ``nontrivial`` counts those with
+    {n1, n3} != {n2, n4} as multisets, i.e. ``count`` less the 2K^2 - K
+    trivial quadruples, which solve the equation for every h."""
 
     count: int
-    resonances: tuple[tuple[int, int, int, int], ...]
-    truncated: bool
+    nontrivial: int
     K: int
     h: str
 
 
-def l4_quadruple_oracle(h: DispersionRelation | str, K: int,
-                        max_resonances: int = 1000) -> QuadrupleCount:
+def l4_quadruple_oracle(h: DispersionRelation | str, K: int) -> QuadrupleCount:
     """Count solutions of h(n1) + h(n3) = h(n2) + h(n4) with all n_i in
     [K, 2K), by a hashed three-index enumeration (O(K^3) time)."""
     rel = parse_relation(h) if isinstance(h, str) else h
@@ -356,39 +355,18 @@ def l4_quadruple_oracle(h: DispersionRelation | str, K: int,
         raise ValueError("the quadruple oracle needs an integer-valued frequency map")
     if not _is_dyadic(K) or K > 128:
         raise ValueError(f"K must be a power of two <= 128, got {K}")
-    ns = list(range(K, 2 * K))
-    hv_py = [rel.omega_int(n) for n in ns]
+    hv_py = [rel.omega_int(n) for n in range(K, 2 * K)]
     if max(abs(v) for v in hv_py) >= 1 << 61:
         raise ValueError("frequency values too large for exact int64 arithmetic")
     hv = np.array(hv_py, dtype=np.int64)
 
-    by_value: dict[int, list[int]] = {}
-    for n, v in zip(ns, hv_py):
-        by_value.setdefault(v, []).append(n)
-
     # target[i, j, k] = h(n_i) - h(n_j) + h(n_k) must equal some h(n4)
     target = hv[:, None, None] - hv[None, :, None] + hv[None, None, :]
-    uniq = np.array(sorted(by_value), dtype=np.int64)
-    counts = np.array([len(by_value[v]) for v in uniq.tolist()], dtype=np.int64)
-    pos = np.searchsorted(uniq, target)
-    pos_c = np.minimum(pos, len(uniq) - 1)
-    hit = uniq[pos_c] == target
-    count = int(np.sum(np.where(hit, counts[pos_c], 0)))
-
-    resonances: list[tuple[int, int, int, int]] = []
-    truncated = False
-    for i, j, k in np.argwhere(hit):
-        n1, n2, n3 = ns[i], ns[j], ns[k]
-        for n4 in by_value[int(target[i, j, k])]:
-            if sorted((n1, n3)) != sorted((n2, n4)):
-                if len(resonances) >= max_resonances:
-                    truncated = True
-                    break
-                resonances.append((n1, n2, n3, n4))
-        if truncated:
-            break
-    return QuadrupleCount(count=count, resonances=tuple(resonances),
-                          truncated=truncated, K=K, h=rel.spec)
+    uniq, counts = np.unique(hv, return_counts=True)
+    pos = np.minimum(np.searchsorted(uniq, target), len(uniq) - 1)
+    hit = uniq[pos] == target
+    count = int(np.sum(np.where(hit, counts[pos], 0)))
+    return QuadrupleCount(count=count, nontrivial=count - (2 * K * K - K), K=K, h=rel.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +382,16 @@ class IdentityCheck:
     grid: int
 
 
-def airy_l4_identity_check(t, N: int, grid: int | None = None) -> IdentityCheck:
+def airy_l4_identity_check(t, N: int) -> IdentityCheck:
     """Check the exact L^4 identity for the cubic relation omega(n) = n^3.
 
     For S(x) = sum_{n in [N,2N)} e(theta n^3) e^{inx}, the normalised
     quadrature (1/2pi) * int |S|^4 equals the constrained triple sum
     sum e(3 theta (n1-n2)(n2-n3)(n1+n3)) over n1, n2, n3 in the block with
     n1 - n2 + n3 also in the block.  Returns both sides and the relative
-    error; phases on both sides are exact 192-bit turns."""
+    error; phases on both sides are exact 192-bit turns.  The grid of
+    next_pow2(32N) points lies far above the largest frequency 2N - 2 of
+    |S|^4, so its grid mean is the integral up to rounding."""
     if not _is_dyadic(N) or N > 1 << 7:
         raise ValueError(f"N must be a power of two <= {1 << 7}, got {N}")
     theta, _ = _as_theta(t)
@@ -419,9 +399,7 @@ def airy_l4_identity_check(t, N: int, grid: int | None = None) -> IdentityCheck:
     rel = parse_relation("poly:1,0,0,0")
     coeffs = np.exp(2j * np.pi * theta_omega_frac_array(rel, theta, ns))
 
-    G = next_pow2(32 * N) if grid is None else int(grid)
-    if G <= 16 * N:
-        raise ValueError("the quartic quadrature needs grid > 16*N")
+    G = next_pow2(32 * N)
     vals = grid_values(ns, coeffs, G)
     quadrature = float(np.mean(np.abs(vals) ** 4))
 

@@ -22,6 +22,8 @@ import numpy as np
 from .expsum import ExponentFit, least_squares_line
 
 MIN_SAMPLES = 1 << 12
+#: Besov fits use the blocks N >= FIT_MIN_BLOCK.
+FIT_MIN_BLOCK = 4
 
 
 def _as_real_samples(samples) -> np.ndarray:
@@ -37,10 +39,6 @@ def _as_real_samples(samples) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("samples must be finite")
     return arr
-
-
-def _fit_loglog(log2_x: np.ndarray, log2_y: np.ndarray, scales: Sequence[int]) -> ExponentFit:
-    return least_squares_line(log2_x, log2_y, scales)
 
 
 def _column_oscillations(ys: np.ndarray, k: int) -> np.ndarray:
@@ -79,30 +77,31 @@ class BoxCountResult:
         return self.fit.slope
 
 
-def box_dimension(samples, k_min: int = 2, k_max: int | None = None,
-                  drop: tuple[int, int] = (2, 2)) -> BoxCountResult:
+def box_dimension(samples, drop: tuple[int, int] = (2, 2)) -> BoxCountResult:
     """Upper box-counting dimension of the graph of the sampled function.
 
-    The graph is rescaled to [0,1]^2; for each dyadic eps = 2^-k the cover
-    size is sum over columns of (ceil(osc/eps) + 1), exact for grid graphs.
-    The dimension is the slope of log2 N(eps) against k over the central
-    window, with the trivial one-box-per-column floor removed before
-    fitting (the floor adds a spurious +2^k term that flattens the slope,
-    and the calibration family recovers its known dimension only without
-    it).  A constant input is flagged degenerate (dimension 1)."""
+    The graph is rescaled to [0,1]^2; for each dyadic eps = 2^-k,
+    k = 2..log2(len) - 6, the cover size is sum over columns of
+    (ceil(osc/eps) + 1), exact for grid graphs.  The dimension is the slope
+    of log2 N(eps) against k over the central window left by dropping
+    ``drop`` = (large, small) scales, with the trivial one-box-per-column
+    floor removed before fitting (the floor adds a spurious +2^k term that
+    flattens the slope, and the calibration family recovers its known
+    dimension only without it).  A window of fewer than two scales is a
+    ValueError.  A constant input is flagged degenerate (dimension 1)."""
     ys = _as_real_samples(samples)
-    L = int(math.log2(len(ys)))
-    if k_max is None:
-        k_max = L - 6
-    if not 0 < k_min < k_max <= L - 1:
-        raise ValueError(f"need 0 < k_min < k_max <= {L - 1}")
+    ks = list(range(2, int(math.log2(len(ys))) - 5))
+    lo, hi = drop
+    kept = len(ks) - lo - hi
+    if min(lo, hi) < 0 or kept < 2:
+        raise ValueError(f"drop {lo},{hi} keeps {max(kept, 0)} of the {len(ks)} box-count "
+                         "scales; it must be nonnegative and keep at least two")
 
     span = float(ys.max() - ys.min())
     degenerate = span == 0.0
     if not degenerate:
         ys = (ys - ys.min()) / span
 
-    ks = list(range(k_min, k_max + 1))
     counts, excess = [], []
     for k in ks:
         osc = _column_oscillations(ys, k)
@@ -117,11 +116,10 @@ def box_dimension(samples, k_min: int = 2, k_max: int | None = None,
         return BoxCountResult(eps_list=eps_list, counts=tuple(counts), fit=fit,
                               degenerate=True)
 
-    lo, hi = drop
     sel = slice(lo, len(ks) - hi)
-    fit = _fit_loglog(np.array(ks[sel], dtype=np.float64),
-                      np.log2(np.array(excess[sel], dtype=np.float64)),
-                      [1 << k for k in ks[sel]])
+    fit = least_squares_line(np.array(ks[sel], dtype=np.float64),
+                             np.log2(np.array(excess[sel], dtype=np.float64)),
+                             [1 << k for k in ks[sel]])
     return BoxCountResult(eps_list=eps_list, counts=tuple(counts), fit=fit,
                           degenerate=degenerate)
 
@@ -149,9 +147,9 @@ def holder_exponent(samples, lag_min: int = 32, lag_max: int = 1024) -> Exponent
         return ExponentFit(slope=0.0, intercept=0.0, stderr=0.0, r_squared=0.0,
                            scales=tuple(lags))
     keep = [i for i, h in enumerate(hs) if h > 0.0]
-    return _fit_loglog(np.log2(np.array([lags[i] for i in keep], dtype=np.float64)),
-                       np.log2(np.array([hs[i] for i in keep])),
-                       [lags[i] for i in keep])
+    return least_squares_line(np.log2(np.array([lags[i] for i in keep], dtype=np.float64)),
+                              np.log2(np.array([hs[i] for i in keep])),
+                              [lags[i] for i in keep])
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +189,13 @@ def _block_samples(spec: np.ndarray, table: np.ndarray, N: int) -> np.ndarray:
     return np.fft.ifft(X, axis=1, norm="forward")
 
 
-def besov_profile(samples, ps: Sequence = (1, 2, math.inf),
-                  fit_min_block: int = 4) -> BesovProfile:
+def besov_profile(samples, ps: Sequence = (1, 2, math.inf)) -> BesovProfile:
     """Hard-cutoff Littlewood-Paley block norms of the sampled function.
 
     P_N keeps frequencies N <= |n| < 2N of the sample DFT; block norms use
     the normalised grid measure, so ||.||_1 <= ||.||_2 <= ||.||_inf per
     block.  Hard cutoffs (not smooth ones) are the operative surrogate here;
-    fits use blocks from ``fit_min_block`` up to len/8 whose norm exceeds
+    fits use blocks from FIT_MIN_BLOCK up to len/8 whose norm exceeds
     1e-13.  ||P_N f||_2 comes from the spectrum by Parseval; the other norms
     reduce samples of each block evaluated as 4N-point batched transforms
     (``_block_samples``), never as a full-length inverse FFT."""
@@ -233,12 +230,12 @@ def besov_profile(samples, ps: Sequence = (1, 2, math.inf),
     fits = {}
     for p in ps:
         vals = np.array(by_p[p])
-        keep = [i for i, Nv in enumerate(Ns) if Nv >= fit_min_block and vals[i] > 1e-13]
+        keep = [i for i, Nv in enumerate(Ns) if Nv >= FIT_MIN_BLOCK and vals[i] > 1e-13]
         if len(keep) < 4:
             fits[p] = None
             continue
         xs = np.log2(np.array([Ns[i] for i in keep], dtype=np.float64))
-        fits[p] = _fit_loglog(xs, np.log2(vals[keep]), [Ns[i] for i in keep])
+        fits[p] = least_squares_line(xs, np.log2(vals[keep]), [Ns[i] for i in keep])
     return BesovProfile(Ns=tuple(Ns), norms={p: tuple(v) for p, v in by_p.items()},
                         fits=fits)
 

@@ -72,9 +72,6 @@ class StepFunction:
     def pieces(self) -> int:
         return len(self.values)
 
-    def is_constant(self) -> bool:
-        return all(v == self.values[0] for v in self.values)
-
     def jumps(self) -> list[tuple[Fraction, complex]]:
         """(location, c_j - c_{j-1}) for each breakpoint, zero jumps included."""
         J = len(self.values)
@@ -84,10 +81,6 @@ class StepFunction:
         t = tau % 1 if isinstance(tau, Fraction) else Fraction(tau) % 1
         idx = bisect_right(self.breakpoints, t) - 1
         return self.values[idx]  # idx = -1 wraps to the last piece
-
-    def value_at(self, x: float) -> complex:
-        """Value at the radian coordinate x."""
-        return self.value_at_turns(Fraction(x) / (2 * pi_fixed().as_fraction()))
 
     def interval_lengths(self) -> list[Fraction]:
         J = len(self.breakpoints)
@@ -99,15 +92,8 @@ class StepFunction:
 
     # -- analysis ------------------------------------------------------------
 
-    def total_variation(self) -> float:
-        return float(sum(abs(jump) for _, jump in self.jumps()))
-
     def mean(self) -> complex:
         return sum(v * float(l) for v, l in zip(self.values, self.interval_lengths()))
-
-    def l2_mean(self) -> float:
-        """(1/2*pi) * integral of |g|^2 over the torus."""
-        return float(sum(abs(v) ** 2 * float(l) for v, l in zip(self.values, self.interval_lengths())))
 
     def fourier_coefficient(self, n: int) -> complex:
         """Exact closed-form ghat(n); ghat(0) is the mean."""
@@ -149,12 +135,6 @@ class StepFunction:
         return out
 
     # -- misc ----------------------------------------------------------------
-
-    def translate(self, shift: Fraction) -> "StepFunction":
-        """g(x - 2*pi*shift) as a new StepFunction (shift in turns)."""
-        shift = Fraction(shift) % 1
-        moved = sorted(zip([(b + shift) % 1 for b in self.breakpoints], self.values))
-        return StepFunction([m[0] for m in moved], [m[1] for m in moved])
 
     def __eq__(self, other) -> bool:
         return (

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._fftsum import next_pow2
+from ._fftsum import grid_values, next_pow2
 from .dispersion import FixedReal, parse_relation, theta_omega_frac_array, two_pi
 from .evolution import SampleGrid, _datum_coefficients
 
@@ -48,22 +48,13 @@ class BlowUpError(RuntimeError):
         self.l2 = l2
 
 
-def wick_constant(g, M: int | None = None) -> float:
-    """P = (1/π)‖g‖²_{L²(𝕋)}.
+def wick_constant(modes) -> float:
+    """P = (1/π)‖g‖²_{L²(𝕋)} = 2·Σ|ĝ(n)|² of the centred mode array of g.
 
-    With a step function and no truncation the integral is exact (it is a
-    finite sum over pieces); with a truncation M, or a raw mode array, P is
-    2·Σ|ĝ(n)|² over the retained modes — the Wick constant of the declared
-    initial condition P_{≤M}g.
+    For the modes of P_{≤M}g this is the Wick constant of the declared
+    initial condition.  The array must be 1-d, of odd length and finite.
     """
-    if M is None and hasattr(g, "l2_mean"):
-        return 2.0 * float(g.l2_mean())
-    if M is None:
-        coeffs = np.asarray(g, dtype=np.complex128)
-        if coeffs.ndim != 1 or len(coeffs) % 2 == 0:
-            raise ValueError("mode arrays must be 1-d with odd length (centered)")
-    else:
-        coeffs = _datum_coefficients(g, M)
+    coeffs = _datum_coefficients(modes, (len(modes) - 1) // 2)
     return 2.0 * float(np.sum(np.abs(coeffs) ** 2))
 
 
@@ -82,15 +73,10 @@ class SpectralField:
     def M(self) -> int:
         return (len(self.modes) - 1) // 2
 
-    def values(self, grid: int | None = None) -> np.ndarray:
-        """Physical samples on a uniform grid over [0, 2π)."""
+    def values(self) -> np.ndarray:
+        """Physical samples on the next_pow2(2M+1)-point grid over [0, 2π)."""
         M = self.M
-        G = next_pow2(2 * M + 1) if grid is None else grid
-        if G & (G - 1) or G < 2 * M + 1:
-            raise ValueError("grid must be a power of two >= 2M+1")
-        spec = np.zeros(G, dtype=np.complex128)
-        spec[np.arange(-M, M + 1) % G] = self.modes
-        return np.fft.ifft(spec) * G
+        return grid_values(range(-M, M + 1), self.modes, next_pow2(2 * M + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,9 +107,9 @@ class Trajectory:
     def times(self) -> tuple[float, ...]:
         return tuple(f.time for f in self.fields)
 
-    def exact_time(self, snapshot: int = -1) -> Fraction:
-        """step·dt with dt taken at its exact binary-float value."""
-        return self.fields[snapshot].step * Fraction(self.dt)
+    def exact_time(self) -> Fraction:
+        """Final step·dt with dt taken at its exact binary-float value."""
+        return self.final.step * Fraction(self.dt)
 
     def run_manifest(self) -> dict:
         return {
@@ -294,19 +280,18 @@ def kdv_solve(g, M: int = 1 << 10, dt: float = 1e-4, t_max: float = 0.5,
                   relation=KDV_RELATION, datum_modes=datum, M=M, grid=G)
 
 
-def linear_flow_modes(traj: Trajectory, snapshot: int = -1) -> np.ndarray:
-    """Modes of e^{itL}(P_{≤M}g) at a snapshot time, with exact phase
-    reduction (the snapshot time step·dt is an exact rational)."""
+def linear_flow_modes(traj: Trajectory) -> np.ndarray:
+    """Modes of e^{itL}(P_{≤M}g) at the final time, with exact phase
+    reduction (the time step·dt is an exact rational)."""
     rel = parse_relation(traj.relation)
-    t = traj.exact_time(snapshot)
+    t = traj.exact_time()
     theta = FixedReal.from_fraction(t) / two_pi()
     fr = theta_omega_frac_array(rel, theta, range(-traj.M, traj.M + 1))
     return traj.datum_modes * np.exp(2j * np.pi * fr)
 
 
-def smoothing_residual(traj: Trajectory, snapshot: int = -1,
-                       length: int = 1 << 12) -> SampleGrid:
-    """Samples of the residual u(t,x) − e^{itL}g on [0, 2π).
+def smoothing_residual(traj: Trajectory, length: int = 1 << 12) -> SampleGrid:
+    """Samples of the residual u(t,x) − e^{itL}g on [0, 2π) at the final time.
 
     g here is the declared truncated datum of the trajectory, and the linear
     flow uses the same truncation, so at t = 0 the residual is identically
@@ -315,11 +300,9 @@ def smoothing_residual(traj: Trajectory, snapshot: int = -1,
     """
     if length & (length - 1) or length < 2 * traj.M + 1:
         raise ValueError("length must be a power of two >= 2M+1")
-    f = traj.fields[snapshot]
-    res = f.modes - linear_flow_modes(traj, snapshot)
-    spec = np.zeros(length, dtype=np.complex128)
-    spec[np.arange(-traj.M, traj.M + 1) % length] = res
-    vals = np.fft.ifft(spec) * length
+    f = traj.final
+    res = f.modes - linear_flow_modes(traj)
+    vals = grid_values(range(-traj.M, traj.M + 1), res, length)
     if traj.kind == "kdv":
         vals = vals.real
     return SampleGrid(samples=vals, period=2.0 * math.pi, truncation=traj.M,
@@ -328,10 +311,10 @@ def smoothing_residual(traj: Trajectory, snapshot: int = -1,
                                   "dt": traj.dt, "sign": traj.sign})
 
 
-def write_snapshot_csv(field_or_grid, path, grid: int | None = None) -> None:
+def write_snapshot_csv(field_or_grid, path) -> None:
     """CSV dump (x, Re u, Im u) of a SpectralField or a SampleGrid."""
     if isinstance(field_or_grid, SpectralField):
-        vals = field_or_grid.values(grid)
+        vals = field_or_grid.values()
         xs = np.arange(len(vals)) * (2.0 * math.pi / len(vals))
     else:
         vals = np.asarray(field_or_grid.samples)

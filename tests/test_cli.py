@@ -193,6 +193,16 @@ def test_l4count_skip_quadrature(capsys):
     assert report["rows"][0]["quadrature"] is None
 
 
+def test_l4count_nontrivial_count_is_exact(capsys):
+    # 9600 quadruples, less the 2*64^2 - 64 = 8128 trivial ones
+    code, out, _ = run(capsys, "l4count", "--h", "poly:1,1,0", "--K", "64",
+                       "--skip-quadrature")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["count"] == 9600
+    assert row["nontrivial_resonances"] == 1472
+
+
 # -- solvers -------------------------------------------------------------------------
 
 def test_nls_quick_run(capsys, tmp_path):
@@ -261,6 +271,16 @@ def test_dimension_threshold_failure(capsys):
                        "--length", "8192", "--min-dim", "1.99")
     assert code == 1
     assert "box dimension" in err
+
+
+@pytest.mark.parametrize("drop, kept", [("2,4", 1), ("3,4", 0)])
+def test_dimension_drop_window_too_small(capsys, drop, kept):
+    code, out, err = run(capsys, "dimension", "--rel", "poly:-1,0,0",
+                         "--slice", "horiz:kl:phi", "--truncation", "1024",
+                         "--length", "16384", "--drop", drop)
+    assert code == 2
+    assert out == ""
+    assert f"keeps {kept} of the 7 box-count scales" in err
 
 
 def test_dimension_needs_slice(capsys):

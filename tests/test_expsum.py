@@ -1,4 +1,5 @@
 """Block sums, norm sweeps, quadruple counting, and the dual-sum check."""
+import itertools
 import math
 from fractions import Fraction
 
@@ -137,13 +138,29 @@ def test_cubic_counts_are_diagonal_only():
     for K in (8, 16, 32):
         res = l4_quadruple_oracle(IntPolynomial((1, 0, 0, 0)), K)
         assert res.count == 2 * K * K - K
-        assert res.resonances == ()
+        assert res.nontrivial == 0
 
 
 def test_quadruple_count_lower_bound_diagonal():
     res = l4_quadruple_oracle(IntPolynomial((1, 1, 0)), 32)
     assert res.count >= 2 * 32 * 32 - 32
-    assert not res.truncated
+    assert res.nontrivial == 228
+
+
+def _brute_force_nontrivial(h, K: int) -> list[tuple[int, int, int, int]]:
+    """Every (n1, n2, n3, n4) in [K, 2K)^4 with h(n1) + h(n3) = h(n2) + h(n4)
+    and {n1, n3} != {n2, n4} as multisets, by a plain quadruple loop."""
+    return [(n1, n2, n3, n4)
+            for n1, n2, n3, n4 in itertools.product(range(K, 2 * K), repeat=4)
+            if h(n1) + h(n3) == h(n2) + h(n4) and sorted((n1, n3)) != sorted((n2, n4))]
+
+
+@pytest.mark.parametrize("spec", ["poly:1,1,0", "poly:-1,0,3,0", "poly:-1,0,0", "poly:1,0,0,0"])
+@pytest.mark.parametrize("K", [8, 16])
+def test_nontrivial_count_matches_brute_force(spec, K):
+    rel = parse_relation(spec)
+    res = l4_quadruple_oracle(rel, K)
+    assert res.nontrivial == len(_brute_force_nontrivial(rel.omega_int, K))
 
 
 def test_quadruple_validation():
@@ -154,11 +171,13 @@ def test_quadruple_validation():
 
 
 def test_resonances_are_genuine():
-    res = l4_quadruple_oracle(IntPolynomial((1, 1, 0)), 16, max_resonances=50)
-    h = IntPolynomial((1, 1, 0)).omega_int
-    for n1, n2, n3, n4 in res.resonances[:20]:
-        assert h(n1) + h(n3) == h(n2) + h(n4)
-        assert sorted((n1, n3)) != sorted((n2, n4))
+    # h(n) = n^2 + n has 4h(n) + 1 = (2n + 1)^2, so each nontrivial quadruple
+    # is a second way to write a sum of two odd squares
+    res = l4_quadruple_oracle(IntPolynomial((1, 1, 0)), 16)
+    found = _brute_force_nontrivial(IntPolynomial((1, 1, 0)).omega_int, 16)
+    assert res.nontrivial == len(found) == 40
+    for n1, n2, n3, n4 in found:
+        assert (2 * n1 + 1) ** 2 + (2 * n3 + 1) ** 2 == (2 * n2 + 1) ** 2 + (2 * n4 + 1) ** 2
 
 
 # -- cubic L^4 identity ---------------------------------------------------------------
@@ -179,7 +198,7 @@ def test_airy_identity_validation():
     with pytest.raises(ValueError):
         airy_l4_identity_check(kl_theta("sqrt2"), 256)  # too large
     with pytest.raises(ValueError):
-        airy_l4_identity_check(kl_theta("sqrt2"), 16, grid=128)  # grid too small
+        airy_l4_identity_check(kl_theta("sqrt2"), 24)  # not a power of two
 
 
 # -- stationary-phase dual sum ---------------------------------------------------------

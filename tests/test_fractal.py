@@ -59,9 +59,15 @@ def test_box_dimension_validation():
     with pytest.raises(ValueError):
         box_dimension(np.zeros(1 << 10))  # too short
     with pytest.raises(ValueError):
-        box_dimension(ys, k_min=0)
+        box_dimension(ys, drop=(-1, 2))
     with pytest.raises(ValueError):
-        box_dimension(ys, k_min=8, k_max=4)
+        box_dimension(ys, drop=(3, 3))  # leaves one of the seven scales
+
+
+def test_box_dimension_fits_a_two_scale_window():
+    res = box_dimension(weierstrass(0.5, J=12, length=L), drop=(2, 3))
+    assert res.fit.scales == (1 << 4, 1 << 5)
+    assert math.isfinite(res.dimension)
     with pytest.raises(ValueError):
         box_dimension(np.exp(2j * np.pi * X))  # complex without .real
 

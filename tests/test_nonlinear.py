@@ -173,14 +173,19 @@ def test_kdv_snapshots_are_exactly_conjugate_symmetric(M):
 # -- Wick constant -------------------------------------------------------------------
 
 def test_wick_constant_of_step_datum():
+    # (1/pi)||g||^2 = 1 for the half indicator; the modes beyond M carry
+    # 2 * sum_{odd n > M} 2/(pi n)^2 ~ 2/(pi^2 M) of it
+    M = 1 << 12
     g = StepFunction.indicator(Fraction(0), Fraction(1, 2))
-    assert wick_constant(g) == pytest.approx(1.0, abs=1e-14)
+    P = wick_constant(g.coefficients_array(M))
+    assert P < 1.0
+    assert 1.0 - P == pytest.approx(2.0 / (math.pi ** 2 * M), rel=1e-2)
 
 
 def test_wick_constant_of_mode_array():
     c = mode_array(4, n_0=0.5)
     assert wick_constant(c) == pytest.approx(0.5, abs=1e-14)
-    assert wick_constant(StepFunction.constant(2.0), M=4) == pytest.approx(8.0)
+    assert wick_constant(StepFunction.constant(2.0).coefficients_array(4)) == pytest.approx(8.0)
 
 
 def test_nls_wick_is_the_truncated_wick_constant():
@@ -193,6 +198,14 @@ def test_nls_wick_is_the_truncated_wick_constant():
 def test_wick_constant_validation():
     with pytest.raises(ValueError):
         wick_constant(np.zeros(4, dtype=complex))  # even length
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_wick_constant_rejects_non_finite_modes(bad):
+    c = mode_array(8, n_1=0.5)
+    c[8] = bad
+    with pytest.raises(ValueError, match="datum must be finite"):
+        wick_constant(c)
 
 
 # -- exact special solutions -----------------------------------------------------------
@@ -339,7 +352,7 @@ def test_snapshot_times_and_exact_time():
     assert traj.times == (0.0, 0.025, 0.05)
     assert traj.final is traj.fields[-1]
     assert traj.fields[0].step == 0
-    exact = traj.exact_time(-1)
+    exact = traj.exact_time()
     assert isinstance(exact, Fraction)
     assert exact == 50 * Fraction(1e-3)
     assert float(exact) == pytest.approx(0.05, abs=1e-12)
@@ -401,11 +414,9 @@ def test_kdv_residual_is_real():
 
 def test_spectral_field_values():
     field = SpectralField(modes=mode_array(4, n_0=2.0), step=0, time=0.0)
-    np.testing.assert_allclose(field.values(16), np.full(16, 2.0 + 0j), atol=1e-14)
-    with pytest.raises(ValueError):
-        field.values(4)  # below 2M+1
-    with pytest.raises(ValueError):
-        field.values(100)
+    np.testing.assert_allclose(field.values(), np.full(16, 2.0 + 0j), atol=1e-14)
+    wave = SpectralField(modes=mode_array(4, n_1=1.0), step=0, time=0.0).values()
+    np.testing.assert_allclose(wave, np.exp(2j * np.pi * np.arange(16) / 16), atol=1e-14)
 
 
 def test_write_snapshot_csv(tmp_path):

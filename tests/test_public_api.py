@@ -1,11 +1,19 @@
-"""Every name ``talbot`` exports has a caller in the package or the benchmark.
+"""Everything ``talbot`` exports has a caller in the package or the benchmark.
 
 The scan walks the syntax trees of ``src/talbot/*.py`` (without
-``__init__.py``) and ``perfbench/*.py`` and counts a name as used when it
-appears as a ``Name`` or an ``Attribute`` outside its own definition.
-Imports and re-exports are not uses, and neither are the tests.
+``__init__.py``) and ``perfbench/*.py``.  Imports and re-exports are not
+uses, and neither are the tests.  It checks three things:
+
+* every exported name appears as a ``Name`` or an ``Attribute`` outside its
+  own definition;
+* so does every public method (or property) of an exported class;
+* every defaulted parameter of an exported function or of such a method is
+  set by some call of that name: by keyword, by position, or through ``*``
+  or ``**``.  A call that only forwards its caller's own defaulted
+  parameter, one that no call sets either, does not count.
 """
 import ast
+import functools
 import types
 from pathlib import Path
 
@@ -19,10 +27,23 @@ KEEP = {
     "gauss_coefficient_sum": "ROADMAP item 1",
 }
 
+#: Public methods of exported classes allowed without a caller, with the reason.
+KEEP_METHODS = {
+    "StepFunction.fourier_coefficient": "the oracle of coefficients_array",
+}
+
+#: Defaulted parameters allowed with no call that sets them, with the reason.
+KEEP_PARAMETERS: dict[str, str] = {}
+
 
 def _sources() -> list[Path]:
     package = sorted((ROOT / "src" / "talbot").glob("*.py"))
     return [p for p in package if p.name != "__init__.py"] + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+@functools.lru_cache(maxsize=None)
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def _used_names() -> set[str]:
@@ -40,13 +61,111 @@ def _used_names() -> set[str]:
             visit(child, enclosing)
 
     for path in _sources():
-        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), frozenset())
+        visit(_tree(path), frozenset())
     return used
 
 
 def _exported() -> set[str]:
     return {name for name in talbot.__all__
             if not isinstance(getattr(talbot, name), types.ModuleType)}
+
+
+def _definitions() -> list[tuple[str, ast.FunctionDef, bool, bool]]:
+    """(qualified name, def, bound method?, checked?) for every function and
+    method of the package; checked are exported functions and the public
+    methods of exported classes."""
+    exported = _exported()
+    out = []
+    for path in _sources():
+        if path.parent.name != "talbot":
+            continue
+        for node in _tree(path).body:
+            if isinstance(node, ast.FunctionDef):
+                out.append((node.name, node, False, node.name in exported))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    bound = not any(getattr(d, "id", None) == "staticmethod"
+                                    for d in item.decorator_list)
+                    public = node.name in exported and not item.name.startswith("_")
+                    out.append((f"{node.name}.{item.name}", item, bound, public))
+    return out
+
+
+def _public_methods() -> dict[str, str]:
+    """Qualified name -> method name, for the checked methods."""
+    return {qual: fn.name for qual, fn, _, checked in _definitions() if checked and "." in qual}
+
+
+def _defaulted(fn: ast.FunctionDef, bound: bool) -> dict[str, int | None]:
+    """Defaulted parameter -> its index among a call's positional arguments
+    (None for keyword-only ones)."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out: dict[str, int | None] = {a.arg: i - int(bound)
+                                  for i, a in enumerate(positional) if i >= first}
+    out.update({a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None})
+    return out
+
+
+def _calls() -> dict[str, list[tuple[ast.Call, ast.AST | None]]]:
+    """Calls by called name, each with its innermost enclosing function."""
+    calls: dict[str, list[tuple[ast.Call, ast.AST | None]]] = {}
+
+    def visit(node: ast.AST, enclosing: ast.AST | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            enclosing = node
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name:
+                calls.setdefault(name, []).append((node, enclosing))
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for path in _sources():
+        visit(_tree(path), None)
+    return calls
+
+
+def _passed(call: ast.Call, name: str, index: int | None) -> list[ast.expr]:
+    """What a call passes to one parameter; a ``*`` or ``**`` may pass it."""
+    passed = [kw.value for kw in call.keywords if kw.arg in (name, None)]
+    if index is not None:
+        for i, arg in enumerate(call.args):
+            if isinstance(arg, ast.Starred) or i == index:
+                passed.append(arg)
+                break
+    return passed
+
+
+def _unset_parameters() -> set[str]:
+    """Checked defaulted parameters no call sets, as 'qualified.name(param)'.
+
+    A least fixed point: a parameter is set once some call passes it a
+    value that is not the caller's own defaulted parameter still unset."""
+    defs = _definitions()
+    params = {id(fn): _defaulted(fn, bound) for _, fn, bound, _ in defs}
+    calls = _calls()
+    live: set[tuple[int, str]] = set()
+
+    def sets(value: ast.expr, enclosing: ast.AST | None) -> bool:
+        forwarded = isinstance(value, ast.Name) and value.id in params.get(id(enclosing), {})
+        return not forwarded or (id(enclosing), value.id) in live
+
+    changed = True
+    while changed:
+        changed = False
+        for _, fn, _, _ in defs:
+            for name, index in params[id(fn)].items():
+                if (id(fn), name) not in live and any(
+                        sets(value, enclosing) for call, enclosing in calls.get(fn.name, ())
+                        for value in _passed(call, name, index)):
+                    live.add((id(fn), name))
+                    changed = True
+    return {f"{qual}({name})" for qual, fn, _, checked in defs if checked
+            for name in params[id(fn)] if (id(fn), name) not in live}
 
 
 def test_every_export_has_a_caller():
@@ -58,3 +177,22 @@ def test_keep_list_is_current():
     # an entry leaves the list once its planned caller lands
     assert set(KEEP) <= _exported()
     assert not set(KEEP) & _used_names()
+
+
+def test_every_public_method_has_a_caller():
+    used = _used_names()
+    dead = {qual for qual, name in _public_methods().items() if name not in used} - set(KEEP_METHODS)
+    assert not dead, f"public methods never used by the package or perfbench: {sorted(dead)}"
+
+
+def test_every_defaulted_parameter_is_set():
+    unset = _unset_parameters() - set(KEEP_PARAMETERS)
+    assert not unset, ("defaulted parameters that no call in the package or perfbench "
+                       f"sets: {sorted(unset)}")
+
+
+def test_method_and_parameter_keep_lists_are_current():
+    methods = _public_methods()
+    assert set(KEEP_METHODS) <= set(methods)
+    assert not {methods[qual] for qual in KEEP_METHODS} & _used_names()
+    assert set(KEEP_PARAMETERS) <= _unset_parameters()
