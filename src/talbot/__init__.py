@@ -18,9 +18,8 @@ from .diophantine import (ContinuedFractionExpansion, continued_fraction,
                           gauss_coefficient_sum, solve_time_for_ctr)
 from .dispersion import (BenjaminOno, Boussinesq, DispersionRelation,
                          FractionalPower, Gravity, GravityCapillary,
-                         IntPolynomial, TimePoint, kl_theta, linear_frac_array,
-                         parse_relation, parse_theta, seeded_theta,
-                         theta_omega_frac_array)
+                         IntPolynomial, TimePoint, kl_theta, parse_relation,
+                         parse_theta, seeded_theta, theta_omega_frac_array)
 from .evolution import (QuantizeCheck, SampleGrid, SliceSpec, evolve_slice,
                         parse_slice, quantize_coefficients, quantize_verify)
 from .expsum import (BlockSpec, BProcessComparison, ExponentFit, IdentityCheck,

@@ -45,6 +45,10 @@ def next_pow2(n: int) -> int:
     return 1 << max(0, (int(n) - 1).bit_length())
 
 
+def is_pow2(n: int) -> bool:
+    return n >= 1 and (n & (n - 1)) == 0
+
+
 def tree_sum(values: np.ndarray) -> complex:
     """Sum by a fixed-shape pairwise tree: bit-identical for identical
     inputs regardless of chunking or worker count."""
@@ -233,14 +237,14 @@ def local_maxima(absvals: np.ndarray, top: int) -> list[int]:
     return [int(i) for i in order[:top]]
 
 
-def golden_section_peak(f: Callable[[float], float], lo: float, hi: float,
-                        iters: int = ITERS) -> tuple[float, float]:
+def golden_section_peak(f: Callable[[float], float], lo: float,
+                        hi: float) -> tuple[float, float]:
     """Maximise f on [lo, hi] by golden-section; returns (argmax, max)."""
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(ITERS):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)

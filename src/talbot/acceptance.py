@@ -25,8 +25,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .bounds import (bound_table, oblique_interval, strichartz_lower,
-                     t32_dimension_interval, t32_exponent)
+from .bounds import (bound_table, format_bound, oblique_interval,
+                     strichartz_lower, t32_dimension_interval, t32_exponent)
 from .diophantine import solve_time_for_ctr
 from .dispersion import (IntPolynomial, TimePoint, kl_theta, parse_relation,
                          seeded_theta)
@@ -372,14 +372,9 @@ def criterion_11() -> CriterionResult:
         ("three-halves dimension interval", t32_dimension_interval(),
          (Fraction(11, 8), Fraction(13, 8))),
     )
-    def render(v) -> str:
-        if isinstance(v, tuple):
-            return "[" + ", ".join(str(x) for x in v) + "]"
-        return str(v)
-
     checks = []
     for label, got, want in cases:
-        checks.append(_check(label, render(got), render(want), got == want))
+        checks.append(_check(label, format_bound(got), format_bound(want), got == want))
     table = bound_table()
     rendered = all(isinstance(r.payload(), dict) for r in table)
     checks.append(_check("bound table renders", f"{len(table)} rows",

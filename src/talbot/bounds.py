@@ -58,6 +58,13 @@ class BoundReport:
         return out
 
 
+def format_bound(value) -> str:
+    """An exact exponent as text; an interval as [lower, upper]."""
+    if isinstance(value, tuple):
+        return "[" + ", ".join(str(v) for v in value) + "]"
+    return str(value)
+
+
 def oblique_interval(d: int) -> tuple[Fraction, Fraction]:
     """Graph-dimension window [2 − 1/(2d), 2 − 1/(d(2^d+1))] for oblique
     slices of a degree-d polynomial dispersion flow with rough step data."""

@@ -38,8 +38,8 @@ import numpy as np
 
 from . import __version__
 from ._fftsum import grid_values, next_pow2
-from .bounds import (bound_table, exponent_pair_bound, frac_nls_beta,
-                     heath_brown_exponent, oblique_interval,
+from .bounds import (bound_table, exponent_pair_bound, format_bound,
+                     frac_nls_beta, heath_brown_exponent, oblique_interval,
                      strichartz_lower, t32_dimension_interval, t32_exponent,
                      vdc_beta, vinogradov_interval, weyl_exponent)
 from .acceptance import run_acceptance
@@ -463,18 +463,20 @@ BOUNDS_DEFAULTS = {
 }
 
 
-def _format_bound(value) -> str:
-    if isinstance(value, tuple):
-        return "[" + ", ".join(str(v) for v in value) + "]"
-    return str(value)
-
-
-def _need(opt: dict, theorem: str, *keys: str) -> list:
-    missing = [k for k in keys if opt[k] is None]
-    if missing:
-        flags = ", ".join(f"--{k}" for k in missing)
-        raise ConfigError(f"bounds --theorem {theorem} needs {flags}")
-    return [opt[k] for k in keys]
+#: theorem -> (calculator, the flags it takes in argument order); --d and
+#: --r are integers, every other flag an exact rational.
+THEOREMS: dict[str, tuple[Callable, tuple[str, ...]]] = {
+    "oblique": (oblique_interval, ("d",)),
+    "weyl": (weyl_exponent, ("d",)),
+    "vinogradov": (vinogradov_interval, ("d",)),
+    "vdc": (vdc_beta, ("alpha",)),
+    "fracnls": (frac_nls_beta, ("alpha",)),
+    "heathbrown": (heath_brown_exponent, ("alpha", "d")),
+    "exppair": (exponent_pair_bound, ("k", "ell", "alpha")),
+    "strichartz": (strichartz_lower, ("r0", "s", "q")),
+    "t32": (t32_exponent, ("r",)),
+    "t32dim": (t32_dimension_interval, ()),
+}
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -491,42 +493,18 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         return 0
 
     theorem = str(opt["theorem"])
-    if theorem == "oblique":
-        (d,) = _need(opt, theorem, "d")
-        value: object = oblique_interval(int(d))
-    elif theorem == "weyl":
-        (d,) = _need(opt, theorem, "d")
-        value = weyl_exponent(int(d))
-    elif theorem == "vinogradov":
-        (d,) = _need(opt, theorem, "d")
-        value = vinogradov_interval(int(d))
-    elif theorem == "vdc":
-        (alpha,) = _need(opt, theorem, "alpha")
-        value = vdc_beta(_fraction(str(alpha)))
-    elif theorem == "fracnls":
-        (alpha,) = _need(opt, theorem, "alpha")
-        value = frac_nls_beta(_fraction(str(alpha)))
-    elif theorem == "heathbrown":
-        alpha, d = _need(opt, theorem, "alpha", "d")
-        value = heath_brown_exponent(_fraction(str(alpha)), int(d))
-    elif theorem == "exppair":
-        k, ell, alpha = _need(opt, theorem, "k", "ell", "alpha")
-        value = exponent_pair_bound(_fraction(str(k)), _fraction(str(ell)),
-                                    _fraction(str(alpha)))
-    elif theorem == "strichartz":
-        r0, s, q = _need(opt, theorem, "r0", "s", "q")
-        value = strichartz_lower(_fraction(str(r0)), _fraction(str(s)),
-                                 _fraction(str(q)))
-    elif theorem == "t32":
-        (r,) = _need(opt, theorem, "r")
-        value = t32_exponent(int(r))
-    elif theorem == "t32dim":
-        value = t32_dimension_interval()
-    else:
+    if theorem not in THEOREMS:
         raise ConfigError(f"unknown theorem {theorem!r}")
-    print(_format_bound(value))
+    calculator, keys = THEOREMS[theorem]
+    missing = [k for k in keys if opt[k] is None]
+    if missing:
+        flags = ", ".join(f"--{k}" for k in missing)
+        raise ConfigError(f"bounds --theorem {theorem} needs {flags}")
+    value = calculator(*(int(opt[k]) if k in ("d", "r") else _fraction(str(opt[k]))
+                         for k in keys))
+    print(format_bound(value))
     if opt["out"]:
-        _write_json(_report(config, {"value": _format_bound(value)}, []), opt["out"])
+        _write_json(_report(config, {"value": format_bound(value)}, []), opt["out"])
     return 0
 
 
@@ -656,9 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bnd = add("bounds", "exact rational bound tables",
               "Prints the exact value; intervals as [lower, upper].")
-    bnd.add_argument("--theorem",
-                     choices=("oblique", "weyl", "vinogradov", "vdc", "fracnls",
-                              "heathbrown", "exppair", "strichartz", "t32", "t32dim"))
+    bnd.add_argument("--theorem", choices=tuple(THEOREMS))
     bnd.add_argument("--table", action="store_true", default=None,
                      help="print every headline row")
     bnd.add_argument("--d", type=int, help="polynomial degree")

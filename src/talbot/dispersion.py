@@ -8,7 +8,8 @@ theta = t / (2*pi) and xi = x / (2*pi), the phase of mode n is
 
 so only the fractional part of theta*omega(n) + n*xi matters.  The time
 part theta*omega(n) mod 1 is reduced in one place, ``theta_omega_frac_array``,
-by one of three paths chosen from the kinds of theta and omega:
+by one of three paths chosen from the kinds of theta and omega (the position
+part n*xi is the same reduction with omega = ``LINEAR``):
 
 * rational theta = a/q, integer omega: the exact residue (a*omega(n) mod q)/q,
   in int64 for polynomials with q < 2^31, in Python integers otherwise;
@@ -308,6 +309,10 @@ class GravityCapillary(DispersionRelation):
 SCHRODINGER = "poly:-1,0,0"
 AIRY = "poly:1,0,0,0"
 
+#: omega(n) = n: ``theta_omega_frac_array(LINEAR, x, ns)`` reduces the
+#: position phases x*n by the same exact residue arithmetic.
+LINEAR = IntPolynomial((1, 0))
+
 
 def parse_relation(spec: str) -> DispersionRelation:
     """Parse a relation specification string (see module docstring)."""
@@ -378,21 +383,9 @@ def theta_omega_frac_array(rel: DispersionRelation, theta: Turns, ns: Iterable[i
     return out
 
 
-def linear_frac_array(x: Turns, ns: Iterable[int]) -> np.ndarray:
-    """frac(x * n) in turns for each integer n; exact reduction as above."""
-    ns_list = [int(v) for v in ns]
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(x, Fraction):
-        p, q = x.numerator, x.denominator
-        return np.array([((n * p) % q) / q for n in ns_list], dtype=np.float64)
-    m = FixedReal.convert(x).m
-    return np.array([((n * m) % ONE) / ONE for n in ns_list], dtype=np.float64)
-
-
 def oblique_frequencies(rel: DispersionRelation, k: int, ell: int, ns: Iterable[int]) -> list[int]:
     """h(n) = ell*n - k*omega(n), the integer frequency of mode n along an
-    oblique line (x, t) = (ell*z + x0, k*z + t0) with integer slope k/ell."""
+    oblique line (x, t) = (ell*z, c - k*z) with integer slope k/ell."""
     if not rel.integer_valued:
         raise ValueError("oblique lines need an integer-valued dispersion relation")
     return [ell * n - k * rel.omega_int(n) for n in ns]

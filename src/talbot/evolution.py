@@ -19,13 +19,14 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import Sequence
 
 import numpy as np
 
-from ._fftsum import grid_values
-from .dispersion import (DispersionRelation, IntPolynomial, TimePoint,
-                         linear_frac_array, oblique_frequencies, parse_relation,
-                         parse_theta, theta_omega_frac_array)
+from ._fftsum import grid_values, is_pow2
+from .dispersion import (LINEAR, DispersionRelation, IntPolynomial, TimePoint,
+                         oblique_frequencies, parse_relation, parse_theta,
+                         theta_omega_frac_array)
 from .fixedpoint import FixedReal
 from .initial_data import StepFunction, parse_position
 
@@ -34,10 +35,6 @@ MAX_DIRECT_WORK = 1 << 26
 MAX_QUANTIZE_DENOM = 1 << 12
 OFF_JUMP_RADIUS = Fraction(1, 64)  # turns; 2*pi/64 in radians
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +120,24 @@ def parse_slice(spec: str) -> SliceSpec:
     raise ValueError(f"unknown slice kind in {spec!r}")
 
 
+def line_spectrum(rel: DispersionRelation, slc: SliceSpec, ns: Sequence[int],
+                  weights: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Frequencies and coefficients of sum_n w(n) e(theta*omega(n) + x*n)
+    restricted to a horizontal or oblique slice, as a sum over the line.
+
+    Horizontal (fixed theta): frequency n, coefficient w(n) e(theta*omega(n)).
+    Oblique (x, t) = (ell z, c - k z): frequency ell*n - k*omega(n),
+    coefficient w(n) e(c*omega(n)); omega must be integer-valued.  A
+    vertical slice is not such a sum (ValueError)."""
+    if slc.kind == "horizontal":
+        freqs, theta = list(ns), slc.t.theta
+    elif slc.kind == "oblique":
+        freqs, theta = oblique_frequencies(rel, slc.k, slc.ell, ns), slc.c.theta
+    else:
+        raise ValueError(f"a {slc.kind} slice has no line spectrum")
+    return freqs, weights * np.exp(2j * np.pi * theta_omega_frac_array(rel, theta, ns))
+
+
 # ---------------------------------------------------------------------------
 # sample grids
 # ---------------------------------------------------------------------------
@@ -137,7 +152,7 @@ class SampleGrid:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not _is_pow2(len(self.samples)):
+        if not is_pow2(len(self.samples)):
             raise ValueError("sample count must be a power of two")
 
     def __len__(self) -> int:
@@ -154,7 +169,9 @@ class SampleGrid:
 
 def _datum_coefficients(g, M: int) -> np.ndarray:
     """Centered coefficient array [g_hat(-M), ..., g_hat(M)], all finite."""
-    if hasattr(g, "coefficients_array"):
+    if isinstance(g, StepFunction):
+        if not np.all(np.isfinite(g.values)):
+            raise ValueError("datum must be finite")
         arr = g.coefficients_array(M)
     else:
         arr = np.asarray(g, dtype=np.complex128)
@@ -170,13 +187,14 @@ def evolve_slice(rel: DispersionRelation | str, g, slc: SliceSpec,
     """Sample the truncated evolution of datum ``g`` along a slice.
 
     Phases are reduced in exact fixed-point turns before any floating
-    evaluation.  Horizontal and (integer-frequency) oblique slices are
-    band-folded and evaluated by a single FFT, which is exact at grid
-    points; vertical slices are accumulated mode by mode."""
+    evaluation.  Horizontal and (integer-frequency) oblique slices take
+    their spectrum from ``line_spectrum`` and are band-folded and evaluated
+    by a single FFT, which is exact at grid points; vertical slices are
+    accumulated mode by mode."""
     rel = parse_relation(rel) if isinstance(rel, str) else rel
     if not 1 <= M <= MAX_TRUNCATION:
         raise ValueError(f"truncation must be in [1, {MAX_TRUNCATION}], got {M}")
-    if not _is_pow2(length):
+    if not is_pow2(length):
         raise ValueError(f"grid size must be a power of two, got {length}")
 
     ns = list(range(-M, M + 1))
@@ -188,15 +206,9 @@ def evolve_slice(rel: DispersionRelation | str, g, slc: SliceSpec,
         "truncation": str(M),
     }
 
-    if slc.kind == "horizontal":
-        fr = theta_omega_frac_array(rel, slc.t.theta, ns)
-        vals = grid_values(ns, coeffs * np.exp(2j * np.pi * fr), length)
-        return SampleGrid(vals, 2.0 * math.pi, M, provenance)
-
-    if slc.kind == "oblique":
-        freqs = oblique_frequencies(rel, slc.k, slc.ell, ns)
-        fr = theta_omega_frac_array(rel, slc.c.theta, ns)
-        vals = grid_values(freqs, coeffs * np.exp(2j * np.pi * fr), length)
+    if slc.kind != "vertical":
+        freqs, line_coeffs = line_spectrum(rel, slc, ns, coeffs)
+        vals = grid_values(freqs, line_coeffs, length)
         return SampleGrid(vals, 2.0 * math.pi * slc.ell, M, provenance)
 
     # vertical: per-mode linear phase in the step index
@@ -207,7 +219,7 @@ def evolve_slice(rel: DispersionRelation | str, g, slc: SliceSpec,
         dth = (th1 - th0) / length
     else:
         dth = (FixedReal.convert(th1) - FixedReal.convert(th0)) / length
-    base = theta_omega_frac_array(rel, th0, ns) + linear_frac_array(slc.x0, ns)
+    base = theta_omega_frac_array(rel, th0, ns) + theta_omega_frac_array(LINEAR, slc.x0, ns)
     mu = theta_omega_frac_array(rel, dth, ns)
     amp = coeffs
     j = np.arange(length, dtype=np.float64)

@@ -26,12 +26,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._fftsum import (frequency_span, grid_values, next_pow2, refine_supremum,
-                      tree_sum)
-from .dispersion import (DispersionRelation, IntPolynomial, TimePoint,
-                         linear_frac_array, oblique_frequencies,
+from ._fftsum import (frequency_span, grid_values, is_pow2, next_pow2,
+                      refine_supremum, tree_sum)
+from .dispersion import (LINEAR, DispersionRelation, IntPolynomial,
                          parse_relation, theta_omega_frac_array)
 from .diophantine import ctr_constant
+from .evolution import SliceSpec, line_spectrum
 from .fixedpoint import ONE, FixedReal
 
 MAX_BLOCK = 1 << 20
@@ -51,10 +51,6 @@ def _default_threads() -> int:
     return workers
 
 
-def _is_dyadic(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 # ---------------------------------------------------------------------------
 # block specification
 # ---------------------------------------------------------------------------
@@ -72,7 +68,7 @@ class BlockSpec:
     weight: str = "unit"
 
     def __post_init__(self) -> None:
-        if not _is_dyadic(self.N) or self.N > MAX_BLOCK:
+        if not is_pow2(self.N) or self.N > MAX_BLOCK:
             raise ValueError(f"block size must be a power of two <= {MAX_BLOCK}, got {self.N}")
         if self.sign not in ("+", "-", "both"):
             raise ValueError(f"sign must be '+', '-' or 'both', got {self.sign!r}")
@@ -94,21 +90,6 @@ class BlockSpec:
         return 1.0 / np.abs(np.array(ns, dtype=np.float64))
 
 
-def _modulated_coefficients(spec: BlockSpec, theta, ns: Sequence[int]) -> np.ndarray:
-    """w(n) * e(theta * omega(n)) for the block modes."""
-    fr = theta_omega_frac_array(spec.relation, theta, ns)
-    return spec.weights(ns) * np.exp(2j * np.pi * fr)
-
-
-def _as_theta(at) -> tuple[object, str]:
-    """Accept a TimePoint or a raw Fraction/FixedReal/float as the turns
-    parameter; return (theta, label)."""
-    if isinstance(at, TimePoint):
-        return at.theta, at.describe()
-    tp = TimePoint.from_theta(at)
-    return tp.theta, tp.describe()
-
-
 # ---------------------------------------------------------------------------
 # single-point sums
 # ---------------------------------------------------------------------------
@@ -119,10 +100,9 @@ def block_sum(spec: BlockSpec, t, x=0) -> complex:
 
     ``t`` is a TimePoint (or raw turns value); ``x`` is a position in turns
     (x = 1 is a full period)."""
-    theta, _ = _as_theta(t)
     ns = spec.modes()
-    coeffs = _modulated_coefficients(spec, theta, ns)
-    xfr = linear_frac_array(x, ns)
+    _, coeffs = line_spectrum(spec.relation, SliceSpec.horizontal(t), ns, spec.weights(ns))
+    xfr = theta_omega_frac_array(LINEAR, x, ns)
     return tree_sum(coeffs * np.exp(2j * np.pi * xfr))
 
 
@@ -233,46 +213,17 @@ class SweepResult:
         return out
 
 
-def _oblique_params(at) -> tuple[object, int, int] | None:
-    """Detect an oblique slice descriptor: needs kind == 'oblique' plus
-    integer direction pair (k, ell) and an intercept TimePoint ``c``."""
-    if getattr(at, "kind", None) == "oblique":
-        return at.c, int(at.k), int(at.ell)
-    return None
+def _sweep_label(slc: SliceSpec) -> str:
+    if slc.kind == "oblique":
+        return f"oblique(k={slc.k}, ell={slc.ell}, c={slc.c.describe()})"
+    return slc.t.describe()
 
 
-def _cell_frequencies(spec: BlockSpec, at, ns: Sequence[int]) -> tuple[list[int], object]:
-    """Frequencies seen along the sample line, plus the turns parameter that
-    modulates the coefficients.
-
-    Horizontal (fixed time): frequency n, modulation theta*omega(n).
-    Oblique (x, t) = (ell z, c - k z): frequency ell*n - k*omega(n),
-    modulation c*omega(n); omega must be integer-valued."""
-    ob = _oblique_params(at)
-    if ob is None:
-        theta, _ = _as_theta(at)
-        return list(ns), theta
-    c, k, ell = ob
-    theta, _ = _as_theta(c)
-    return oblique_frequencies(spec.relation, k, ell, ns), theta
-
-
-def _at_label(at) -> str:
-    ob = _oblique_params(at)
-    if ob is None:
-        _, label = _as_theta(at)
-        return label
-    c, k, ell = ob
-    _, clabel = _as_theta(c)
-    return f"oblique(k={k}, ell={ell}, c={clabel})"
-
-
-def _sweep_cell(relation: DispersionRelation, at, N: int, grid: int | None,
+def _sweep_cell(relation: DispersionRelation, slc: SliceSpec, N: int, grid: int | None,
                 refine: bool, weight: str, sign: str) -> tuple[SweepRow, list[str]]:
     spec = BlockSpec(relation, N, sign=sign, weight=weight)
     ns = spec.modes()
-    freqs, theta = _cell_frequencies(spec, at, ns)
-    coeffs = _modulated_coefficients(spec, theta, ns)
+    freqs, coeffs = line_spectrum(relation, slc, ns, spec.weights(ns))
 
     G = min(next_pow2(16 * N), MAX_GRID) if grid is None else grid
     span = frequency_span(freqs)
@@ -297,25 +248,26 @@ def sup_norm_sweep(relation: DispersionRelation | str, at, scales: Iterable[int]
                    threads: int | None = None) -> SweepResult:
     """Sup/L^2/L^4 norms of the block sums across dyadic scales.
 
-    ``at`` is either a TimePoint (restriction to a fixed time) or an oblique
-    slice descriptor with fields kind='oblique', c (TimePoint), k, ell.
+    ``at`` is a horizontal or oblique SliceSpec, or a TimePoint or raw
+    turns value, which stands for the horizontal slice at that time.
     Grid defaults to 16*N capped at 2^20; a given grid must be a power of
     two in [2, 2^20], and a given thread count at least 1 (ValueError
     otherwise).  The supremum is refined by golden-section search around
     the top grid peaks.  Scales are processed in the given order and merged
     deterministically, whatever the thread count."""
     rel = parse_relation(relation) if isinstance(relation, str) else relation
+    slc = at if isinstance(at, SliceSpec) else SliceSpec.horizontal(at)
     scale_list = [int(N) for N in scales]
     if grid is not None:
         grid = int(grid)
-        if grid < 2 or not _is_dyadic(grid) or grid > MAX_GRID:
+        if grid < 2 or not is_pow2(grid) or grid > MAX_GRID:
             raise ValueError(f"grid must be a power of two in [2, {MAX_GRID}], got {grid}")
     workers = _default_threads() if threads is None else int(threads)
     if workers < 1:
         raise ValueError(f"threads must be at least 1, got {workers}")
 
     def job(N: int) -> tuple[SweepRow, list[str]]:
-        return _sweep_cell(rel, at, N, grid, refine, weight, sign)
+        return _sweep_cell(rel, slc, N, grid, refine, weight, sign)
 
     if workers == 1 or len(scale_list) <= 1:
         outcomes = [job(N) for N in scale_list]
@@ -325,7 +277,7 @@ def sup_norm_sweep(relation: DispersionRelation | str, at, scales: Iterable[int]
 
     rows = [row for row, _ in outcomes]
     warnings = [w for _, ws in outcomes for w in ws]
-    return SweepResult(relation=rel.spec, at=_at_label(at), rows=rows, warnings=warnings)
+    return SweepResult(relation=rel.spec, at=_sweep_label(slc), rows=rows, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +305,7 @@ def l4_quadruple_oracle(h: DispersionRelation | str, K: int) -> QuadrupleCount:
     rel = parse_relation(h) if isinstance(h, str) else h
     if not rel.integer_valued:
         raise ValueError("the quadruple oracle needs an integer-valued frequency map")
-    if not _is_dyadic(K) or K > 128:
+    if not is_pow2(K) or K > 128:
         raise ValueError(f"K must be a power of two <= 128, got {K}")
     hv_py = [rel.omega_int(n) for n in range(K, 2 * K)]
     if max(abs(v) for v in hv_py) >= 1 << 61:
@@ -392,12 +344,11 @@ def airy_l4_identity_check(t, N: int) -> IdentityCheck:
     error; phases on both sides are exact 192-bit turns.  The grid of
     next_pow2(32N) points lies far above the largest frequency 2N - 2 of
     |S|^4, so its grid mean is the integral up to rounding."""
-    if not _is_dyadic(N) or N > 1 << 7:
+    if not is_pow2(N) or N > 1 << 7:
         raise ValueError(f"N must be a power of two <= {1 << 7}, got {N}")
-    theta, _ = _as_theta(t)
+    slc = SliceSpec.horizontal(t)
     ns = list(range(N, 2 * N))
-    rel = parse_relation("poly:1,0,0,0")
-    coeffs = np.exp(2j * np.pi * theta_omega_frac_array(rel, theta, ns))
+    _, coeffs = line_spectrum(parse_relation("poly:1,0,0,0"), slc, ns, np.ones(N))
 
     G = next_pow2(32 * N)
     vals = grid_values(ns, coeffs, G)
@@ -412,7 +363,7 @@ def airy_l4_identity_check(t, N: int) -> IdentityCheck:
     w = ((n1 - n2) * (n2 - n3) * (n1 + n3))[mask]
     uw, cnt = np.unique(w, return_counts=True)
     # e(3 theta w): phase the integers 3*w with the same exact machinery
-    fr = theta_omega_frac_array(IntPolynomial((3, 0)), theta, [int(v) for v in uw])
+    fr = theta_omega_frac_array(IntPolynomial((3, 0)), slc.t.theta, [int(v) for v in uw])
     resonance = complex(np.sum(cnt * np.exp(2j * np.pi * fr)))
     rel_err = abs(quadrature - resonance) / quadrature
     return IdentityCheck(quadrature=quadrature, resonance_sum=resonance,
@@ -452,7 +403,7 @@ def bprocess_dual_compare(r: int, t, x, N: int) -> BProcessComparison:
     side -- are evaluated in 192-bit fixed point."""
     if r not in (3, 4, 5):
         raise ValueError(f"r must be 3, 4 or 5, got {r}")
-    if not _is_dyadic(N) or N > 1 << 16:
+    if not is_pow2(N) or N > 1 << 16:
         raise ValueError(f"N must be a power of two <= {1 << 16}, got {N}")
     alpha = Fraction(r, r - 1)
     tf = FixedReal.convert(t)
@@ -464,7 +415,7 @@ def bprocess_dual_compare(r: int, t, x, N: int) -> BProcessComparison:
     rel = FractionalPower(alpha)
     ns = list(range(N, 2 * N))
     tfr = theta_omega_frac_array(rel, tf, ns)
-    xfr = linear_frac_array(xf, ns)
+    xfr = theta_omega_frac_array(LINEAR, xf, ns)
     direct = tree_sum(np.exp(2j * np.pi * (tfr + xfr)))
 
     # dual range: f'(u) = t*alpha*u^(alpha-1) + x over u in [N, 2N-1]

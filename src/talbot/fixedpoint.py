@@ -216,12 +216,12 @@ def golden_ratio() -> FixedReal:
 
 
 @lru_cache(maxsize=None)
-def e_fraction(extra_bits: int = 2 * FRAC_BITS) -> Fraction:
-    """Rational approximation of e with error below 2**-extra_bits."""
+def e_fraction() -> Fraction:
+    """Rational approximation of e with error below 2**-(2*FRAC_BITS)."""
     total = Fraction(0)
     term = Fraction(1)
     k = 0
-    bound = Fraction(1, 1 << (extra_bits + 8))
+    bound = Fraction(1, 1 << (2 * FRAC_BITS + 8))
     while term > bound:
         total += term
         k += 1

@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._fftsum import is_pow2
 from .expsum import ExponentFit, least_squares_line
 
 MIN_SAMPLES = 1 << 12
@@ -34,7 +35,7 @@ def _as_real_samples(samples) -> np.ndarray:
             raise ValueError("samples are complex; pass .real or .imag explicitly")
         arr = arr.real
     arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 1 or len(arr) < MIN_SAMPLES or len(arr) & (len(arr) - 1):
+    if arr.ndim != 1 or len(arr) < MIN_SAMPLES or not is_pow2(len(arr)):
         raise ValueError(f"need a 1-d power-of-two sample array of length >= {MIN_SAMPLES}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("samples must be finite")
@@ -137,7 +138,8 @@ def holder_exponent(samples, lag_min: int = 32, lag_max: int = 1024) -> Exponent
     graphs (~0 across a jump, ~1 for C^1); wide lags saturate at the global
     oscillation and are excluded by default."""
     ys = _as_real_samples(samples)
-    if (lag_min & (lag_min - 1)) or (lag_max & (lag_max - 1)):
+    # a zero lag passes here and fails the range check below
+    if not (is_pow2(lag_min or 1) and is_pow2(lag_max or 1)):
         raise ValueError("lags must be powers of two")
     if not 1 <= lag_min < lag_max <= len(ys) // 4:
         raise ValueError("need 1 <= lag_min < lag_max <= len/4")
@@ -201,7 +203,7 @@ def besov_profile(samples, ps: Sequence = (1, 2, math.inf)) -> BesovProfile:
     (``_block_samples``), never as a full-length inverse FFT."""
     arr = samples.samples if hasattr(samples, "samples") else samples
     arr = np.asarray(arr, dtype=np.complex128)
-    if arr.ndim != 1 or len(arr) < MIN_SAMPLES or len(arr) & (len(arr) - 1):
+    if arr.ndim != 1 or len(arr) < MIN_SAMPLES or not is_pow2(len(arr)):
         raise ValueError(f"need a 1-d power-of-two sample array of length >= {MIN_SAMPLES}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("samples must be finite")
@@ -250,7 +252,7 @@ def weierstrass(gamma: float, J: int = 16, length: int = 1 << 18) -> np.ndarray:
     grid length in integers, so every cosine argument is evaluated exactly:
     term j reads the one table cos(2 pi k/length) at stride 2^j, repeated
     2^j times, and terms with 2^j >= length are the constant table[0]."""
-    if length & (length - 1) or length < 2:
+    if not is_pow2(length) or length < 2:
         raise ValueError("length must be a power of two")
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")

@@ -23,9 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._fftsum import grid_values, next_pow2
-from .dispersion import FixedReal, parse_relation, theta_omega_frac_array, two_pi
-from .evolution import SampleGrid, _datum_coefficients
+from ._fftsum import grid_values, is_pow2, next_pow2
+from .dispersion import FixedReal, parse_relation, two_pi
+from .evolution import SampleGrid, SliceSpec, _datum_coefficients, line_spectrum
 
 MAX_MODES = 1 << 11
 MAX_DT = 1e-3
@@ -283,11 +283,10 @@ def kdv_solve(g, M: int = 1 << 10, dt: float = 1e-4, t_max: float = 0.5,
 def linear_flow_modes(traj: Trajectory) -> np.ndarray:
     """Modes of e^{itL}(P_{≤M}g) at the final time, with exact phase
     reduction (the time step·dt is an exact rational)."""
-    rel = parse_relation(traj.relation)
-    t = traj.exact_time()
-    theta = FixedReal.from_fraction(t) / two_pi()
-    fr = theta_omega_frac_array(rel, theta, range(-traj.M, traj.M + 1))
-    return traj.datum_modes * np.exp(2j * np.pi * fr)
+    theta = FixedReal.from_fraction(traj.exact_time()) / two_pi()
+    _, modes = line_spectrum(parse_relation(traj.relation), SliceSpec.horizontal(theta),
+                             range(-traj.M, traj.M + 1), traj.datum_modes)
+    return modes
 
 
 def smoothing_residual(traj: Trajectory, length: int = 1 << 12) -> SampleGrid:
@@ -298,7 +297,7 @@ def smoothing_residual(traj: Trajectory, length: int = 1 << 12) -> SampleGrid:
     zero and at later times it isolates the nonlinear (Duhamel) part, whose
     regularity exceeds that of the solution itself.
     """
-    if length & (length - 1) or length < 2 * traj.M + 1:
+    if not is_pow2(length) or length < 2 * traj.M + 1:
         raise ValueError("length must be a power of two >= 2M+1")
     f = traj.final
     res = f.modes - linear_flow_modes(traj)

@@ -31,7 +31,7 @@ def test_criterion_3_oblique_slice_sup_growth():
     _assert_passed(acceptance.criterion_3())
 
 
-def test_criterion_4_cubic_slice_dimension_and_besov():
+def test_criterion_4_quadratic_oblique_dimension_and_besov():
     _assert_passed(acceptance.criterion_4())
 
 

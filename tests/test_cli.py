@@ -39,6 +39,24 @@ def test_bounds_fraction_flags(capsys):
     assert out.strip() == "7/9"
 
 
+@pytest.mark.parametrize("flags, printed", [
+    ("oblique --d 3", "[11/6, 53/27]"),
+    ("weyl --d 3", "1/4"),
+    ("vinogradov --d 4", "[13/12, 23/12]"),
+    ("vdc --alpha 3/2", "1/4"),
+    ("fracnls --alpha 3/2", "1/4"),
+    ("heathbrown --alpha 5/2 --d 3", "11/12"),
+    ("exppair --k 1/6 --ell 2/3 --alpha 3/2", "3/4"),
+    ("strichartz --r0 1/2 --s 1/16 --q 4", "11/8"),
+    ("t32 --r 3", "5/8"),
+    ("t32dim", "[11/8, 13/8]"),
+])
+def test_bounds_every_theorem(capsys, flags, printed):
+    code, out, _ = run(capsys, "bounds", "--theorem", *flags.split())
+    assert code == 0
+    assert out == printed + "\n"
+
+
 def test_bounds_table(capsys, tmp_path):
     out_path = tmp_path / "table.json"
     code, out, _ = run(capsys, "bounds", "--table", "--out", str(out_path))
@@ -240,6 +258,7 @@ def test_kdv_blowup_reports_failure(capsys):
     assert report["failures"]
 
 
+@pytest.mark.filterwarnings("error")  # rejected before any arithmetic warns
 @pytest.mark.parametrize("kind, value", [("nls", "nan"), ("kdv", "inf")])
 def test_solver_non_finite_datum_is_a_config_error(capsys, kind, value):
     code, out, err = run(capsys, kind, "--data", f"step:0,pi:{value},1",

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from talbot import (BenjaminOno, Boussinesq, FractionalPower, Gravity,
                     GravityCapillary, IntPolynomial, TimePoint, kl_theta,
-                    linear_frac_array, parse_relation, parse_theta,
-                    seeded_theta, theta_omega_frac_array)
-from talbot.dispersion import oblique_frequencies
+                    parse_relation, parse_theta, seeded_theta,
+                    theta_omega_frac_array)
+from talbot.dispersion import LINEAR, oblique_frequencies
 from talbot.expsum import MAX_BLOCK
 from talbot.fixedpoint import FRAC_BITS, ONE, FixedReal, sqrt2, two_pi
 
@@ -160,9 +160,18 @@ def test_phase_reduction_survives_huge_frequencies():
     assert fr == pytest.approx(float(exact), abs=1e-12)
 
 
-def test_linear_frac_array():
-    fr = linear_frac_array(Fraction(1, 4), [0, 1, 2, 3, 4])
-    assert np.allclose(fr, [0.0, 0.25, 0.5, 0.75, 0.0], atol=1e-15)
+def test_linear_position_phases_match_exact_fractions():
+    ns = [0, 1, 2, 3, 4, -1, -5, 12345, -(1 << 40) + 7, 1 << 45]
+    for x in (Fraction(1, 4),
+              Fraction(-3, 7),
+              Fraction(5, (1 << 31) - 1),     # q below 2^31: the int64 residue path
+              Fraction(-7, (1 << 31) + 11),   # q above 2^31: the Python-integer path
+              sqrt2(),                        # FixedReal
+              0.3125,                         # float, converted exactly to fixed point
+              3):                             # int
+        exact = x.as_fraction() if isinstance(x, FixedReal) else Fraction(x)
+        want = [float((exact * n) % 1) for n in ns]
+        assert theta_omega_frac_array(LINEAR, x, ns).tolist() == want, x
 
 
 def test_oblique_frequency():

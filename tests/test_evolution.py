@@ -199,6 +199,7 @@ def test_datum_array_shape_validation():
                      SliceSpec.horizontal(TimePoint.rational(0, 1)), M=4, length=32)
 
 
+@pytest.mark.filterwarnings("error")  # rejected before any arithmetic warns
 def test_evolve_slice_rejects_an_infinite_step_datum():
     g = StepFunction((Fraction(0), Fraction(1, 2)), (math.inf, 1.0))
     with pytest.raises(ValueError, match="datum must be finite"):

@@ -115,6 +115,29 @@ def test_oblique_sweep_accepts_slice_descriptor():
     assert all(row.sup_abs >= math.sqrt(row.N) - 1e-9 for row in sweep.rows)
 
 
+@pytest.mark.parametrize("at, label", [
+    (kl_theta("sqrt2"), "kl:sqrt2"),
+    (Fraction(1, 3), "rat:1/3"),
+    (0.25, "theta~0.25"),
+])
+def test_sweep_of_a_horizontal_slice_equals_the_sweep_at_its_time(at, label):
+    plain = sup_norm_sweep(AIRY, at, [16, 32, 64])
+    sliced = sup_norm_sweep(AIRY, SliceSpec.horizontal(at), [16, 32, 64])
+    assert sliced.rows == plain.rows
+    assert sliced.at == plain.at == label
+
+
+def test_oblique_sweep_label():
+    sweep = sup_norm_sweep(SCHRODINGER, SliceSpec.oblique(seeded_theta(3), 2, 3), [16])
+    assert sweep.at == "oblique(k=2, ell=3, c=rand:3)"
+
+
+def test_sweep_rejects_a_vertical_slice():
+    vertical = SliceSpec.vertical(Fraction(0), Fraction(0), Fraction(1, 2))
+    with pytest.raises(ValueError, match="vertical"):
+        sup_norm_sweep(AIRY, vertical, [16])
+
+
 def test_refinement_only_increases_the_supremum():
     scales = [128, 256, 512]
     coarse = sup_norm_sweep(AIRY, kl_theta("sqrt2"), scales, refine=False)

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 import talbot
 from talbot import (BlockSpec, SliceSpec, fit_exponent, parse_relation,
                     seeded_theta, sup_norm_sweep, theta_omega_frac_array)
-from talbot import expsum
 from talbot._fftsum import (PHASOR_TABLE, AnchoredEvaluator, TaylorEvaluator,
                             _unit_phasor, fold_frequencies, frequency_span,
                             golden_section_peak, grid_values, local_maxima,
                             refine_supremum, taylor_order)
+from talbot.evolution import line_spectrum
 from talbot.expsum import least_squares_line
 
 SCHRODINGER = "poly:-1,0,0"
@@ -46,10 +46,10 @@ class DirectEvaluator:
         return lambda delta: abs(self(j, delta))
 
 
-def _golden_sup(local, absvals, top=10, iters=30):
+def _golden_sup(local, absvals, top=10):
     best = float(np.max(absvals))
     for j in local_maxima(absvals, top):
-        best = max(best, golden_section_peak(local(j), -1.0, 1.0, iters)[1])
+        best = max(best, golden_section_peak(local(j), -1.0, 1.0)[1])
     return best
 
 
@@ -61,8 +61,9 @@ def _oblique_cell(rel, theta, N, sign="+", weight="unit"):
     """Frequencies, coefficients and default grid of one slope-1/1 sweep cell."""
     spec = BlockSpec(parse_relation(rel), N, sign=sign, weight=weight)
     ns = spec.modes()
-    freqs, turns = expsum._cell_frequencies(spec, SliceSpec.oblique(theta, 1, 1), ns)
-    return freqs, expsum._modulated_coefficients(spec, turns, ns), 16 * N
+    freqs, coeffs = line_spectrum(spec.relation, SliceSpec.oblique(theta, 1, 1), ns,
+                                  spec.weights(ns))
+    return freqs, coeffs, 16 * N
 
 
 @pytest.fixture

@@ -308,6 +308,7 @@ def test_kdv_rejects_nonzero_mean():
         kdv_solve(mode_array(M, n_0=0.3), M=M, dt=1e-3, t_max=0.01)
 
 
+@pytest.mark.filterwarnings("error")  # rejected before any arithmetic warns
 @pytest.mark.parametrize("solve, g", [
     (nls_wick_solve, mode_array(8, n_0=math.nan)),
     (kdv_solve, mode_array(8, n_0=math.nan)),

@@ -1,4 +1,5 @@
-"""Everything ``talbot`` exports has a caller in the package or the benchmark.
+"""Everything ``talbot`` exports, and every defaulted parameter, has a caller
+in the package or the benchmark.
 
 The scan walks the syntax trees of ``src/talbot/*.py`` (without
 ``__init__.py``) and ``perfbench/*.py``.  Imports and re-exports are not
@@ -7,10 +8,10 @@ uses, and neither are the tests.  It checks three things:
 * every exported name appears as a ``Name`` or an ``Attribute`` outside its
   own definition;
 * so does every public method (or property) of an exported class;
-* every defaulted parameter of an exported function or of such a method is
-  set by some call of that name: by keyword, by position, or through ``*``
-  or ``**``.  A call that only forwards its caller's own defaulted
-  parameter, one that no call sets either, does not count.
+* every defaulted parameter of a function or method of the package, private
+  ones included, is set by some call of that name: by keyword, by position,
+  or through ``*`` or ``**``.  A call that only forwards its caller's own
+  defaulted parameter, one that no call sets either, does not count.
 """
 import ast
 import functools
@@ -33,7 +34,9 @@ KEEP_METHODS = {
 }
 
 #: Defaulted parameters allowed with no call that sets them, with the reason.
-KEEP_PARAMETERS: dict[str, str] = {}
+KEEP_PARAMETERS = {
+    "main(argv)": "the console-script entry point reads sys.argv; tests pass argv",
+}
 
 
 def _sources() -> list[Path]:
@@ -71,8 +74,8 @@ def _exported() -> set[str]:
 
 
 def _definitions() -> list[tuple[str, ast.FunctionDef, bool, bool]]:
-    """(qualified name, def, bound method?, checked?) for every function and
-    method of the package; checked are exported functions and the public
+    """(qualified name, def, bound method?, public?) for every function and
+    method of the package; public are exported functions and the public
     methods of exported classes."""
     exported = _exported()
     out = []
@@ -94,8 +97,8 @@ def _definitions() -> list[tuple[str, ast.FunctionDef, bool, bool]]:
 
 
 def _public_methods() -> dict[str, str]:
-    """Qualified name -> method name, for the checked methods."""
-    return {qual: fn.name for qual, fn, _, checked in _definitions() if checked and "." in qual}
+    """Qualified name -> method name, for the public methods."""
+    return {qual: fn.name for qual, fn, _, public in _definitions() if public and "." in qual}
 
 
 def _defaulted(fn: ast.FunctionDef, bound: bool) -> dict[str, int | None]:
@@ -141,7 +144,7 @@ def _passed(call: ast.Call, name: str, index: int | None) -> list[ast.expr]:
 
 
 def _unset_parameters() -> set[str]:
-    """Checked defaulted parameters no call sets, as 'qualified.name(param)'.
+    """Defaulted parameters no call sets, as 'qualified.name(param)'.
 
     A least fixed point: a parameter is set once some call passes it a
     value that is not the caller's own defaulted parameter still unset."""
@@ -164,7 +167,7 @@ def _unset_parameters() -> set[str]:
                         for value in _passed(call, name, index)):
                     live.add((id(fn), name))
                     changed = True
-    return {f"{qual}({name})" for qual, fn, _, checked in defs if checked
+    return {f"{qual}({name})" for qual, fn, _, _ in defs
             for name in params[id(fn)] if (id(fn), name) not in live}
 
 
