@@ -15,8 +15,16 @@ part n*xi is the same reduction with omega = ``LINEAR``):
   in int64 for polynomials with q < 2^31, in Python integers otherwise;
 * 192-bit fixed-point theta, integer omega: the exact product of the
   mantissa with omega(n), reduced mod 1;
-* any theta, non-integer omega: omega(n) in fixed point to one ulp, times
-  the fixed-point theta, floored to one more ulp.
+* any theta, non-integer omega: the mantissa floor(omega(n) * 2^FRAC_BITS)
+  from one exact integer root per mode (``omega_mantissa``), times the
+  fixed-point theta, floored to one more ulp.
+
+Every non-integer omega here is the root of a rational radicand R(n), so
+its mantissa is the floor q-th root of R(n) * 2^(q*FRAC_BITS).  For
+|n|^(p/q), boussinesq, and the water waves once tanh(|n|) is 1 to below one
+ulp (|n| >= 70), that radicand is an integer and the root is a single
+``isqrt`` or ``iroot``; only gravity and gravcap at |n| < 70 go through an
+exact ``Fraction`` of tanh.
 
 Only the final conversion to double rounds, so phases are trustworthy for
 |omega(n)| far beyond anything double precision could reduce mod 2*pi.
@@ -163,7 +171,7 @@ def parse_theta(spec: str) -> TimePoint:
 
 
 class DispersionRelation:
-    """Base class: omega as an exact integer and in wide fixed point."""
+    """Base class: omega as an exact integer and as a fixed-point mantissa."""
 
     spec: str = ""
     integer_valued: bool = False
@@ -172,8 +180,9 @@ class DispersionRelation:
     def omega_int(self, n: int) -> int:
         raise TypeError(f"{self.spec or type(self).__name__} is not integer-valued")
 
-    def omega_fixed(self, n: int) -> FixedReal:
-        return FixedReal.from_int(self.omega_int(n))
+    def omega_mantissa(self, n: int) -> int:
+        """floor(omega(n) * 2^FRAC_BITS), the FixedReal mantissa of omega(n)."""
+        return self.omega_int(n) << FRAC_BITS
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.spec!r})"
@@ -217,7 +226,8 @@ class FractionalPower(DispersionRelation):
     """omega(n) = |n|^alpha for a positive rational alpha = p/q.
 
     |n|^(p/q) is computed as the exact floor q-th root of |n|^p scaled into
-    fixed point, so the only error is one ulp of FixedReal.
+    fixed point (``math.isqrt`` for q = 2, ``iroot`` otherwise), so the only
+    error is one ulp of FixedReal.
     """
 
     def __init__(self, alpha):
@@ -225,25 +235,27 @@ class FractionalPower(DispersionRelation):
         if a <= 0:
             raise ValueError("fractional power needs alpha > 0")
         self.alpha = a
+        self._p, self._q = a.numerator, a.denominator
         self.integer_valued = a.denominator == 1
         self.spec = f"frac:{a.numerator}" if a.denominator == 1 else f"frac:{a.numerator}/{a.denominator}"
 
     def omega_int(self, n: int) -> int:
         if not self.integer_valued:
             return super().omega_int(n)
-        return abs(n) ** self.alpha.numerator
+        return abs(n) ** self._p
 
-    def omega_fixed(self, n: int) -> FixedReal:
-        p, q = self.alpha.numerator, self.alpha.denominator
-        return FixedReal(iroot(abs(n) ** p << (q * FRAC_BITS), q))
+    def omega_mantissa(self, n: int) -> int:
+        q = self._q
+        x = abs(n) ** self._p << (q * FRAC_BITS)
+        return math.isqrt(x) if q == 2 else iroot(x, q)
 
 
-def _sqrt_fraction_fixed(fr: Fraction) -> FixedReal:
-    """Floor sqrt of a nonnegative rational, in fixed point (<= 1 ulp off)."""
+def _sqrt_fraction_fixed(fr: Fraction) -> int:
+    """Floor sqrt of a nonnegative rational, as a fixed-point mantissa."""
     if fr < 0:
         raise ValueError("negative radicand")
     num, den = fr.numerator, fr.denominator
-    return FixedReal(math.isqrt((num << (2 * FRAC_BITS)) // den))
+    return math.isqrt((num << (2 * FRAC_BITS)) // den)
 
 
 #: Above this |n|, tanh(n) is 1 to below fixed-point resolution:
@@ -253,11 +265,10 @@ _TANH_SATURATION = 70
 
 @lru_cache(maxsize=None)
 def _tanh_fraction(n: int) -> Fraction:
-    """tanh(n) for integer n >= 0 as an exact-to-2^-320 rational."""
+    """tanh(n) for integer 0 <= n < _TANH_SATURATION as an exact-to-2^-320
+    rational (from there on the callers take tanh as 1)."""
     if n == 0:
         return Fraction(0)
-    if n >= _TANH_SATURATION:
-        return Fraction(1)
     e2n = e_fraction() ** (2 * n)
     t = (e2n - 1) / (e2n + 1)
     # Trim the astronomically large exact denominator; 320 bits is far more
@@ -271,9 +282,8 @@ class Boussinesq(DispersionRelation):
 
     spec = "boussinesq"
 
-    def omega_fixed(self, n: int) -> FixedReal:
-        r = n * n + n**4
-        return FixedReal(math.isqrt(r << (2 * FRAC_BITS)))
+    def omega_mantissa(self, n: int) -> int:
+        return math.isqrt((n * n + n**4) << (2 * FRAC_BITS))
 
 
 class BenjaminOno(DispersionRelation):
@@ -291,8 +301,10 @@ class Gravity(DispersionRelation):
 
     spec = "gravity"
 
-    def omega_fixed(self, n: int) -> FixedReal:
+    def omega_mantissa(self, n: int) -> int:
         m = abs(n)
+        if m >= _TANH_SATURATION:
+            return math.isqrt(m << (2 * FRAC_BITS))
         return _sqrt_fraction_fixed(m * _tanh_fraction(m))
 
 
@@ -301,8 +313,10 @@ class GravityCapillary(DispersionRelation):
 
     spec = "gravcap"
 
-    def omega_fixed(self, n: int) -> FixedReal:
+    def omega_mantissa(self, n: int) -> int:
         m = abs(n)
+        if m >= _TANH_SATURATION:
+            return math.isqrt((m + m**3) << (2 * FRAC_BITS))
         return _sqrt_fraction_fixed((m + m**3) * _tanh_fraction(m))
 
 
@@ -377,10 +391,8 @@ def theta_omega_frac_array(rel: DispersionRelation, theta: Turns, ns: Iterable[i
         for i, n in enumerate(ns_list):
             out[i] = ((tm * rel.omega_int(n)) % ONE) / ONE
         return out
-    for i, n in enumerate(ns_list):
-        w = rel.omega_fixed(n).m
-        out[i] = (((w * tm) >> FRAC_BITS) % ONE) / ONE
-    return out
+    return np.array([(((w * tm) >> FRAC_BITS) % ONE) / ONE
+                     for w in map(rel.omega_mantissa, ns_list)], dtype=np.float64)
 
 
 def oblique_frequencies(rel: DispersionRelation, k: int, ell: int, ns: Iterable[int]) -> list[int]:

@@ -68,6 +68,8 @@ class SliceSpec:
         elif self.kind == "vertical":
             if self.x0 is None or self.t0 is None or self.t1 is None:
                 raise ValueError("vertical slice needs x0 and a time range")
+            if not self.t0.theta < self.t1.theta:
+                raise ValueError("vertical slice needs t0 < t1")
         elif self.kind == "oblique":
             if self.c is None:
                 raise ValueError("oblique slice needs an intercept time c")

@@ -31,12 +31,27 @@ ONE = 1 << FRAC_BITS
 
 RealLike = Union[int, float, Fraction, "FixedReal"]
 
+#: Bits of x kept for iroot's float seed; 2^_SEED_BITS is a finite double.
+_SEED_BITS = 1000
+
 
 def iroot(x: int, k: int) -> int:
     """Floor of the k-th root of a nonnegative integer, exactly.
 
-    Newton iteration on integers; the loop is monotone decreasing once it
-    overshoots, so the usual two-line convergence test applies.
+    k = 2 is ``math.isqrt``.  For k >= 3, integer Newton
+    r -> floor(((k - 1)*r + floor(x / r^(k-1))) / k) runs from a seed above
+    the root.  The nested floors equal the floor of the real Newton step,
+    which by AM-GM never falls below x^(1/k) and lies strictly below r while
+    r > x^(1/k).  So from any seed r >= floor(x^(1/k)) the iterates fall
+    monotonically to floor(x^(1/k)), where the step first fails to decrease.
+
+    The seed is a float estimate: with s a multiple of k chosen so that
+    y = x >> s fits a double, x < (y + 1) * 2^s gives
+    x^(1/k) < (y^(1/k) + 1) * 2^(s/k), and the float y^(1/k), enlarged by
+    2^-32 of itself (far above its rounding error) plus 2, bounds that from
+    above.  From its ~32 correct bits Newton doubles the correct bits each
+    step (a 215-bit root takes four steps, the last one confirming), with
+    no linear first phase as from a 2^ceil(bits/k) guess.
     """
     if x < 0:
         raise ValueError("iroot requires a nonnegative argument")
@@ -46,16 +61,14 @@ def iroot(x: int, k: int) -> int:
         return x
     if k == 2:
         return math.isqrt(x)
-    # Initial guess: 2**ceil(bits/k) >= x**(1/k).
-    r = 1 << -(-x.bit_length() // k)
+    s = -(-max(x.bit_length() - _SEED_BITS, 0) // k) * k
+    est = float(x >> s) ** (1.0 / k)
+    r = (int(est + est * 2.0**-32) + 2) << (s // k)
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
-            break
+            return r
         r = nr
-    while r**k > x:
-        r -= 1
-    return r
 
 
 class FixedReal:

@@ -64,3 +64,25 @@ def test_argument_table_covers_the_tracer():
     read = set(re.findall(r'\ba\["(\w+)"\]', TRACING.read_text()))
     listed = {name for names in COUNTED_ARGUMENTS.values() for name in names}
     assert read == listed
+
+
+@pytest.mark.parametrize("spec, ns, calls_per_mode", [
+    ("frac:9/5", range(-40, 41), 1),
+    ("frac:3/2", range(-40, 41), 0),
+    ("gravity", range(70, 200), 0),  # tanh saturated: one isqrt per mode
+    ("gravity", range(-200, -69), 0),
+])
+def test_phase_path_calls_iroot_through_the_traced_name(monkeypatch, spec, ns, calls_per_mode):
+    # the traced run counts fixedpoint.iroot by rebinding talbot.dispersion.iroot
+    dispersion = importlib.import_module("talbot.dispersion")
+    calls = []
+    real = dispersion.iroot
+
+    def counting(x, k):
+        calls.append(k)
+        return real(x, k)
+
+    monkeypatch.setattr(dispersion, "iroot", counting)
+    theta = dispersion.seeded_theta(1).theta
+    dispersion.theta_omega_frac_array(dispersion.parse_relation(spec), theta, ns)
+    assert len(calls) == calls_per_mode * len(ns)

@@ -319,6 +319,16 @@ def test_zero_denominator_is_a_config_error(capsys, argv):
     assert "config error:" in err
 
 
+@pytest.mark.parametrize("slc", ["vert:0:1/4,1/4", "vert:0:1/2,1/4"])
+def test_empty_or_reversed_vertical_slice_is_a_config_error(capsys, tmp_path, slc):
+    csv_path = tmp_path / "trace.csv"
+    code, out, err = run(capsys, "dimension", "--rel", "poly:-1,0,0", "--slice", slc,
+                         "--truncation", "256", "--length", "16384", "--csv", str(csv_path))
+    assert code == 2
+    assert out == "" and not csv_path.exists()
+    assert "config error:" in err and "t0 < t1" in err
+
+
 # -- acceptance -----------------------------------------------------------------------
 
 def test_acceptance_only_exact_criterion(capsys, tmp_path):

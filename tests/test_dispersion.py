@@ -11,7 +11,7 @@ from talbot import (BenjaminOno, Boussinesq, FractionalPower, Gravity,
                     GravityCapillary, IntPolynomial, TimePoint, kl_theta,
                     parse_relation, parse_theta, seeded_theta,
                     theta_omega_frac_array)
-from talbot.dispersion import LINEAR, oblique_frequencies
+from talbot.dispersion import LINEAR, _tanh_fraction, oblique_frequencies
 from talbot.expsum import MAX_BLOCK
 from talbot.fixedpoint import FRAC_BITS, ONE, FixedReal, sqrt2, two_pi
 
@@ -87,12 +87,12 @@ def test_fractional_power_integer_case():
     assert rel.integer_valued and rel.omega_int(-3) == 9
     half = FractionalPower(Fraction(1, 2))
     assert not half.integer_valued
-    assert float(half.omega_fixed(4)) == pytest.approx(2.0, abs=1e-15)
+    assert half.omega_mantissa(4) == 2 * ONE
 
 
 def test_fractional_power_fixed_point_accuracy():
     rel = FractionalPower(Fraction(3, 2))
-    v = rel.omega_fixed(2)
+    v = FixedReal(rel.omega_mantissa(2))
     assert abs(float(v) - 2.0 ** 1.5) < 1e-15
     # exact floor root: v^2 <= 8 < (v + ulp)^2
     frac8 = v.as_fraction() ** 2
@@ -100,18 +100,22 @@ def test_fractional_power_fixed_point_accuracy():
     assert frac8 <= 8 < (v.as_fraction() + ulp) ** 2
 
 
+def _omega(rel, n: int) -> float:
+    return float(FixedReal(rel.omega_mantissa(n)))
+
+
 def test_water_wave_values():
-    assert float(Gravity().omega_fixed(1)) == pytest.approx(math.sqrt(math.tanh(1.0)), abs=1e-12)
-    assert float(Gravity().omega_fixed(1)) == pytest.approx(0.8726936208978296, abs=1e-12)
-    assert float(GravityCapillary().omega_fixed(2)) == pytest.approx(
+    assert _omega(Gravity(), 1) == pytest.approx(math.sqrt(math.tanh(1.0)), abs=1e-12)
+    assert _omega(Gravity(), 1) == pytest.approx(0.8726936208978296, abs=1e-12)
+    assert _omega(GravityCapillary(), 2) == pytest.approx(
         math.sqrt((2 + 8) * math.tanh(2.0)), abs=1e-12)
-    assert float(Boussinesq().omega_fixed(3)) == pytest.approx(math.sqrt(9 + 81), abs=1e-12)
+    assert _omega(Boussinesq(), 3) == pytest.approx(math.sqrt(9 + 81), abs=1e-12)
     assert BenjaminOno().omega_int(-4) == -16
 
 
 def test_water_wave_relations_are_even():
     for rel in (Gravity(), GravityCapillary(), Boussinesq()):
-        assert float(rel.omega_fixed(-7)) == float(rel.omega_fixed(7))
+        assert rel.omega_mantissa(-7) == rel.omega_mantissa(7)
 
 
 def test_gravity_saturates_to_sqrt_n():
@@ -119,16 +123,61 @@ def test_gravity_saturates_to_sqrt_n():
     # gravity phase equals the |n|^(1/2) phase bit for bit
     half = FractionalPower(Fraction(1, 2))
     for n in (70, 100, 4096):
-        assert Gravity().omega_fixed(n).m == half.omega_fixed(n).m
+        assert Gravity().omega_mantissa(n) == half.omega_mantissa(n)
     # and below saturation they genuinely differ
-    assert Gravity().omega_fixed(5).m != half.omega_fixed(5).m
+    assert Gravity().omega_mantissa(5) != half.omega_mantissa(5)
 
 
 def test_gravcap_saturates_to_three_halves_model():
     gc = GravityCapillary()
     for n in (70, 128):
-        expected = FixedReal(math.isqrt((n + n**3) << (2 * FRAC_BITS)))
-        assert gc.omega_fixed(n).m == expected.m
+        assert gc.omega_mantissa(n) == math.isqrt((n + n**3) << (2 * FRAC_BITS))
+
+
+# -- exact roots: omega_mantissa against the radicand ------------------------
+
+_NONINTEGER = ("frac:1/2", "frac:3/2", "frac:9/5", "frac:7/3", "frac:5/4", "frac:1/3",
+               "frac:2/7", "frac:11/7", "frac:4/5", "boussinesq", "gravity", "gravcap")
+
+
+def _radicand(spec: str, n: int) -> tuple[Fraction, int]:
+    """(R, q) with omega(n) = R^(1/q), from the definition of the relation.
+    tanh(m) is taken as 1 from m = 70 on: 1 - tanh(70) < 2^-201."""
+    m = abs(n)
+    if spec.startswith("frac:"):
+        alpha = Fraction(spec[5:])
+        return Fraction(m**alpha.numerator), alpha.denominator
+    if spec == "boussinesq":
+        return Fraction(m**2 + m**4), 2
+    base = m if spec == "gravity" else m + m**3
+    return base * (Fraction(1) if m >= 70 else _tanh_fraction(m)), 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_NONINTEGER),
+       st.one_of(st.integers(min_value=-MAX_BLOCK, max_value=MAX_BLOCK),
+                 st.integers(min_value=-100, max_value=100),
+                 st.sampled_from([-MAX_BLOCK, -71, -70, -69, 69, 70, 71, MAX_BLOCK])))
+def test_omega_mantissa_is_the_floor_root_of_the_radicand(spec, n):
+    # W^q <= R(n) 2^(q FRAC_BITS) < (W + 1)^q, in exact integers
+    w = parse_relation(spec).omega_mantissa(n)
+    r, q = _radicand(spec, n)
+    scaled = r.numerator << (q * FRAC_BITS)
+    assert w**q * r.denominator <= scaled < (w + 1) ** q * r.denominator
+
+
+@pytest.mark.parametrize("spec", ["gravity", "gravcap"])
+def test_water_wave_mantissa_below_and_past_saturation(spec):
+    rel = parse_relation(spec)
+    for n in [*range(-71, 72), -MAX_BLOCK, MAX_BLOCK]:
+        m = abs(n)
+        base = m if spec == "gravity" else m + m**3
+        if m < 70:  # the floor sqrt of the exact rational m tanh(m)
+            fr = base * _tanh_fraction(m)
+            want = math.isqrt((fr.numerator << (2 * FRAC_BITS)) // fr.denominator)
+        else:  # tanh is 1: the integer radicand
+            want = math.isqrt(base << (2 * FRAC_BITS))
+        assert rel.omega_mantissa(n) == want, n
 
 
 # -- phase reduction ----------------------------------------------------------
@@ -223,7 +272,7 @@ def _exact_frac(rel, theta, n: int) -> float:
     non-integer omega enters as its fixed-point value, so this checks the
     reduction, not the root or tanh that produced omega(n)."""
     th = theta if isinstance(theta, Fraction) else theta.as_fraction()
-    w = Fraction(rel.omega_int(n)) if rel.integer_valued else rel.omega_fixed(n).as_fraction()
+    w = Fraction(rel.omega_int(n)) if rel.integer_valued else Fraction(rel.omega_mantissa(n), ONE)
     return float((th * w) % 1)
 
 

@@ -11,6 +11,7 @@ from talbot import (IntPolynomial, SampleGrid, SliceSpec, StepFunction,
                     TimePoint, evolve_slice, kl_theta, parse_relation,
                     parse_slice, quantize_coefficients, quantize_verify)
 from talbot import evolution
+from talbot.fixedpoint import sqrt2
 
 SCHRODINGER = parse_relation("poly:-1,0,0")
 AIRY = parse_relation("poly:1,0,0,0")
@@ -42,6 +43,14 @@ def test_slice_validation():
         SliceSpec.oblique(Fraction(1, 3), 0, 1)  # k < 1
     with pytest.raises(ValueError):
         SliceSpec(kind="diagonal")
+
+
+def test_vertical_slice_needs_increasing_times():
+    for t0, t1 in ((Fraction(1, 4), Fraction(1, 4)), (Fraction(1, 2), Fraction(1, 4)),
+                   (sqrt2(), Fraction(1)), (Fraction(3, 2), sqrt2())):
+        with pytest.raises(ValueError, match="t0 < t1"):
+            SliceSpec.vertical(Fraction(0), t0, t1)
+    assert SliceSpec.vertical(Fraction(0), Fraction(1), sqrt2()).t1.theta == sqrt2()
 
 
 def test_parse_slice_grammar():
