@@ -247,6 +247,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # dimension
 # ---------------------------------------------------------------------------
 
+#: A part (re or im) whose sup is below this fraction of the field's sup is
+#: rounding noise (Im of an odd omega's real field) and is not measured.
+NOISE_FLOOR = 2.0**-40
+
 DIMENSION_DEFAULTS = {
     "rel": None, "data": "step:0,pi", "slice": None,
     "truncation": 1 << 14, "length": 1 << 18, "drop": "2,2",
@@ -270,7 +274,14 @@ def _cmd_dimension(args: argparse.Namespace) -> int:
     parts = {"re": sg.samples.real, "im": sg.samples.imag}
     body: dict = {"provenance": sg.provenance, "parts": {}}
     dims, holders = {}, {}
+    field_sup = float(np.max(np.abs(sg.samples)))
     for name, arr in parts.items():
+        sup = float(np.max(np.abs(arr)))
+        if sup < NOISE_FLOOR * field_sup:
+            body["parts"][name] = {"box_dimension": None, "box_fit": None, "holder": None,
+                                   "skipped": f"sup {sup:.3g} is below 2^-40 of the field's "
+                                              f"sup {field_sup:.3g}: rounding noise"}
+            continue
         box = box_dimension(arr, drop=drop)
         hold = holder_exponent(arr, lag_min=int(opt["lag_min"]),
                                lag_max=int(opt["lag_max"]))

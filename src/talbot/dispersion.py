@@ -26,6 +26,11 @@ ulp (|n| >= 70), that radicand is an integer and the root is a single
 ``isqrt`` or ``iroot``; only gravity and gravcap at |n| < 70 go through an
 exact ``Fraction`` of tanh.
 
+Both fixed-point paths are the oracle of a double-double numpy kernel
+that runs first; a mode takes the big-integer path only where Ziv's
+rounding test cannot prove the kernel's double equal to its result, or
+where the kernel's error bound is not proven (``_phase_block``).
+
 Only the final conversion to double rounds, so phases are trustworthy for
 |omega(n)| far beyond anything double precision could reduce mod 2*pi.
 
@@ -49,7 +54,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .fixedpoint import FRAC_BITS, ONE, FixedReal, e_fraction, golden_ratio, iroot, sqrt2, two_pi
+from .fixedpoint import (FRAC_BITS, ONE, FixedReal, _fast_two_sum, _two_product, _two_sum, e_fraction,
+                         golden_ratio, iroot, sqrt2, two_pi)
 
 Turns = Union[Fraction, FixedReal]
 
@@ -176,6 +182,9 @@ class DispersionRelation:
     spec: str = ""
     integer_valued: bool = False
     degree: int | None = None
+    #: (a, q, coeffs, m_min): omega(n) = m^a R(m)^(1/q) for m = |n| >= m_min,
+    #: R(m) the polynomial with these descending nonnegative integer coefficients.
+    _root_form: tuple[int, int, tuple[int, ...], int] | None = None
 
     def omega_int(self, n: int) -> int:
         raise TypeError(f"{self.spec or type(self).__name__} is not integer-valued")
@@ -238,6 +247,7 @@ class FractionalPower(DispersionRelation):
         self._p, self._q = a.numerator, a.denominator
         self.integer_valued = a.denominator == 1
         self.spec = f"frac:{a.numerator}" if a.denominator == 1 else f"frac:{a.numerator}/{a.denominator}"
+        self._root_form = (self._p // self._q, self._q, (1,) + (0,) * (self._p % self._q), 1)
 
     def omega_int(self, n: int) -> int:
         if not self.integer_valued:
@@ -281,6 +291,7 @@ class Boussinesq(DispersionRelation):
     """omega(n) = sqrt(n^2 + n^4)."""
 
     spec = "boussinesq"
+    _root_form = (1, 2, (1, 0, 1), 1)  # m * sqrt(m^2 + 1)
 
     def omega_mantissa(self, n: int) -> int:
         return math.isqrt((n * n + n**4) << (2 * FRAC_BITS))
@@ -300,6 +311,7 @@ class Gravity(DispersionRelation):
     """omega(n) = sqrt(n tanh n); even in n, asymptotically |n|^(1/2)."""
 
     spec = "gravity"
+    _root_form = (0, 2, (1, 0), _TANH_SATURATION)
 
     def omega_mantissa(self, n: int) -> int:
         m = abs(n)
@@ -312,6 +324,7 @@ class GravityCapillary(DispersionRelation):
     """omega(n) = sqrt((n + n^3) tanh n); even in n, |n|^(3/2) + O(1)."""
 
     spec = "gravcap"
+    _root_form = (0, 2, (1, 0, 1, 0), _TANH_SATURATION)
 
     def omega_mantissa(self, n: int) -> int:
         m = abs(n)
@@ -359,40 +372,136 @@ def parse_relation(spec: str) -> DispersionRelation:
 # ---------------------------------------------------------------------------
 
 
+#: Modes per block of the fixed-point kernel: each float temporary is 64 KiB.
+_BLOCK = 1 << 13
+
+
 def theta_omega_frac_array(rel: DispersionRelation, theta: Turns, ns: Iterable[int]) -> np.ndarray:
-    """frac(theta * omega(n)) for each n, as float64 turns in [0, 1].
+    """frac(theta * omega(n)) for each n, as float64 turns in [0, 1]: the
+    double nearest the big-integer reduction, which is exact (to one 192-bit
+    ulp for non-integer omega); a fraction within 2^-54 of 1 gives 1.0.
 
-    The reduction itself is exact (or one fixed-point ulp for non-integer
-    omega); only the final conversion to double rounds, which takes a
-    fraction within 2^-54 of 1 to 1.0.
+    Fixed-point theta goes through ``_phase_block`` in blocks of ``_BLOCK``
+    modes, and a mode it cannot prove takes ``_exact_phase``, as does every
+    mode when |n| >= 2^53 or |theta| >= 2^64 somewhere.
     """
-    ns_list = [int(v) for v in ns]
-    out = np.empty(len(ns_list), dtype=np.float64)
-
-    if not ns_list:
-        return out
+    arr = np.asarray(ns if isinstance(ns, np.ndarray) else list(ns))
+    if arr.size == 0:
+        return np.empty(0)
+    if arr.dtype != np.int64:  # beyond int64: exact Python integers
+        arr = np.array([int(v) for v in arr.tolist()], dtype=object)
+    n_mag = max(-int(arr.min()), int(arr.max()))
 
     if isinstance(theta, Fraction) and rel.integer_valued:
         a, q = theta.numerator, theta.denominator
-        n_mag = max(abs(ns_list[0]), abs(min(ns_list)), abs(max(ns_list)))
         if isinstance(rel, IntPolynomial) and q < (1 << 31) and n_mag < (1 << 62):
-            arr = np.asarray(ns_list, dtype=np.int64)
-            nm = arr % q
+            nm = arr.astype(np.int64) % q
             acc = np.full(arr.shape, (a * rel.coeffs[0]) % q, dtype=np.int64)
             for c in rel.coeffs[1:]:
                 acc = (acc * nm + (a * c) % q) % q
             return acc / float(q)
-        for i, n in enumerate(ns_list):
-            out[i] = ((a * rel.omega_int(n)) % q) / q
-        return out
+        return np.array([((a * rel.omega_int(n)) % q) / q for n in arr.tolist()])
 
     tm = FixedReal.convert(theta).m
+    out = np.empty(arr.size)
+    fast = n_mag < (1 << 53) and abs(tm) < (ONE << 64)
+    t, r = [], tm if fast else 0
+    for _ in range(3):  # theta = t1 + t2 + t3 + O(2^-159 t1), each the double nearest the rest
+        t.append(r / ONE)
+        r -= int(math.ldexp(t[-1], FRAC_BITS))
+    for lo in range(0, arr.size, _BLOCK):
+        n = arr[lo:lo + _BLOCK]
+        ok = np.zeros(n.size, dtype=bool)
+        if fast:
+            out[lo:lo + n.size], ok = _phase_block(rel, t, np.asarray(n, dtype=np.int64), n_mag)
+        for i in np.flatnonzero(~ok).tolist():
+            out[lo + i] = _exact_phase(rel, tm, int(n[i]))
+    return out
+
+
+def _exact_phase(rel: DispersionRelation, tm: int, n: int) -> float:
+    """The big-integer reduction V of theta = tm / 2^FRAC_BITS times omega(n)."""
     if rel.integer_valued:
-        for i, n in enumerate(ns_list):
-            out[i] = ((tm * rel.omega_int(n)) % ONE) / ONE
-        return out
-    return np.array([(((w * tm) >> FRAC_BITS) % ONE) / ONE
-                     for w in map(rel.omega_mantissa, ns_list)], dtype=np.float64)
+        return ((tm * rel.omega_int(n)) % ONE) / ONE
+    return (((rel.omega_mantissa(n) * tm) >> FRAC_BITS) % ONE) / ONE
+
+
+def _phase_block(rel: DispersionRelation, t: list[float], n: np.ndarray,
+                 n_mag: int) -> tuple[np.ndarray, np.ndarray]:
+    """(y_hi, ok) for an int64 block of modes, y_hi[ok] == _exact_phase bit for bit.
+
+    theta = t1 + t2 + t3 + O(2^-159 t1); omega(n) = w_hi + w_lo, exact in
+    int64 for a polynomial, else m^a R(m)^(1/q) (``_root_form``) by one Newton
+    step s + c from the float root s, with R - s^q in double-double.
+    TwoProduct splits t1 w_hi, t1 w_lo and t2 w_hi; each part less its
+    nearest integer (exact) enters a TwoSum chain; t2 w_lo and t3 w_hi round
+    once, t3 w_lo is dropped.  With u = 2^-53 and Theta = |t1 w_hi|, the sum
+    y = y_hi + y_lo is within
+
+        eps = 2^-99 + |t1| (2^-150 |w_hi| + m^a (q c^2/s + 2^-49 |c| + 2^-100 s))
+
+    of V mod 1 (the m^a term for root forms only), at least twice the sum of
+    4u^3 Theta (products rounded once or dropped), 18u^2 + 24u^3 Theta (adding
+    the small terms), u^2 (the wrap into [0, 1)), (q - 1)/2 d^2 r (1 + q 2^-39)
+    <= q c^2/s (Newton from s = r(1 + d), |c| <= 2^-40 s), 3u^2 s + 5u|c| (c
+    from s^q, the residual and the quotient), 3u^2 |w| (the product by m^a)
+    and (1 + |theta|) 2^-192 (the floors in V).  If no rounding boundary of
+    y_hi lies within eps of y, y_hi = float(V).  ok is also False off the
+    proven range: m < m_min (n = 0, water waves at |n| < 70), R >= 2^99
+    (inexact in double-double), m^a >= 2^53, |c| > 2^-40 s, y_hi within 2^-20
+    of an integer, a polynomial beyond int64, and bo (neither form).
+    """
+    t1, t2, t3 = t
+    with np.errstate(all="ignore"):  # modes out of range give inf/nan, which fail ok
+        if isinstance(rel, IntPolynomial) and sum(map(abs, rel.coeffs)) * max(n_mag, 1)**rel.degree < (1 << 62):
+            w = np.full(n.shape, rel.coeffs[0], dtype=np.int64)
+            for c in rel.coeffs[1:]:
+                w = w * n + c
+            w_hi = w.astype(np.float64)
+            w_lo = (w - w_hi.astype(np.int64)).astype(np.float64)
+            eps_w, ok = 0.0, True
+        elif rel._root_form is not None:
+            w_hi, w_lo, eps_w, ok = _root_omega(rel._root_form, np.abs(n).astype(np.float64))
+        else:
+            return np.zeros(n.size), np.zeros(n.size, dtype=bool)
+        p, e = _two_product(t1, w_hi)
+        a1, b1 = _two_product(t1, w_lo)
+        a2, b2 = _two_product(t2, w_hi)
+        s, u1 = _two_sum(p - np.rint(p), e - np.rint(e))
+        s, u2 = _two_sum(s, a1 - np.rint(a1))
+        s, u3 = _two_sum(s, a2 - np.rint(a2))
+        y, y_lo = _two_sum(s - np.rint(s), ((u1 + u2) + (u3 + b1)) + ((b2 + t2 * w_lo) + t3 * w_hi))
+        h, e = _two_sum(y, (y < 0).astype(np.float64))
+        y, y_lo = _two_sum(h, e + y_lo)
+        eps = 2.0**-99 + abs(t1) * (2.0**-150 * np.abs(w_hi) + eps_w)
+        ok = (ok & (y >= 2.0**-20) & (y <= 1.0 - 2.0**-20)
+              & (y_lo + eps < 0.5 * np.spacing(y)) & (eps - y_lo < 0.5 * (y - np.nextafter(y, 0.0))))
+    return y, ok
+
+
+def _root_omega(form: tuple[int, int, tuple[int, ...], int], m: np.ndarray):
+    """(w_hi, w_lo, eps_w, ok) for omega = m^a R(m)^(1/q): see ``_phase_block``."""
+    a, q, coeffs, m_min = form
+    rh, rl = np.full(m.shape, float(coeffs[0])), 0.0  # R(m): every part an integer, exact below 2^100
+    for c in coeffs[1:]:
+        p, e = _two_product(rh, m)
+        rh, rl = _fast_two_sum(p, e + rl * m)
+        if c:
+            p, e = _two_sum(rh, float(c))
+            rh, rl = _fast_two_sum(p, e + rl)
+    s = np.sqrt(rh) if q == 2 else rh ** (1.0 / q)
+    ph, pl = s, 0.0  # s^q
+    for _ in range(q - 1):
+        p, e = _two_product(ph, s)
+        ph, pl = _fast_two_sum(p, e + pl * s)
+    c = ((rh - ph) + (rl - pl)) * s / (q * ph)
+    w_hi, w_lo = _fast_two_sum(s, c)
+    ma = m**a
+    if a:
+        p, e = _two_product(w_hi, ma)
+        w_hi, w_lo = _fast_two_sum(p, e + w_lo * ma)
+    eps_w = ma * (q * c * c / s + 2.0**-49 * np.abs(c) + 2.0**-100 * s)
+    return w_hi, w_lo, eps_w, (m >= m_min) & (rh < 2.0**99) & (ma < 2.0**53) & (np.abs(c) <= 2.0**-40 * s)
 
 
 def oblique_frequencies(rel: DispersionRelation, k: int, ell: int, ns: Iterable[int]) -> list[int]:

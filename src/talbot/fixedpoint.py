@@ -9,7 +9,8 @@ The fractional part of theta*omega(n) is therefore exact whenever omega(n)
 is an integer, and off by a single ulp (2**-FRAC_BITS) when omega(n) itself
 comes out of an integer root.
 
-The module also provides exact integer k-th roots and the handful of
+The module also provides exact integer k-th roots, Dekker's error-free
+double operations for the vectorised phase kernel, and the handful of
 constants (sqrt(2), the golden ratio, e, pi) that the rest of the library
 uses as quadratic-irrational / Diophantine reference values.
 """
@@ -42,16 +43,17 @@ def iroot(x: int, k: int) -> int:
     r -> floor(((k - 1)*r + floor(x / r^(k-1))) / k) runs from a seed above
     the root.  The nested floors equal the floor of the real Newton step,
     which by AM-GM never falls below x^(1/k) and lies strictly below r while
-    r > x^(1/k).  So from any seed r >= floor(x^(1/k)) the iterates fall
-    monotonically to floor(x^(1/k)), where the step first fails to decrease.
+    r > x^(1/k).  So from any seed r > x^(1/k) the iterates fall
+    monotonically to floor(x^(1/k)) and never below it: the first iterate
+    with r^k <= x is the root, and no step is spent confirming it.
 
     The seed is a float estimate: with s a multiple of k chosen so that
     y = x >> s fits a double, x < (y + 1) * 2^s gives
     x^(1/k) < (y^(1/k) + 1) * 2^(s/k), and the float y^(1/k), enlarged by
     2^-32 of itself (far above its rounding error) plus 2, bounds that from
     above.  From its ~32 correct bits Newton doubles the correct bits each
-    step (a 215-bit root takes four steps, the last one confirming), with
-    no linear first phase as from a 2^ceil(bits/k) guess.
+    step (a 215-bit root takes three), with no linear first phase as from a
+    2^ceil(bits/k) guess.
     """
     if x < 0:
         raise ValueError("iroot requires a nonnegative argument")
@@ -64,11 +66,39 @@ def iroot(x: int, k: int) -> int:
     s = -(-max(x.bit_length() - _SEED_BITS, 0) // k) * k
     est = float(x >> s) ** (1.0 / k)
     r = (int(est + est * 2.0**-32) + 2) << (s // k)
+    p = r ** (k - 1)
     while True:
-        nr = ((k - 1) * r + x // r ** (k - 1)) // k
-        if nr >= r:
+        r = ((k - 1) * r + x // p) // k
+        p = r ** (k - 1)
+        if p * r <= x:
             return r
-        r = nr
+
+
+# -- error-free double arithmetic (Dekker 1971) ------------------------------
+# Each pair holds its exact result as hi + lo; floats or numpy arrays, every
+# operation rounding once to nearest, so no FMA is needed.
+
+def _two_sum(a, b):
+    """s + e = a + b exactly, s = fl(a + b) (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _fast_two_sum(a, b):
+    """s + e = a + b exactly, for |a| >= |b| or a = 0."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _two_product(a, b):
+    """p + e = a * b exactly, p = fl(a * b), for |a|, |b| < 2^995; Veltkamp's
+    constant 2^27 + 1 splits each factor into two 26-bit halves."""
+    p = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 class FixedReal:

@@ -66,23 +66,41 @@ def test_argument_table_covers_the_tracer():
     assert read == listed
 
 
-@pytest.mark.parametrize("spec, ns, calls_per_mode", [
-    ("frac:9/5", range(-40, 41), 1),
-    ("frac:3/2", range(-40, 41), 0),
-    ("gravity", range(70, 200), 0),  # tanh saturated: one isqrt per mode
-    ("gravity", range(-200, -69), 0),
-])
-def test_phase_path_calls_iroot_through_the_traced_name(monkeypatch, spec, ns, calls_per_mode):
-    # the traced run counts fixedpoint.iroot by rebinding talbot.dispersion.iroot
+def _count_iroot(monkeypatch) -> list[int]:
+    """Rebind talbot.dispersion.iroot, as the traced run does, and return the
+    list its calls append their radicands to."""
     dispersion = importlib.import_module("talbot.dispersion")
     calls = []
     real = dispersion.iroot
 
     def counting(x, k):
-        calls.append(k)
+        calls.append(x)
         return real(x, k)
 
     monkeypatch.setattr(dispersion, "iroot", counting)
-    theta = dispersion.seeded_theta(1).theta
-    dispersion.theta_omega_frac_array(dispersion.parse_relation(spec), theta, ns)
-    assert len(calls) == calls_per_mode * len(ns)
+    return calls
+
+
+@pytest.mark.parametrize("spec, ns, fallbacks", [
+    ("frac:9/5", range(-40, 41), 1),  # n = 0 has no root form: the one mode that falls back
+    ("frac:3/2", range(-40, 41), 0),  # q = 2: a fallback root is isqrt
+    ("gravity", range(70, 200), 0),  # tanh saturated: isqrt
+    ("gravity", range(-200, -69), 0),
+])
+def test_phase_path_calls_iroot_through_the_traced_name(monkeypatch, spec, ns, fallbacks):
+    # modes that pass the double-double kernel's rounding test never take a root
+    calls = _count_iroot(monkeypatch)
+    dispersion = importlib.import_module("talbot.dispersion")
+    dispersion.theta_omega_frac_array(dispersion.parse_relation(spec), dispersion.seeded_theta(1).theta, ns)
+    assert len(calls) == fallbacks
+
+
+def test_modes_outside_the_proven_range_reach_iroot(monkeypatch):
+    # frac:9/5 is m * (m^4)^(1/5); m^4 >= 2^99 is not exact in double-double,
+    # so n = 0 and |n| = 2^25 take the big-integer root and nothing else does
+    calls = _count_iroot(monkeypatch)
+    dispersion = importlib.import_module("talbot.dispersion")
+    ns = [3, 0, 1 << 25, -17, -(1 << 25), 1 << 24]
+    dispersion.theta_omega_frac_array(dispersion.parse_relation("frac:9/5"), dispersion.seeded_theta(1).theta, ns)
+    frac_bits = importlib.import_module("talbot.fixedpoint").FRAC_BITS
+    assert sorted(calls) == sorted(abs(n) ** 9 << (5 * frac_bits) for n in (0, 1 << 25, -(1 << 25)))

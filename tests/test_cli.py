@@ -284,6 +284,22 @@ def test_dimension_quick_run(capsys, tmp_path):
     assert len(lines) == 1 + 16384
 
 
+def test_dimension_skips_the_rounding_noise_part(capsys):
+    # an odd omega with a real datum gives a real field: Im is rounding noise
+    # and must not set the reported max/min
+    code, out, _ = run(capsys, "dimension", "--rel", "poly:1,0,0,0",
+                       "--slice", "horiz:kl:sqrt2", "--truncation", "2048",
+                       "--length", "16384")
+    assert code == 0
+    report = json.loads(out)
+    im, re = report["parts"]["im"], report["parts"]["re"]
+    assert im["box_dimension"] is None and im["holder"] is None
+    assert "rounding noise" in im["skipped"]
+    assert report["box_dimension"] == re["box_dimension"]
+    assert report["holder_exponent"] == re["holder"]["slope"]
+    assert 1.2 <= report["box_dimension"] <= 1.8
+
+
 def test_dimension_threshold_failure(capsys):
     code, _, err = run(capsys, "dimension", "--rel", "poly:-1,0,0",
                        "--slice", "horiz:kl:sqrt2", "--truncation", "1024",

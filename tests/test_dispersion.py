@@ -11,6 +11,7 @@ from talbot import (BenjaminOno, Boussinesq, FractionalPower, Gravity,
                     GravityCapillary, IntPolynomial, TimePoint, kl_theta,
                     parse_relation, parse_theta, seeded_theta,
                     theta_omega_frac_array)
+from talbot import dispersion
 from talbot.dispersion import LINEAR, _tanh_fraction, oblique_frequencies
 from talbot.expsum import MAX_BLOCK
 from talbot.fixedpoint import FRAC_BITS, ONE, FixedReal, sqrt2, two_pi
@@ -290,3 +291,57 @@ def test_phase_path_matches_exact_fractions(rel, theta, ns):
     else:
         d = np.abs(got - want)
         assert np.max(np.minimum(d, 1.0 - d)) <= 1e-15
+
+
+# -- the double-double kernel against the big-integer reduction, bit for bit --
+
+#: fixed-point thetas: in (0, 1), negative with |theta| > 1, and above 1
+_KERNEL_THETAS = (seeded_theta(1).theta,
+                  FixedReal(-seeded_theta(3).theta.m - 2 * ONE),
+                  FixedReal(sqrt2().m * 3))
+
+
+def _big_integer_phases(rel, theta: FixedReal, ns) -> np.ndarray:
+    """The reduction the kernel must reproduce: exact for integer omega,
+    the floored 192-bit product of the mantissas otherwise."""
+    tm = theta.m
+    if rel.integer_valued:
+        return np.array([((tm * rel.omega_int(n)) % ONE) / ONE for n in ns])
+    return np.array([(((rel.omega_mantissa(n) * tm) >> FRAC_BITS) % ONE) / ONE for n in ns])
+
+
+def _kernel_blocks():
+    """Dyadic blocks of both signs, N = 2^10..2^14, and the modes up to MAX_BLOCK,
+    each with its own theta."""
+    blocks = [[*range(-2 * N + 1, -N + 1), *range(N, 2 * N)] for N in (1 << j for j in range(10, 15))]
+    blocks.append([*range(-MAX_BLOCK, -MAX_BLOCK + 512), *range(MAX_BLOCK - 511, MAX_BLOCK + 1)])
+    return [(ns, _KERNEL_THETAS[i % len(_KERNEL_THETAS)]) for i, ns in enumerate(blocks)]
+
+
+@pytest.mark.parametrize("spec", _NONINTEGER + ("poly:-1,0,0", "poly:1,0,0,0", "poly:3,-2,5,1,7", "bo", "frac:2"))
+def test_kernel_is_bit_identical_to_the_big_integer_reduction(spec):
+    rel = parse_relation(spec)
+    for ns, theta in _kernel_blocks():
+        assert np.array_equal(theta_omega_frac_array(rel, theta, ns), _big_integer_phases(rel, theta, ns)), \
+            (spec, len(ns), float(theta))
+
+
+def test_rounding_boundary_takes_the_big_integer_path(monkeypatch):
+    # theta within 2^-150 of the midpoint between two doubles: the kernel's
+    # error bound straddles the rounding boundary, so the mode must fall back
+    fell_back = []
+    real = dispersion._exact_phase
+
+    def spy(rel, tm, n):
+        fell_back.append(n)
+        return real(rel, tm, n)
+
+    monkeypatch.setattr(dispersion, "_exact_phase", spy)
+    d = 0.3125 + 2.0**-40
+    midpoint = Fraction(d) + Fraction(math.ulp(d)) / 2
+    for offset in (Fraction(1, 1 << 150), -Fraction(1, 1 << 150), Fraction(1, 1 << 191)):
+        theta = FixedReal.from_fraction(midpoint + offset)
+        fell_back.clear()
+        got = theta_omega_frac_array(LINEAR, theta, [1, 2, 3])
+        assert 1 in fell_back
+        assert got.tolist() == [float(theta.as_fraction() * n % 1) for n in (1, 2, 3)]
