@@ -12,9 +12,9 @@ double before reduction.  Two evaluators share one golden-section search:
 
 * narrow span (rho = pi*(max f - min f)/G <= 1, every horizontal row): a
   Taylor polynomial in delta about the midpoint frequency, built once per
-  peak, so each probe costs O(K) instead of O(N) exponentials.  K is the
-  least order whose tail bound rho^K/K! * e^rho is below 2^-60; the result
-  matches the direct sum to 1e-12 relative.
+  refined cell, so each probe costs O(K) instead of O(N) exponentials.  K is
+  the least order whose tail bound rho^K/K! * e^rho is below 2^-60; the
+  result matches the direct sum to 1e-12 relative.
 * wide span (rho > 1, oblique rows): an N-term sum per probe of the
   anchored coefficients, formed once per peak, times the offset phasor
   e(f_n*delta/G).  The phasor comes from a 2^11-entry table of e(k/2^11) at
@@ -25,6 +25,18 @@ double before reduction.  Two evaluators share one golden-section search:
   relative; single probes differ from it only by the rounding both make of
   phases of up to max|f|/G turns (~5e-10 of the sup on cubic rows at
   N = 2^11).
+
+Which cells to refine.  On a narrow-span row the cells come from the sum
+itself.  Centred at its midpoint frequency, S is e^(icz) times a sum T of
+exponential type D/2, D = max f - min f.  Let z* maximise |T| and
+g = Re(e^(-i arg T(z*)) T).  The Bernstein-Szego inequality
+g'^2 + (D/2)^2 g^2 <= (D/2)^2 |S|_inf^2 (Duffin and Schaeffer 1937 for
+exponential type) gives g(z) >= |S|_inf cos((D/2)|z - z*|), and the grid
+point nearest z* is at most pi/G away, so its sample is at least
+|S|_inf cos(pi*D/(2G)).  A grid point below best*cos(pi*D/(2G)), with best
+any value |S| attains, is therefore not the one nearest the maximiser, and
+its cell is not refined.  On a wide-span row cos(pi*D/(2G)) can be <= 0 and
+the bound admits every cell; those rows refine the TOP largest grid peaks.
 """
 from __future__ import annotations
 
@@ -35,10 +47,16 @@ import numpy as np
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: Refinement searches the TOP largest grid peaks, ITERS golden-section
-#: steps each.
+#: Wide-span refinement (rho > 1, oblique rows) searches the TOP largest grid
+#: peaks.  The Bernstein cut of ``refine_supremum`` does not apply there: on
+#: oblique rows rho >> pi, so cos(pi*D/(2G)) <= 0 and it would admit every
+#: cell.  Each search takes ITERS golden-section steps.
 TOP = 10
 ITERS = 30
+#: The Bernstein cut is lowered by this fraction of sum |b_n|, which bounds
+#: the rounding of an FFT sample (about eps*log2(G)*sum |b_n|) and of a
+#: refined value many times over, so a borderline cell is not dropped.
+CUT_SLACK = 2.0 ** -40
 
 
 def next_pow2(n: int) -> int:
@@ -63,8 +81,12 @@ def tree_sum(values: np.ndarray) -> complex:
     return complex(v[0])
 
 
-def fold_frequencies(freqs: Sequence[int], G: int) -> np.ndarray:
-    """f mod G as int64, computed in unbounded integers first."""
+def fold_frequencies(freqs: Sequence[int] | np.ndarray, G: int) -> np.ndarray:
+    """f mod G as int64: array arithmetic on an int64 array (a horizontal
+    row's modes), unbounded integers for a list (oblique frequencies, whose
+    size has no bound)."""
+    if isinstance(freqs, np.ndarray):
+        return freqs % G
     return np.array([f % G for f in freqs], dtype=np.int64)
 
 
@@ -127,8 +149,10 @@ class AnchoredEvaluator:
 TAYLOR_TAIL = 2.0 ** -60
 
 
-def frequency_span(freqs: Sequence[int]) -> int:
+def frequency_span(freqs: Sequence[int] | np.ndarray) -> int:
     """max f - min f, exactly."""
+    if isinstance(freqs, np.ndarray):
+        return int(freqs.max() - freqs.min())
     return max(freqs) - min(freqs)
 
 
@@ -150,12 +174,17 @@ class TaylorEvaluator:
     |u_n delta| <= rho.  Expanding the exponential gives
     sum_k M_k (i delta)^k / k! with moments M_k = sum_n A_n u_n^k."""
 
-    def __init__(self, freqs: Sequence[int], coeffs: np.ndarray, G: int, span: int):
+    def __init__(self, freqs: Sequence[int] | np.ndarray, coeffs: np.ndarray, G: int,
+                 span: int):
         self.G = G
         self.fmod = fold_frequencies(freqs, G)
-        twice_mid = 2 * min(freqs) + span
         # 2*f - 2*c is an exact integer, |.| <= span: no large frequency enters a double
-        self.u = (np.pi / G) * np.array([2 * f - twice_mid for f in freqs], dtype=np.float64)
+        if isinstance(freqs, np.ndarray):
+            centred = 2 * freqs - (2 * int(freqs.min()) + span)
+        else:
+            twice_mid = 2 * min(freqs) + span
+            centred = [2 * f - twice_mid for f in freqs]
+        self.u = (np.pi / G) * np.array(centred, dtype=np.float64)
         self.coeffs = np.asarray(coeffs, dtype=np.complex128)
         self.order = taylor_order(math.pi * span / G)
 
@@ -227,7 +256,10 @@ def _unit_phasor(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def local_maxima(absvals: np.ndarray, top: int) -> list[int]:
     """Indices of the ``top`` largest circular local maxima of |S| on the
-    grid (falling back to the plain largest values if the signal is flat)."""
+    grid (falling back to the plain largest values if the signal is flat).
+
+    Only wide-span rows refine at these peaks; a narrow-span row refines
+    the cells its Bernstein cut admits, local maxima or not."""
     left = np.roll(absvals, 1)
     right = np.roll(absvals, -1)
     peaks = np.flatnonzero((absvals >= left) & (absvals > right))
@@ -258,20 +290,32 @@ def golden_section_peak(f: Callable[[float], float], lo: float,
     return d, fd
 
 
-def refine_supremum(freqs: Sequence[int], coeffs: np.ndarray, G: int, absvals: np.ndarray) -> float:
-    """Golden-section refinement of the grid supremum around the TOP largest
-    grid peaks (one grid cell to each side).  Never below the grid sup.
+def refine_supremum(freqs: Sequence[int] | np.ndarray, coeffs: np.ndarray, G: int,
+                    absvals: np.ndarray) -> float:
+    """Golden-section refinement of the grid supremum, one grid cell to each
+    side of a grid point.  Never below the grid sup.
 
-    The Taylor evaluator runs when pi*(max f - min f)/G <= 1, the direct
-    one otherwise."""
-    span = frequency_span(freqs)
-    if math.pi * span <= G:
-        ev = TaylorEvaluator(freqs, coeffs, G, span)
-    else:
-        ev = AnchoredEvaluator(freqs, coeffs, G)
+    Narrow span (pi*(max f - min f)/G <= 1): the grid points with
+    |S_j| >= best*cos(pi*span/(2G)), in descending |S_j|, each refined by
+    the Taylor evaluator, where best starts at the grid sup and rises with
+    each refined value; the first point below the current cut ends the
+    search.  The grid point nearest the maximiser is never below the cut
+    (module docstring), so it is refined, whether or not it is a local
+    maximum.  Wide span: the TOP largest local maxima, by the direct
+    evaluator."""
     best = float(np.max(absvals))
-    for j in local_maxima(absvals, TOP):
-        _, val = golden_section_peak(ev.local(j), -1.0, 1.0)
-        if val > best:
-            best = val
+    span = frequency_span(freqs)
+    if math.pi * span > G:
+        ev = AnchoredEvaluator(freqs, coeffs, G)
+        for j in local_maxima(absvals, TOP):
+            best = max(best, golden_section_peak(ev.local(j), -1.0, 1.0)[1])
+        return best
+    ev = TaylorEvaluator(freqs, coeffs, G, span)
+    cos = math.cos(math.pi * span / (2 * G))
+    slack = CUT_SLACK * float(np.sum(np.abs(ev.coeffs)))
+    admitted = np.flatnonzero(absvals >= best * cos - slack)
+    for j in admitted[np.argsort(absvals[admitted])[::-1]]:
+        if absvals[j] < best * cos - slack:
+            break
+        best = max(best, golden_section_peak(ev.local(int(j)), -1.0, 1.0)[1])
     return best

@@ -35,7 +35,7 @@ from .expsum import (airy_l4_identity_check, bprocess_dual_compare,
                      l4_quadruple_oracle, sup_norm_sweep)
 from .fixedpoint import sqrt2
 from .fractal import (besov_profile, box_dimension, holder_exponent,
-                      weierstrass)
+                      measured_parts, weierstrass)
 from .initial_data import StepFunction
 from .nonlinear import kdv_solve, nls_wick_solve, smoothing_residual
 
@@ -179,8 +179,8 @@ def criterion_4() -> CriterionResult:
     for tp in (kl_theta("sqrt2"), seeded_theta(1), seeded_theta(2), seeded_theta(3)):
         sg = evolve_slice("poly:-1,0,0", g, SliceSpec.oblique(tp, 1, 1),
                           M=1 << 10, length=1 << 22)
-        dim = max(box_dimension(sg.samples.real, drop=(2, 4)).dimension,
-                  box_dimension(sg.samples.imag, drop=(2, 4)).dimension)
+        dim = max(box_dimension(part, drop=(2, 4)).dimension
+                  for part in measured_parts(sg.samples)[0].values())
         checks.append(_check(f"c={tp.describe()}: box dimension (max re/im)",
                              f"{dim:.4f}", "in [1.70, 1.95]",
                              1.70 <= dim <= 1.95))
@@ -308,8 +308,7 @@ def criterion_10() -> CriterionResult:
 
     nls = nls_wick_solve(g, sign=1, M=1 << 10, dt=1e-4, t_max=0.5)
     res = smoothing_residual(nls)
-    h = min(holder_exponent(res.samples.real).slope,
-            holder_exponent(res.samples.imag).slope)
+    h = min(holder_exponent(part).slope for part in measured_parts(res.samples)[0].values())
     checks.append(_check("cubic flow residual: Holder exponent (min re/im)",
                          f"{h:.4f}", ">= 0.40", h >= 0.40))
     checks.append(_check("cubic flow: mass drift", f"{nls.l2_drift:.3e}",

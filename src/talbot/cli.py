@@ -46,7 +46,7 @@ from .acceptance import run_acceptance
 from .dispersion import TimePoint, parse_relation, parse_theta
 from .evolution import SliceSpec, evolve_slice, parse_slice, quantize_verify
 from .expsum import l4_quadruple_oracle, sup_norm_sweep
-from .fractal import besov_profile, box_dimension, holder_exponent
+from .fractal import besov_profile, box_dimension, holder_exponent, measured_parts
 from .initial_data import parse_datum
 from .nonlinear import (BlowUpError, kdv_solve, nls_wick_solve,
                         smoothing_residual, write_snapshot_csv)
@@ -247,10 +247,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # dimension
 # ---------------------------------------------------------------------------
 
-#: A part (re or im) whose sup is below this fraction of the field's sup is
-#: rounding noise (Im of an odd omega's real field) and is not measured.
-NOISE_FLOOR = 2.0**-40
-
 DIMENSION_DEFAULTS = {
     "rel": None, "data": "step:0,pi", "slice": None,
     "truncation": 1 << 14, "length": 1 << 18, "drop": "2,2",
@@ -271,17 +267,15 @@ def _cmd_dimension(args: argparse.Namespace) -> int:
     drop = _parse_drop(str(opt["drop"]))
     sg = evolve_slice(rel, g, slc, M=int(opt["truncation"]), length=int(opt["length"]))
 
-    parts = {"re": sg.samples.real, "im": sg.samples.imag}
+    measured, skipped = measured_parts(sg.samples)
     body: dict = {"provenance": sg.provenance, "parts": {}}
     dims, holders = {}, {}
-    field_sup = float(np.max(np.abs(sg.samples)))
-    for name, arr in parts.items():
-        sup = float(np.max(np.abs(arr)))
-        if sup < NOISE_FLOOR * field_sup:
+    for name in ("re", "im"):
+        if name in skipped:
             body["parts"][name] = {"box_dimension": None, "box_fit": None, "holder": None,
-                                   "skipped": f"sup {sup:.3g} is below 2^-40 of the field's "
-                                              f"sup {field_sup:.3g}: rounding noise"}
+                                   "skipped": skipped[name]}
             continue
+        arr = measured[name]
         box = box_dimension(arr, drop=drop)
         hold = holder_exponent(arr, lag_min=int(opt["lag_min"]),
                                lag_max=int(opt["lag_max"]))
@@ -443,8 +437,8 @@ def _cmd_solver(args: argparse.Namespace) -> int:
 
     residual = smoothing_residual(traj, length=int(opt["residual_length"]))
     if kind == "nls":
-        holder = min(holder_exponent(residual.samples.real).slope,
-                     holder_exponent(residual.samples.imag).slope)
+        holder = min(holder_exponent(part).slope
+                     for part in measured_parts(residual.samples)[0].values())
     else:
         holder = holder_exponent(residual.samples).slope
     body = {

@@ -123,16 +123,17 @@ def parse_slice(spec: str) -> SliceSpec:
 
 
 def line_spectrum(rel: DispersionRelation, slc: SliceSpec, ns: Sequence[int],
-                  weights: np.ndarray) -> tuple[list[int], np.ndarray]:
+                  weights: np.ndarray) -> tuple[np.ndarray | list[int], np.ndarray]:
     """Frequencies and coefficients of sum_n w(n) e(theta*omega(n) + x*n)
     restricted to a horizontal or oblique slice, as a sum over the line.
 
-    Horizontal (fixed theta): frequency n, coefficient w(n) e(theta*omega(n)).
-    Oblique (x, t) = (ell z, c - k z): frequency ell*n - k*omega(n),
-    coefficient w(n) e(c*omega(n)); omega must be integer-valued.  A
-    vertical slice is not such a sum (ValueError)."""
+    Horizontal (fixed theta): frequency n, as an int64 array, coefficient
+    w(n) e(theta*omega(n)).  Oblique (x, t) = (ell z, c - k z): frequency
+    ell*n - k*omega(n), a list of unbounded integers, coefficient
+    w(n) e(c*omega(n)); omega must be integer-valued.  A vertical slice is
+    not such a sum (ValueError)."""
     if slc.kind == "horizontal":
-        freqs, theta = list(ns), slc.t.theta
+        freqs, theta = np.array(ns, dtype=np.int64), slc.t.theta
     elif slc.kind == "oblique":
         freqs, theta = oblique_frequencies(rel, slc.k, slc.ell, ns), slc.c.theta
     else:

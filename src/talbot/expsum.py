@@ -253,7 +253,9 @@ def sup_norm_sweep(relation: DispersionRelation | str, at, scales: Iterable[int]
     Grid defaults to 16*N capped at 2^20; a given grid must be a power of
     two in [2, 2^20], and a given thread count at least 1 (ValueError
     otherwise).  The supremum is refined by golden-section search around
-    the top grid peaks.  Scales are processed in the given order and merged
+    every grid point that can lie nearest the maximiser (narrow span) or
+    the top grid peaks (wide span; see ``_fftsum.refine_supremum``).
+    Scales are processed in the given order and merged
     deterministically, whatever the thread count."""
     rel = parse_relation(relation) if isinstance(relation, str) else relation
     slc = at if isinstance(at, SliceSpec) else SliceSpec.horizontal(at)

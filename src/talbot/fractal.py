@@ -25,6 +25,26 @@ from .expsum import ExponentFit, least_squares_line
 MIN_SAMPLES = 1 << 12
 #: Besov fits use the blocks N >= FIT_MIN_BLOCK.
 FIT_MIN_BLOCK = 4
+#: A part (re or im) whose sup is below this fraction of the field's sup is
+#: rounding noise (Im of an odd omega's real field) and is not measured.
+NOISE_FLOOR = 2.0**-40
+
+
+def measured_parts(field: np.ndarray) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """The real and imaginary parts of a complex field that are worth
+    measuring, by name ("re", "im"), and the skipped ones with the reason.
+    A max or min of an estimate over re/im is taken over the measured parts
+    only."""
+    field_sup = float(np.max(np.abs(field)))
+    measured, skipped = {}, {}
+    for name, part in (("re", field.real), ("im", field.imag)):
+        sup = float(np.max(np.abs(part)))
+        if sup < NOISE_FLOOR * field_sup:
+            skipped[name] = (f"sup {sup:.3g} is below 2^-40 of the field's "
+                             f"sup {field_sup:.3g}: rounding noise")
+        else:
+            measured[name] = part
+    return measured, skipped
 
 
 def _as_real_samples(samples) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Sup refinement: the Taylor and table-phasor paths against the direct-sum
-oracle, the path choice, the under-resolution warning, and the numpy
-least-squares fit."""
+oracle, the path choice, the Bernstein cut of narrow-span rows against a
+fine-grid oracle, the under-resolution warning, and the numpy least-squares
+fit."""
 import math
 import os
 import subprocess
@@ -141,6 +142,70 @@ def test_wide_span_oblique_cell_keeps_the_direct_path(direct_calls):
         freqs, coeffs, G = _oblique_cell(SCHRODINGER, seeded_theta(3), N)
         oracle.append(_direct_sup(freqs, coeffs, G, np.abs(grid_values(freqs, coeffs, G))))
     assert oracle == [24.964447820715666, 37.84729555007791]
+
+
+@pytest.mark.parametrize("rel", ["frac:1/2", "frac:3/2", "frac:9/5", "gravcap"])
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("rho_near_one", [False, True])
+def test_bernstein_upper_bound_covers_the_fine_grid_sup(rel, seed, rho_near_one):
+    """max(best, max over the cells the cut leaves out of |S_j|/cos(pi*D/2G))
+    bounds the supremum, so it is never below the sup of a 64 times finer
+    grid (up to the FFTs' rounding), at the default 16N grid and at the
+    least grid with rho = pi*D/G <= 1."""
+    spec = BlockSpec(parse_relation(rel), 512)
+    ns = spec.modes()
+    freqs, coeffs = line_spectrum(spec.relation, SliceSpec.horizontal(seeded_theta(seed)),
+                                  ns, spec.weights(ns))
+    span = frequency_span(freqs)
+    G = math.ceil(math.pi * span) if rho_near_one else 16 * spec.N
+    absvals = np.abs(grid_values(freqs, coeffs, G))
+    best = refine_supremum(freqs, coeffs, G, absvals)
+    cos = math.cos(math.pi * span / (2 * G))
+    left_out = absvals[absvals < best * cos]
+    upper = max(best, float(np.max(left_out)) / cos)
+    fine = float(np.max(np.abs(grid_values(freqs, coeffs, 64 * G))))
+    assert upper >= fine * (1 - 1e-13)
+
+
+def test_bernstein_cut_finds_a_maximum_beyond_the_tenth_grid_peak():
+    """Ten equal Hann-windowed peaks on grid points and an eleventh, 0.5%
+    taller, half a cell off the grid: its two grid samples rank below the
+    other ten peaks, so refining the ten largest grid peaks misses it, and
+    the cut, which admits every sample within cos(pi*D/2G) of the best,
+    does not."""
+    D, G = 325, 1024  # rho = pi*D/G = 0.997: narrow span
+    freqs = np.arange(D + 1, dtype=np.int64)
+    window = np.sin(np.pi * (freqs + 0.5) / (D + 1)) ** 2
+    peaks = [(93 * k + 7, 1.0) for k in range(10)] + [(937.5, 1.005)]
+    coeffs = window * sum(height * np.exp(-2j * np.pi * freqs * at / G) for at, height in peaks)
+    absvals = np.abs(grid_values(freqs, coeffs, G))
+    assert 937 not in local_maxima(absvals, 10) and 938 not in local_maxima(absvals, 10)
+    fine = float(np.max(np.abs(grid_values(freqs, coeffs, 64 * G))))
+    top10 = _golden_sup(TaylorEvaluator(freqs, coeffs, G, D).local, absvals, top=10)
+    assert top10 < fine * (1 - 1e-3)
+    assert refine_supremum(freqs, coeffs, G, absvals) >= fine * (1 - 1e-13)
+
+
+@pytest.mark.parametrize("sign", ["+", "-", "both"])
+def test_int64_frequencies_fold_like_unbounded_integers(sign):
+    """A horizontal row's int64 modes and the same modes as Python integers
+    give bit-identical folds, spans, Taylor offsets, grids and refined sups."""
+    spec = BlockSpec(parse_relation("frac:3/2"), 256, sign=sign)
+    ns = spec.modes()
+    freqs, coeffs = line_spectrum(spec.relation, SliceSpec.horizontal(seeded_theta(4)), ns,
+                                  spec.weights(ns))
+    assert freqs.dtype == np.int64
+    for G in (4096, 1000):
+        assert np.array_equal(fold_frequencies(freqs, G), fold_frequencies(ns, G))
+        assert frequency_span(freqs) == frequency_span(ns)
+        span = frequency_span(ns)
+        assert np.array_equal(TaylorEvaluator(freqs, coeffs, G, span).u,
+                              TaylorEvaluator(ns, coeffs, G, span).u)
+        vals = grid_values(freqs, coeffs, G)
+        assert np.array_equal(vals, grid_values(ns, coeffs, G))
+        absvals = np.abs(vals)
+        assert (refine_supremum(freqs, coeffs, G, absvals)
+                == refine_supremum(ns, coeffs, G, absvals))
 
 
 def test_unit_phasor_series_order():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from talbot import besov_profile, box_dimension, holder_exponent, weierstrass
+from talbot.fractal import NOISE_FLOOR, measured_parts
 
 L = 1 << 14
 X = np.arange(L) / L  # turns
@@ -202,6 +203,21 @@ def test_besov_l2_only_matches_default_profile():
     assert alone.Ns == default.Ns
     assert alone.norms[2] == default.norms[2]
     assert alone.gamma(2) == default.gamma(2)
+
+
+# -- re/im parts -------------------------------------------------------------------
+
+def test_measured_parts_skip_a_part_below_the_noise_floor():
+    real = np.sin(2.0 * np.pi * X)
+    field = real + 1j * 5e-16 * np.cos(2.0 * np.pi * X)
+    measured, skipped = measured_parts(field)
+    assert list(measured) == ["re"] and list(skipped) == ["im"]
+    assert np.array_equal(measured["re"], real)
+    assert "rounding noise" in skipped["im"]
+    # a part at the floor itself is measured; so is every part of a zero field
+    at_floor = real + 1j * NOISE_FLOOR * np.cos(2.0 * np.pi * X)
+    assert list(measured_parts(at_floor)[0]) == ["re", "im"]
+    assert list(measured_parts(np.zeros(L, dtype=np.complex128))[0]) == ["re", "im"]
 
 
 # -- calibration family ---------------------------------------------------------------
