@@ -581,8 +581,9 @@ def build_parser() -> argparse.ArgumentParser:
               "CSV columns: x, re, im (slice samples)")
     dim.add_argument("--rel", help="dispersion relation spec")
     dim.add_argument("--data", help="datum spec (default step:0,pi)")
-    dim.add_argument("--slice", help="horiz:<theta> | vert:<x0>:<t0>,<t1> | "
-                                     "obliq:<c>:<k>/<ell>")
+    dim.add_argument("--slice", help="horiz:<theta> | obliq:<c>:<k>/<ell> | vert:<x0>:<t0>,<t1> "
+                                     "(a folded line sum: integer omega, rational t0 < t1, "
+                                     "length * denominator(t1 - t0) <= 2^22)")
     dim.add_argument("--truncation", type=int, help="mode cutoff M (default 16384)")
     dim.add_argument("--length", type=int, help="sample count (default 262144)")
     dim.add_argument("--drop", help="box-count fit window trim 'large,small' (default 2,2)")

@@ -333,9 +333,6 @@ class GravityCapillary(DispersionRelation):
         return _sqrt_fraction_fixed((m + m**3) * _tanh_fraction(m))
 
 
-SCHRODINGER = "poly:-1,0,0"
-AIRY = "poly:1,0,0,0"
-
 #: omega(n) = n: ``theta_omega_frac_array(LINEAR, x, ns)`` reduces the
 #: position phases x*n by the same exact residue arithmetic.
 LINEAR = IntPolynomial((1, 0))
@@ -506,7 +503,8 @@ def _root_omega(form: tuple[int, int, tuple[int, ...], int], m: np.ndarray):
 
 def oblique_frequencies(rel: DispersionRelation, k: int, ell: int, ns: Iterable[int]) -> list[int]:
     """h(n) = ell*n - k*omega(n), the integer frequency of mode n along an
-    oblique line (x, t) = (ell*z, c - k*z) with integer slope k/ell."""
+    oblique line (x, t) = (ell*z, c - k*z) with integer slope k/ell, or along
+    a vertical line for (k, ell) = (-1, 0)."""
     if not rel.integer_valued:
-        raise ValueError("oblique lines need an integer-valued dispersion relation")
+        raise ValueError("oblique and vertical lines need an integer-valued dispersion relation")
     return [ell * n - k * rel.omega_int(n) for n in ns]

@@ -6,7 +6,9 @@ The evolved field is the symmetric partial sum
     q(t, x) = sum_{|n| <= M} g_hat(n) e^{i t omega(n)} e^{i n x},
 
 sampled along one-dimensional slices of space-time: horizontal (fixed t),
-vertical (fixed x), or oblique lines of rational slope.  At rational
+vertical (fixed x), or oblique lines of rational slope, each as a line sum
+from ``line_spectrum`` folded onto one FFT grid (a vertical one needs an
+integer-valued omega and rational ends).  At rational
 theta = t/2pi = a/q with a polynomial integer frequency map, the evolution
 collapses to a finite combination of translates of the datum whose
 coefficients are complete residue sums; ``quantize_verify`` builds that
@@ -27,11 +29,10 @@ from ._fftsum import grid_values, is_pow2
 from .dispersion import (LINEAR, DispersionRelation, IntPolynomial, TimePoint,
                          oblique_frequencies, parse_relation, parse_theta,
                          theta_omega_frac_array)
-from .fixedpoint import FixedReal
 from .initial_data import StepFunction, parse_position
 
 MAX_TRUNCATION = 1 << 18
-MAX_DIRECT_WORK = 1 << 26
+MAX_FOLDED_GRID = 1 << 22  # b*length of a vertical window of a/b turns
 MAX_QUANTIZE_DENOM = 1 << 12
 OFF_JUMP_RADIUS = Fraction(1, 64)  # turns; 2*pi/64 in radians
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
@@ -46,7 +47,8 @@ class SliceSpec:
     """A one-dimensional sample line in space-time.
 
     horizontal: x in [0, 2pi) at fixed time ``t``.
-    vertical:   t/2pi in [t0, t1) at fixed position ``x0`` (turns).
+    vertical:   t/2pi in [t0, t1) at fixed position ``x0`` (turns); sampling
+                it needs Fraction endpoints and an integer-valued omega.
     oblique:    f(x) = q(c - (k/ell) x, x) for x in [0, 2pi ell), i.e. the
                 restriction to the rational-slope line through t = c at
                 x = 0; gcd(k, ell) = 1.
@@ -125,19 +127,22 @@ def parse_slice(spec: str) -> SliceSpec:
 def line_spectrum(rel: DispersionRelation, slc: SliceSpec, ns: Sequence[int],
                   weights: np.ndarray) -> tuple[np.ndarray | list[int], np.ndarray]:
     """Frequencies and coefficients of sum_n w(n) e(theta*omega(n) + x*n)
-    restricted to a horizontal or oblique slice, as a sum over the line.
+    restricted to a slice, as a sum over the line.
 
     Horizontal (fixed theta): frequency n, as an int64 array, coefficient
     w(n) e(theta*omega(n)).  Oblique (x, t) = (ell z, c - k z): frequency
     ell*n - k*omega(n), a list of unbounded integers, coefficient
-    w(n) e(c*omega(n)); omega must be integer-valued.  A vertical slice is
-    not such a sum (ValueError)."""
+    w(n) e(c*omega(n)).  Vertical (x, t) = (x0, t0 + z): frequency omega(n),
+    the oblique one with (k, ell) = (-1, 0), coefficient
+    w(n) e(t0*omega(n) + x0*n).  Oblique and vertical lines need an
+    integer-valued omega (ValueError otherwise)."""
     if slc.kind == "horizontal":
         freqs, theta = np.array(ns, dtype=np.int64), slc.t.theta
     elif slc.kind == "oblique":
         freqs, theta = oblique_frequencies(rel, slc.k, slc.ell, ns), slc.c.theta
     else:
-        raise ValueError(f"a {slc.kind} slice has no line spectrum")
+        freqs, theta = oblique_frequencies(rel, -1, 0, ns), slc.t0.theta
+        weights = weights * np.exp(2j * np.pi * theta_omega_frac_array(LINEAR, slc.x0, ns))
     return freqs, weights * np.exp(2j * np.pi * theta_omega_frac_array(rel, theta, ns))
 
 
@@ -190,15 +195,26 @@ def evolve_slice(rel: DispersionRelation | str, g, slc: SliceSpec,
     """Sample the truncated evolution of datum ``g`` along a slice.
 
     Phases are reduced in exact fixed-point turns before any floating
-    evaluation.  Horizontal and (integer-frequency) oblique slices take
-    their spectrum from ``line_spectrum`` and are band-folded and evaluated
-    by a single FFT, which is exact at grid points; vertical slices are
-    accumulated mode by mode."""
+    evaluation.  Every slice takes its spectrum from ``line_spectrum`` and
+    is band-folded and evaluated by a single FFT, which is exact at grid
+    points.  A vertical slice with t1 - t0 = a/b (Fractions) folds onto
+    b*length <= MAX_FOLDED_GRID = 2^22 points, of which j*a mod b*length is
+    sample j; ValueError otherwise, or for a non-integer omega."""
     rel = parse_relation(rel) if isinstance(rel, str) else rel
     if not 1 <= M <= MAX_TRUNCATION:
         raise ValueError(f"truncation must be in [1, {MAX_TRUNCATION}], got {M}")
     if not is_pow2(length):
         raise ValueError(f"grid size must be a power of two, got {length}")
+    G, period = length, 2.0 * math.pi * slc.ell
+    if slc.kind == "vertical":
+        if not (slc.t0.is_rational and slc.t1.is_rational):
+            raise ValueError("vertical slice needs rational endpoints")
+        width = slc.t1.theta - slc.t0.theta
+        G = width.denominator * length
+        if G > MAX_FOLDED_GRID:
+            raise ValueError(f"vertical slice too large: folded grid {G} above "
+                             f"{MAX_FOLDED_GRID}; reduce the grid or the window denominator")
+        period = 2.0 * math.pi * (slc.t1.theta_float - slc.t0.theta_float)
 
     ns = list(range(-M, M + 1))
     coeffs = _datum_coefficients(g, M)
@@ -208,32 +224,10 @@ def evolve_slice(rel: DispersionRelation | str, g, slc: SliceSpec,
         "slice": slc.describe(),
         "truncation": str(M),
     }
-
-    if slc.kind != "vertical":
-        freqs, line_coeffs = line_spectrum(rel, slc, ns, coeffs)
-        vals = grid_values(freqs, line_coeffs, length)
-        return SampleGrid(vals, 2.0 * math.pi * slc.ell, M, provenance)
-
-    # vertical: per-mode linear phase in the step index
-    if (2 * M + 1) * length > MAX_DIRECT_WORK:
-        raise ValueError("vertical slice too large: reduce truncation or grid")
-    th0, th1 = slc.t0.theta, slc.t1.theta
-    if isinstance(th0, Fraction) and isinstance(th1, Fraction):
-        dth = (th1 - th0) / length
-    else:
-        dth = (FixedReal.convert(th1) - FixedReal.convert(th0)) / length
-    base = theta_omega_frac_array(rel, th0, ns) + theta_omega_frac_array(LINEAR, slc.x0, ns)
-    mu = theta_omega_frac_array(rel, dth, ns)
-    amp = coeffs
-    j = np.arange(length, dtype=np.float64)
-    vals = np.zeros(length, dtype=np.complex128)
-    chunk = max(1, MAX_DIRECT_WORK // (16 * length))
-    for s in range(0, len(ns), chunk):
-        ph = base[s:s + chunk, None] + np.outer(mu[s:s + chunk], j)
-        vals += amp[s:s + chunk] @ np.exp(2j * np.pi * ph)
-    t0f = slc.t0.theta_float
-    t1f = slc.t1.theta_float
-    period = 2.0 * math.pi * (t1f - t0f)
+    freqs, line_coeffs = line_spectrum(rel, slc, ns, coeffs)
+    vals = grid_values(freqs, line_coeffs, G)
+    if slc.kind == "vertical":  # sample j sits at theta = t0 + j*a/(b*length)
+        vals = vals[np.arange(length) * (width.numerator % G) % G]
     return SampleGrid(vals, period, M, provenance)
 
 

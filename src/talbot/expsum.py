@@ -259,6 +259,8 @@ def sup_norm_sweep(relation: DispersionRelation | str, at, scales: Iterable[int]
     deterministically, whatever the thread count."""
     rel = parse_relation(relation) if isinstance(relation, str) else relation
     slc = at if isinstance(at, SliceSpec) else SliceSpec.horizontal(at)
+    if slc.kind == "vertical":
+        raise ValueError("a sweep needs a horizontal or oblique line, not a vertical one")
     scale_list = [int(N) for N in scales]
     if grid is not None:
         grid = int(grid)

@@ -345,6 +345,20 @@ def test_empty_or_reversed_vertical_slice_is_a_config_error(capsys, tmp_path, sl
     assert "config error:" in err and "t0 < t1" in err
 
 
+@pytest.mark.parametrize("rel, slc, message", [
+    ("frac:1/2", "vert:0:0,1/2", "integer-valued"),
+    ("poly:-1,0,0", "vert:0:0,kl:sqrt2", "rational endpoints"),
+    ("poly:-1,0,0", "vert:0:0,1/997", "too large"),
+])
+def test_unsampleable_vertical_slice_is_a_config_error(capsys, tmp_path, rel, slc, message):
+    csv_path = tmp_path / "trace.csv"
+    code, out, err = run(capsys, "dimension", "--rel", rel, "--slice", slc,
+                         "--truncation", "256", "--length", "16384", "--csv", str(csv_path))
+    assert code == 2
+    assert out == "" and not csv_path.exists()
+    assert "config error:" in err and message in err
+
+
 # -- acceptance -----------------------------------------------------------------------
 
 def test_acceptance_only_exact_criterion(capsys, tmp_path):

@@ -167,27 +167,36 @@ def test_oblique_slice_needs_integer_frequencies():
                      SliceSpec.oblique(TimePoint.rational(1, 3)), M=8, length=32)
 
 
-def test_vertical_slice_matches_direct_evaluation():
-    g = step_datum()
-    M, length = 4, 16
-    x0, t0, t1 = Fraction(1, 4), Fraction(0), Fraction(1, 2)
-    grid = evolve_slice(SCHRODINGER, g, SliceSpec.vertical(x0, t0, t1),
-                        M=M, length=length)
+def _direct_vertical(rel, g, x0, t0, t1, M, length):
+    """The mode-by-mode sum at theta_j = t0 + (t1 - t0) j/length, each phase
+    theta_j omega(n) + x0 n reduced mod 1 in exact Fraction arithmetic."""
     coeffs = g.coefficients_array(M)
-    direct = np.zeros(length, dtype=complex)
+    out = np.zeros(length, dtype=complex)
     for j in range(length):
-        theta = t0 + (t1 - t0) * j / length
-        for cf, n in zip(coeffs, range(-M, M + 1)):
-            ph = float((theta * -(n * n) + x0 * n) % 1)
-            direct[j] += cf * np.exp(2j * np.pi * ph)
-    np.testing.assert_allclose(grid.samples, direct, atol=1e-10)
+        theta = t0 + (t1 - t0) * Fraction(j, length)
+        turns = [float((theta * rel.omega_int(n) + x0 * n) % 1) for n in range(-M, M + 1)]
+        out[j] = coeffs @ np.exp(2j * np.pi * np.array(turns))
+    return out
+
+
+@pytest.mark.parametrize("spec", ["poly:-1,0,0", "poly:1,0,0,0", "bo"])
+def test_vertical_slice_matches_direct_evaluation(spec):
+    rel, g = parse_relation(spec), step_datum()
+    M, length = 64, 512
+    x0, t0, t1 = Fraction(1, 4), Fraction(1, 7), Fraction(5, 7)
+    grid = evolve_slice(rel, g, SliceSpec.vertical(x0, t0, t1), M=M, length=length)
+    assert grid.period == 2.0 * math.pi * (float(t1) - float(t0))
+    direct = _direct_vertical(rel, g, x0, t0, t1, M, length)
+    assert np.max(np.abs(grid.samples - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_vertical_slice_size_guard():
-    with pytest.raises(ValueError):
-        evolve_slice(SCHRODINGER, step_datum(),
-                     SliceSpec.vertical(Fraction(0), Fraction(0), Fraction(1, 2)),
-                     M=1 << 14, length=1 << 14)
+    # the window 1/997 folds length samples onto a 997*length-point grid
+    window = SliceSpec.vertical(Fraction(0), Fraction(0), Fraction(1, 997))
+    assert 997 << 12 <= evolution.MAX_FOLDED_GRID < 997 << 13
+    assert len(evolve_slice(SCHRODINGER, step_datum(), window, M=8, length=1 << 12)) == 1 << 12
+    with pytest.raises(ValueError, match="too large"):
+        evolve_slice(SCHRODINGER, step_datum(), window, M=8, length=1 << 13)
 
 
 # -- datum handling -----------------------------------------------------------------

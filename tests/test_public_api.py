@@ -1,9 +1,9 @@
 """Everything ``talbot`` exports, and every defaulted parameter, has a caller
-in the package or the benchmark.
+in the package or the benchmark, and every constant a reader.
 
 The scan walks the syntax trees of ``src/talbot/*.py`` (without
 ``__init__.py``) and ``perfbench/*.py``.  Imports and re-exports are not
-uses, and neither are the tests.  It checks three things:
+uses, and neither are the tests.  It checks four things:
 
 * every exported name appears as a ``Name`` or an ``Attribute`` outside its
   own definition;
@@ -11,10 +11,13 @@ uses, and neither are the tests.  It checks three things:
 * every defaulted parameter of a function or method of the package, private
   ones included, is set by some call of that name: by keyword, by position,
   or through ``*`` or ``**``.  A call that only forwards its caller's own
-  defaulted parameter, one that no call sets either, does not count.
+  defaulted parameter, one that no call sets either, does not count;
+* every module-level UPPER_CASE constant of the package, private ones
+  included, is read somewhere; its own assignment is not a read.
 """
 import ast
 import functools
+import re
 import types
 from pathlib import Path
 
@@ -38,6 +41,9 @@ KEEP_PARAMETERS = {
     "main(argv)": "the console-script entry point reads sys.argv; tests pass argv",
 }
 
+#: Module-level constants allowed with no reader, with the reason.
+KEEP_CONSTANTS: dict[str, str] = {}
+
 
 def _sources() -> list[Path]:
     package = sorted((ROOT / "src" / "talbot").glob("*.py"))
@@ -50,15 +56,17 @@ def _tree(path: Path) -> ast.Module:
 
 
 def _used_names() -> set[str]:
-    """Names loaded as a Name or Attribute outside a def or class of that name."""
+    """Names loaded (not stored) as a Name or Attribute outside a def or
+    class of that name."""
     used: set[str] = set()
 
     def visit(node: ast.AST, enclosing: frozenset) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             enclosing = enclosing | {node.name}
-        if isinstance(node, ast.Name) and node.id not in enclosing:
+        loaded = isinstance(getattr(node, "ctx", None), ast.Load)
+        if isinstance(node, ast.Name) and loaded and node.id not in enclosing:
             used.add(node.id)
-        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+        elif isinstance(node, ast.Attribute) and loaded and node.attr not in enclosing:
             used.add(node.attr)
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing)
@@ -93,6 +101,26 @@ def _definitions() -> list[tuple[str, ast.FunctionDef, bool, bool]]:
                                     for d in item.decorator_list)
                     public = node.name in exported and not item.name.startswith("_")
                     out.append((f"{node.name}.{item.name}", item, bound, public))
+    return out
+
+
+def _constants() -> dict[str, str]:
+    """UPPER_CASE name -> its module, for every module-level constant of the
+    package."""
+    out = {}
+    for path in _sources():
+        if path.parent.name != "talbot":
+            continue
+        for node in _tree(path).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):  # e.g. acceptance.CRITERIA
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id):
+                    out[target.id] = path.stem
     return out
 
 
@@ -199,3 +227,15 @@ def test_method_and_parameter_keep_lists_are_current():
     assert set(KEEP_METHODS) <= set(methods)
     assert not {methods[qual] for qual in KEEP_METHODS} & _used_names()
     assert set(KEEP_PARAMETERS) <= _unset_parameters()
+
+
+def test_every_constant_is_read():
+    constants = _constants()
+    unread = set(constants) - _used_names() - set(KEEP_CONSTANTS)
+    assert not unread, ("constants that no code in the package or perfbench reads: "
+                        f"{sorted(f'{constants[name]}.{name}' for name in unread)}")
+
+
+def test_constant_keep_list_is_current():
+    assert set(KEEP_CONSTANTS) <= set(_constants())
+    assert not set(KEEP_CONSTANTS) & _used_names()
