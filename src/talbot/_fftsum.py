@@ -69,7 +69,7 @@ def is_pow2(n: int) -> bool:
 
 def tree_sum(values: np.ndarray) -> complex:
     """Sum by a fixed-shape pairwise tree: bit-identical for identical
-    inputs regardless of chunking or worker count."""
+    inputs."""
     v = np.asarray(values, dtype=np.complex128)
     if v.size == 0:
         return 0j

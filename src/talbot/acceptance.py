@@ -32,7 +32,7 @@ from .dispersion import (IntPolynomial, TimePoint, kl_theta, parse_relation,
                          seeded_theta)
 from .evolution import SliceSpec, evolve_slice, quantize_verify
 from .expsum import (airy_l4_identity_check, bprocess_dual_compare,
-                     l4_quadruple_oracle, sup_norm_sweep)
+                     l4_quadruple_oracle, least_squares_line, sup_norm_sweep)
 from .fixedpoint import sqrt2
 from .fractal import (besov_profile, box_dimension, holder_exponent,
                       measured_parts, weierstrass)
@@ -198,8 +198,7 @@ def criterion_5() -> CriterionResult:
     and the quartic quadrature equals the resonance triple sum exactly."""
     start = time.perf_counter()
     tp = kl_theta("sqrt2")
-    sw = sup_norm_sweep("poly:1,0,0,0", tp, [1 << j for j in range(6, 14)],
-                        refine=False)
+    sw = sup_norm_sweep("poly:1,0,0,0", tp, [1 << j for j in range(6, 14)])
     s = sw.l4_fit().slope
     checks = [_check("theta=kl:sqrt2: L4 slope", f"{s:.4f}", "<= 0.55", s <= 0.55)]
     for N in (32, 64):
@@ -220,7 +219,7 @@ def criterion_6() -> CriterionResult:
     for label, coeffs in (("h(n)=n+n^2", (1, 1, 0)),
                           ("h(n)=3n-n^3", (-1, 0, 3, 0))):
         counts = [l4_quadruple_oracle(IntPolynomial(coeffs), K).count for K in Ks]
-        slope = float(np.polyfit(np.log2(Ks), np.log2(counts), 1)[0])
+        slope = least_squares_line(np.log2(Ks), np.log2(counts), Ks).slope
         checks.append(_check(f"{label}: count slope over K={list(Ks)}",
                              f"{slope:.4f} (counts {counts})", "<= 2.25",
                              slope <= 2.25))
@@ -340,7 +339,7 @@ def criterion_10() -> CriterionResult:
         gl = StepFunction(g.breakpoints, [lam * v for v in g.values])
         tr = nls_wick_solve(gl, sign=1, M=1 << 10, dt=1e-4, t_max=0.1)
         rs.append(_rms(smoothing_residual(tr).samples))
-    slope = float(np.polyfit(np.log2(lams), np.log2(rs), 1)[0])
+    slope = least_squares_line(np.log2(lams), np.log2(rs), ()).slope
     checks.append(_check("cubic flow: residual amplitude-scaling slope",
                          f"{slope:.4f}", "3 within 0.2", abs(slope - 3) <= 0.2))
     rs = []
@@ -348,7 +347,7 @@ def criterion_10() -> CriterionResult:
         gl = StepFunction(g0.breakpoints, [lam * v for v in g0.values])
         tr = kdv_solve(gl, M=1 << 10, dt=2e-5, t_max=0.1)
         rs.append(_rms(smoothing_residual(tr).samples))
-    slope = float(np.polyfit(np.log2(lams), np.log2(rs), 1)[0])
+    slope = least_squares_line(np.log2(lams), np.log2(rs), ()).slope
     checks.append(_check("quadratic flow: residual amplitude-scaling slope",
                          f"{slope:.4f}", "2 within 0.2", abs(slope - 2) <= 0.2))
     return CriterionResult(10, "nonlinear smoothing regularity", tuple(checks),

@@ -19,9 +19,6 @@ byte-identical CSV.  Threshold flags (``--max-slope``, ``--min-holder``,
 
 Exit codes: 0 -- all requested thresholds met; 1 -- a threshold failed
 (reports are still written); 2 -- configuration error.
-
-The environment variable TALBOT_THREADS caps worker threads for sweeps; a
-value that is not an integer >= 1 is a configuration error (exit 2).
 """
 from __future__ import annotations
 
@@ -45,7 +42,7 @@ from .bounds import (bound_table, exponent_pair_bound, format_bound,
 from .acceptance import run_acceptance
 from .dispersion import TimePoint, parse_relation, parse_theta
 from .evolution import SliceSpec, evolve_slice, parse_slice, quantize_verify
-from .expsum import l4_quadruple_oracle, sup_norm_sweep
+from .expsum import l4_quadruple_oracle, least_squares_line, sup_norm_sweep
 from .fractal import besov_profile, box_dimension, holder_exponent, measured_parts
 from .initial_data import parse_datum
 from .nonlinear import (BlowUpError, kdv_solve, nls_wick_solve,
@@ -187,8 +184,7 @@ def _finish(config: ExperimentConfig, body: dict, failures: list[str],
 
 SWEEP_DEFAULTS = {
     "rel": None, "at": None, "seeds": None, "oblique": None,
-    "scales": "8..16", "grid": None, "no_refine": False,
-    "weight": "unit", "sign": "+", "threads": None,
+    "scales": "8..16", "weight": "unit", "sign": "+",
     "min_slope": None, "max_slope": None, "csv": None, "out": None,
 }
 
@@ -222,16 +218,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for spec in at_specs:
         tp = parse_theta(str(spec))
         at = SliceSpec.oblique(tp, *oblique) if oblique else tp
-        sweep = sup_norm_sweep(rel, at, scales, grid=opt["grid"],
-                               refine=not opt["no_refine"], weight=opt["weight"],
-                               sign=opt["sign"], threads=opt["threads"])
+        sweep = sup_norm_sweep(rel, at, scales, weight=opt["weight"], sign=opt["sign"])
         degenerate = isinstance(at, TimePoint) and at.is_rational and at.theta == 0
         entry = sweep.fit_payload()
         entry["degenerate_control"] = degenerate
         results.append(entry)
         for row in sweep.rows:
             csv_lines.append(f"{sweep.at},{row.N},{row.sup_abs!r},{row.l2!r},"
-                             f"{row.l4!r},{row.grid},{int(row.refined)}")
+                             f"{row.l4!r},{row.grid},1")
         slope = sweep.sup_fit().slope
         if opt["min_slope"] is not None and slope < float(opt["min_slope"]):
             failures.append(f"at={sweep.at}: sup slope {slope:.4f} < {opt['min_slope']}")
@@ -389,7 +383,8 @@ def _cmd_l4count(args: argparse.Namespace) -> int:
                             f"relative error {rel_err:.3e} > 1e-9")
     body: dict = {"h": h.spec, "rows": rows}
     if len(Ks) >= 2:
-        slope = float(np.polyfit(np.log2(Ks), np.log2([r["count"] for r in rows]), 1)[0])
+        counts = [r["count"] for r in rows]
+        slope = least_squares_line(np.log2(Ks), np.log2(counts), Ks).slope
         body["count_slope"] = slope
         if opt["max_slope"] is not None and slope > float(opt["max_slope"]):
             failures.append(f"count slope {slope:.4f} > {opt['max_slope']}")
@@ -554,7 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
         return sub
 
     sweep = add("sweep", "block-sum norms across dyadic scales",
-                "CSV columns: at, N, sup_abs, l2, l4, grid, refined")
+                "CSV columns: at, N, sup_abs, l2, l4, grid, refined\n"
+                "Each block is sampled on a grid of 16*N points capped at 2^20, and\n"
+                "every supremum is refined, so the refined column is always 1.")
     sweep.add_argument("--rel", help="dispersion relation (poly:..., frac:a/b, "
                                      "boussinesq, bo, gravity, gravcap)")
     sweep.add_argument("--at", help="theta spec: rat:a/q, kl:name, rand:seed, or decimal")
@@ -563,15 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep the oblique slice with this slope instead of a fixed time")
     sweep.add_argument("--scales", help="dyadic exponent range lo..hi or comma list of Ns "
                                         "(default 8..16)")
-    sweep.add_argument("--grid", type=int,
-                       help="quadrature grid override (power of two, 2..2^20)")
-    sweep.add_argument("--no-refine", action="store_true", default=None,
-                       help="skip golden-section refinement of the supremum")
     sweep.add_argument("--weight", choices=("unit", "reciprocal"), help="mode weights")
     sweep.add_argument("--sign", choices=("+", "-", "both"), help="block sign")
-    sweep.add_argument("--threads", type=int,
-                       help="worker threads, at least 1 (default: TALBOT_THREADS if set, "
-                            "which must also be at least 1; else 1)")
     sweep.add_argument("--min-slope", type=float, help="fail if a sup slope is below this")
     sweep.add_argument("--max-slope", type=float, help="fail if a sup slope is above this")
     sweep.add_argument("--csv", help="write per-scale norms here")

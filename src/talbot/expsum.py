@@ -12,14 +12,12 @@ is carried in exact fixed-point turns.  The module provides:
 * ``bprocess_dual_compare``   -- a stationary-phase dual sum against the
                                  direct sum, with an error budget.
 
-Everything here is deterministic: fixed-shape tree reductions, fixed merge
-order across worker threads.
+Everything here is deterministic: fixed-shape tree reductions, and sweeps
+that run their scales in order in the calling thread.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -37,18 +35,6 @@ from .fixedpoint import ONE, FixedReal
 MAX_BLOCK = 1 << 20
 MAX_GRID = 1 << 20
 TWO_PI = 2.0 * math.pi
-
-
-def _default_threads() -> int:
-    """Worker threads from TALBOT_THREADS (default 1), which must be an integer >= 1."""
-    text = os.environ.get("TALBOT_THREADS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"TALBOT_THREADS must be an integer >= 1, got {text!r}")
-    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +164,6 @@ class SweepRow:
     l2: float
     l4: float
     grid: int
-    refined: bool
 
 
 @dataclass
@@ -219,66 +204,42 @@ def _sweep_label(slc: SliceSpec) -> str:
     return slc.t.describe()
 
 
-def _sweep_cell(relation: DispersionRelation, slc: SliceSpec, N: int, grid: int | None,
-                refine: bool, weight: str, sign: str) -> tuple[SweepRow, list[str]]:
+def _sweep_cell(relation: DispersionRelation, slc: SliceSpec, N: int,
+                weight: str, sign: str) -> tuple[SweepRow, list[str]]:
     spec = BlockSpec(relation, N, sign=sign, weight=weight)
     ns = spec.modes()
     freqs, coeffs = line_spectrum(relation, slc, ns, spec.weights(ns))
 
-    G = min(next_pow2(16 * N), MAX_GRID) if grid is None else grid
+    G = min(next_pow2(16 * N), MAX_GRID)
     span = frequency_span(freqs)
     warnings: list[str] = []
     if G < 16 * (span + 1):
         warnings.append(f"N={N}: grid {G} below 16*(span+1)={16 * (span + 1)}; "
                         "supremum may be under-resolved")
 
-    vals = grid_values(freqs, coeffs, G)
-    absvals = np.abs(vals)
-    sup = float(np.max(absvals))
+    absvals = np.abs(grid_values(freqs, coeffs, G))
     l2 = float(np.sqrt(np.mean(absvals ** 2)))
     l4 = float(np.mean(absvals ** 4) ** 0.25)
-    if refine:
-        sup = refine_supremum(freqs, coeffs, G, absvals)
-    return SweepRow(N=N, sup_abs=sup, l2=l2, l4=l4, grid=G, refined=refine), warnings
+    sup = refine_supremum(freqs, coeffs, G, absvals)
+    return SweepRow(N=N, sup_abs=sup, l2=l2, l4=l4, grid=G), warnings
 
 
 def sup_norm_sweep(relation: DispersionRelation | str, at, scales: Iterable[int], *,
-                   grid: int | None = None, refine: bool = True,
-                   weight: str = "unit", sign: str = "+",
-                   threads: int | None = None) -> SweepResult:
+                   weight: str = "unit", sign: str = "+") -> SweepResult:
     """Sup/L^2/L^4 norms of the block sums across dyadic scales.
 
     ``at`` is a horizontal or oblique SliceSpec, or a TimePoint or raw
     turns value, which stands for the horizontal slice at that time.
-    Grid defaults to 16*N capped at 2^20; a given grid must be a power of
-    two in [2, 2^20], and a given thread count at least 1 (ValueError
-    otherwise).  The supremum is refined by golden-section search around
-    every grid point that can lie nearest the maximiser (narrow span) or
-    the top grid peaks (wide span; see ``_fftsum.refine_supremum``).
-    Scales are processed in the given order and merged
-    deterministically, whatever the thread count."""
+    Each block is sampled on a grid of 16*N points capped at 2^20, and its
+    supremum is refined by golden-section search around every grid point
+    that can lie nearest the maximiser (narrow span) or the top grid peaks
+    (wide span; see ``_fftsum.refine_supremum``).  Scales run in the given
+    order."""
     rel = parse_relation(relation) if isinstance(relation, str) else relation
     slc = at if isinstance(at, SliceSpec) else SliceSpec.horizontal(at)
     if slc.kind == "vertical":
         raise ValueError("a sweep needs a horizontal or oblique line, not a vertical one")
-    scale_list = [int(N) for N in scales]
-    if grid is not None:
-        grid = int(grid)
-        if grid < 2 or not is_pow2(grid) or grid > MAX_GRID:
-            raise ValueError(f"grid must be a power of two in [2, {MAX_GRID}], got {grid}")
-    workers = _default_threads() if threads is None else int(threads)
-    if workers < 1:
-        raise ValueError(f"threads must be at least 1, got {workers}")
-
-    def job(N: int) -> tuple[SweepRow, list[str]]:
-        return _sweep_cell(rel, slc, N, grid, refine, weight, sign)
-
-    if workers == 1 or len(scale_list) <= 1:
-        outcomes = [job(N) for N in scale_list]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, scale_list))
-
+    outcomes = [_sweep_cell(rel, slc, int(N), weight, sign) for N in scales]
     rows = [row for row, _ in outcomes]
     warnings = [w for _, ws in outcomes for w in ws]
     return SweepResult(relation=rel.spec, at=_sweep_label(slc), rows=rows, warnings=warnings)

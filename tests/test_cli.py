@@ -112,6 +112,7 @@ def test_sweep_csv_deterministic(capsys, tmp_path):
     assert text == b.read_text()
     assert text.splitlines()[0] == "at,N,sup_abs,l2,l4,grid,refined"
     assert len(text.splitlines()) == 5
+    assert all(line.endswith(",1") for line in text.splitlines()[1:])
 
 
 def test_sweep_seeded_and_oblique(capsys):
@@ -135,39 +136,23 @@ def test_sweep_usage_errors(capsys):
 SWEEP_SMALL = ("sweep", "--rel", "poly:-1,0,0", "--at", "rat:1/3", "--scales", "4..7")
 
 
-@pytest.mark.parametrize("extra, reason", [
-    (("--grid", "3"), "grid must be a power of two"),
-    (("--grid", "0"), "grid must be a power of two"),
-    (("--grid", "-1024"), "grid must be a power of two"),
-    (("--grid", str(2 ** 21)), "grid must be a power of two"),
-    (("--oblique", "1/1", "--grid", "1"), "grid must be a power of two"),
-    (("--threads", "-3"), "threads must be at least 1"),
-    (("--threads", "0"), "threads must be at least 1"),
-])
-def test_sweep_out_of_range_grid_or_threads_is_a_config_error(capsys, extra, reason):
-    code, out, err = run(capsys, *SWEEP_SMALL, *extra)
+@pytest.mark.parametrize("flags", [("--grid", "1024"), ("--no-refine",), ("--threads", "2")])
+def test_removed_sweep_flags_exit_2(capsys, flags):
+    # argparse rejects them: the grid and refinement are fixed, scales run serially
+    with pytest.raises(SystemExit) as info:
+        main([*SWEEP_SMALL, *flags])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("key, value", [("grid", 1024), ("no_refine", True), ("threads", 2)])
+def test_removed_sweep_config_keys_exit_2(capsys, tmp_path, key, value):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({key: value}))
+    code, out, err = run(capsys, *SWEEP_SMALL, "--config", str(config))
     assert code == 2
     assert out == ""
-    assert f"config error: {reason}" in err
-
-
-@pytest.mark.parametrize("value", ["-3", "0", "abc"])
-def test_sweep_bad_threads_environment_is_a_config_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("TALBOT_THREADS", value)
-    code, out, err = run(capsys, *SWEEP_SMALL)
-    assert code == 2
-    assert out == ""
-    assert f"config error: TALBOT_THREADS must be an integer >= 1, got {value!r}" in err
-
-
-def test_sweep_accepts_the_grid_range_ends(capsys, tmp_path):
-    csv_path = tmp_path / "rows.csv"
-    for grid in (2, 2 ** 20):
-        code, _, _ = run(capsys, *SWEEP_SMALL, "--grid", str(grid), "--threads", "2",
-                         "--csv", str(csv_path))
-        assert code == 0
-        rows = csv_path.read_text().splitlines()[1:]
-        assert [int(line.split(",")[5]) for line in rows] == [grid] * 4
+    assert f"config error: unknown config keys for this subcommand: {[key]}" in err
 
 
 # -- quantize ------------------------------------------------------------------------
@@ -200,6 +185,15 @@ def test_l4count_counts_and_quadrature(capsys):
     assert [r["count"] for r in rows] == [536, 2244]
     assert all(r["relative_error"] <= 1e-9 for r in rows)
     assert "count_slope" in report
+
+
+def test_l4count_identical_block_sizes_have_no_slope(capsys):
+    # a count slope through two equal K is undefined, so it cannot be gated
+    code, out, err = run(capsys, "l4count", "--h", "poly:1,1,0", "--K", "16,16",
+                         "--max-slope", "2.25")
+    assert code == 2
+    assert out == ""
+    assert "config error: Cannot calculate a linear regression" in err
 
 
 def test_l4count_skip_quadrature(capsys):

@@ -124,8 +124,7 @@ def test_taylor_path_matches_direct_golden_section(rel, theta, log2N, oversample
 
 
 def test_narrow_span_rows_skip_the_direct_sum(direct_calls):
-    sweep = sup_norm_sweep("frac:3/2", seeded_theta(3), [256])
-    assert sweep.rows[0].refined
+    sup_norm_sweep("frac:3/2", seeded_theta(3), [256])
     assert direct_calls == []
 
 
@@ -275,9 +274,6 @@ def test_oblique_rows_warn_and_default_horizontal_rows_do_not():
     assert "under-resolved" in oblique.warnings[0]
     horizontal = sup_norm_sweep(SCHRODINGER, seeded_theta(3), [64, 128])
     assert horizontal.warnings == []
-    coarse = sup_norm_sweep(SCHRODINGER, seeded_theta(3), [64], grid=512)
-    assert coarse.warnings == ["N=64: grid 512 below 16*(span+1)=1024; "
-                               "supremum may be under-resolved"]
 
 
 def test_sign_both_rows_warn_at_the_default_grid():

@@ -27,8 +27,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: Exported names allowed without a caller, each with the reason.
 KEEP = {
-    "dirichlet_approx": "ROADMAP item 1",
-    "gauss_coefficient_sum": "ROADMAP item 1",
+    "dirichlet_approx": "ROADMAP item 2 (oblique major arcs)",
+    "gauss_coefficient_sum": "ROADMAP item 2 (oblique major arcs)",
 }
 
 #: Public methods of exported classes allowed without a caller, with the reason.
