@@ -81,16 +81,12 @@ def tree_sum(values: np.ndarray) -> complex:
     return complex(v[0])
 
 
-def fold_frequencies(freqs: Sequence[int] | np.ndarray, G: int) -> np.ndarray:
-    """f mod G as int64: array arithmetic on an int64 array (a horizontal
-    row's modes), unbounded integers for a list (oblique frequencies, whose
-    size has no bound)."""
-    if isinstance(freqs, np.ndarray):
-        return freqs % G
-    return np.array([f % G for f in freqs], dtype=np.int64)
+def fold_frequencies(freqs: np.ndarray, G: int) -> np.ndarray:
+    """f mod G as int64, for int64 or object-dtype integer frequencies."""
+    return np.asarray(freqs % G, dtype=np.int64)
 
 
-def grid_values(freqs: Sequence[int], coeffs: np.ndarray, G: int) -> np.ndarray:
+def grid_values(freqs: np.ndarray, coeffs: np.ndarray, G: int) -> np.ndarray:
     """S(2*pi*j/G) for j = 0..G-1, exactly (single inverse FFT)."""
     if G < 1:
         raise ValueError("grid size must be positive")
@@ -114,10 +110,10 @@ class AnchoredEvaluator:
     precision holds it to ~1e-12 of a turn.  A_n is formed once per peak j
     and the offset phasor comes from ``_unit_phasor``."""
 
-    def __init__(self, freqs: Sequence[int], coeffs: np.ndarray, G: int):
+    def __init__(self, freqs: np.ndarray, coeffs: np.ndarray, G: int):
         self.G = G
         self.fmod = fold_frequencies(freqs, G)
-        ffloat = np.array([float(f) for f in freqs])
+        ffloat = freqs.astype(np.float64)
         if np.any(np.abs(ffloat) >= 2.0**53):
             raise ValueError("frequencies too large for refinement offsets")
         self.turns = ffloat / G  # offset turns per unit delta
@@ -149,11 +145,9 @@ class AnchoredEvaluator:
 TAYLOR_TAIL = 2.0 ** -60
 
 
-def frequency_span(freqs: Sequence[int] | np.ndarray) -> int:
+def frequency_span(freqs: np.ndarray) -> int:
     """max f - min f, exactly."""
-    if isinstance(freqs, np.ndarray):
-        return int(freqs.max() - freqs.min())
-    return max(freqs) - min(freqs)
+    return int(freqs.max() - freqs.min())
 
 
 def taylor_order(rho: float) -> int:
@@ -174,17 +168,12 @@ class TaylorEvaluator:
     |u_n delta| <= rho.  Expanding the exponential gives
     sum_k M_k (i delta)^k / k! with moments M_k = sum_n A_n u_n^k."""
 
-    def __init__(self, freqs: Sequence[int] | np.ndarray, coeffs: np.ndarray, G: int,
-                 span: int):
+    def __init__(self, freqs: np.ndarray, coeffs: np.ndarray, G: int, span: int):
         self.G = G
         self.fmod = fold_frequencies(freqs, G)
         # 2*f - 2*c is an exact integer, |.| <= span: no large frequency enters a double
-        if isinstance(freqs, np.ndarray):
-            centred = 2 * freqs - (2 * int(freqs.min()) + span)
-        else:
-            twice_mid = 2 * min(freqs) + span
-            centred = [2 * f - twice_mid for f in freqs]
-        self.u = (np.pi / G) * np.array(centred, dtype=np.float64)
+        centred = 2 * (freqs - freqs.min()) - span
+        self.u = (np.pi / G) * centred.astype(np.float64)
         self.coeffs = np.asarray(coeffs, dtype=np.complex128)
         self.order = taylor_order(math.pi * span / G)
 
@@ -290,7 +279,7 @@ def golden_section_peak(f: Callable[[float], float], lo: float,
     return d, fd
 
 
-def refine_supremum(freqs: Sequence[int] | np.ndarray, coeffs: np.ndarray, G: int,
+def refine_supremum(freqs: np.ndarray, coeffs: np.ndarray, G: int,
                     absvals: np.ndarray) -> float:
     """Golden-section refinement of the grid supremum, one grid cell to each
     side of a grid point.  Never below the grid sup.

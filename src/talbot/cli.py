@@ -34,13 +34,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from ._fftsum import grid_values, next_pow2
+from ._fftsum import frequency_span, grid_values, next_pow2
 from .bounds import (bound_table, exponent_pair_bound, format_bound,
                      frac_nls_beta, heath_brown_exponent, oblique_interval,
                      strichartz_lower, t32_dimension_interval, t32_exponent,
                      vdc_beta, vinogradov_interval, weyl_exponent)
 from .acceptance import run_acceptance
-from .dispersion import TimePoint, parse_relation, parse_theta
+from .dispersion import TimePoint, oblique_frequencies, parse_relation, parse_theta
 from .evolution import SliceSpec, evolve_slice, parse_slice, quantize_verify
 from .expsum import l4_quadruple_oracle, least_squares_line, sup_norm_sweep
 from .fractal import besov_profile, box_dimension, holder_exponent, measured_parts
@@ -198,6 +198,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep needs exactly one of --at or --seeds")
     rel = parse_relation(opt["rel"])
     scales = _parse_scales(opt["scales"])
+    if len(set(scales)) < 4:
+        raise ConfigError(f"the sup exponent fit needs at least four distinct scales, got {scales}")
 
     if opt["seeds"] is not None:
         seeds = _parse_int_list(str(opt["seeds"]))
@@ -353,12 +355,11 @@ def _l4_quadrature(h, K: int) -> float | None:
     """(1/2pi) int |sum_{n in [K,2K)} e^{i h(n) x}|^4 dx on an alias-free
     grid; equals the quadruple count exactly.  None when the grid would
     exceed the cap."""
-    hv = [h.omega_int(n) for n in range(K, 2 * K)]
-    span = max(hv) - min(hv)
-    G = next_pow2(2 * span + 2)
+    hv = oblique_frequencies(h, -1, 0, np.arange(K, 2 * K))
+    G = next_pow2(2 * frequency_span(hv) + 2)
     if G > QUADRATURE_GRID_CAP:
         return None
-    vals = grid_values(hv, np.ones(len(hv), dtype=np.complex128), G)
+    vals = grid_values(hv, np.ones(K, dtype=np.complex128), G)
     return float(np.mean(np.abs(vals) ** 4))
 
 
@@ -369,6 +370,9 @@ def _cmd_l4count(args: argparse.Namespace) -> int:
         raise ConfigError("l4count needs --h (an integer-valued frequency map)")
     h = parse_relation(opt["h"])
     Ks = _parse_int_list(str(opt["K"]))
+    if opt["max_slope"] is not None and len(Ks) < 2:
+        raise ConfigError("--max-slope gates the count slope, which needs at least two "
+                          f"block sizes, got {Ks}")
     rows = []
     failures: list[str] = []
     for K in Ks:

@@ -134,7 +134,7 @@ def gauss_coefficient_sum(a: int, q: int, omega) -> complex:
     if math.gcd(a, q) != 1:
         raise ValueError("gauss_coefficient_sum requires gcd(a, q) = 1")
     rel = omega if isinstance(omega, IntPolynomial) else IntPolynomial(list(omega))
-    phases = theta_omega_frac_array(rel, Fraction(a, q), range(q))
+    phases = theta_omega_frac_array(rel, Fraction(a, q), np.arange(q))
     return complex(np.sum(np.exp(2j * np.pi * phases)))
 
 

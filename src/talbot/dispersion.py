@@ -34,6 +34,10 @@ where the kernel's error bound is not proven (``_phase_block``).
 Only the final conversion to double rounds, so phases are trustworthy for
 |omega(n)| far beyond anything double precision could reduce mod 2*pi.
 
+Modes, integer omega(n) and the frequencies ell*n - k*omega(n) along a line
+are numpy arrays: int64 where ``_fits_int64`` proves every value below 2^62,
+object arrays of Python integers otherwise (``oblique_frequencies``).
+
 Supported relations (spec strings in parentheses):
 
 * integer polynomials        ("poly:c_d,...,c_1,c_0", descending powers)
@@ -50,7 +54,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -181,17 +185,34 @@ class DispersionRelation:
 
     spec: str = ""
     integer_valued: bool = False
+    #: For integer-valued omega, the degree d of |omega(n)| <= H |n|^d (H the
+    #: sum of |coefficients| of a polynomial, else 1; see ``_fits_int64``).
     degree: int | None = None
     #: (a, q, coeffs, m_min): omega(n) = m^a R(m)^(1/q) for m = |n| >= m_min,
-    #: R(m) the polynomial with these descending nonnegative integer coefficients.
+    #: R(m) the polynomial with these descending nonnegative integer
+    #: coefficients; for 0 < m < m_min (the water waves) R(m) tanh(m), q = 2.
     _root_form: tuple[int, int, tuple[int, ...], int] | None = None
 
-    def omega_int(self, n: int) -> int:
+    def omega_int(self, n):
+        """omega(n) for an integer, an int64 array or an object array of
+        Python integers; exact, if the caller keeps int64 within range."""
         raise TypeError(f"{self.spec or type(self).__name__} is not integer-valued")
 
     def omega_mantissa(self, n: int) -> int:
-        """floor(omega(n) * 2^FRAC_BITS), the FixedReal mantissa of omega(n)."""
-        return self.omega_int(n) << FRAC_BITS
+        """floor(omega(n) * 2^FRAC_BITS), the FixedReal mantissa of omega(n):
+        floor((m^(aq) R(m))^(1/q) * 2^FRAC_BITS) from ``_root_form``, by one
+        exact integer root."""
+        if self._root_form is None:
+            return self.omega_int(n) << FRAC_BITS
+        a, q, coeffs, m_min = self._root_form
+        m, r = abs(n), 0
+        for c in coeffs:
+            r = r * m + c
+        if 0 < m < m_min:  # the exact rational R(m) tanh(m) below tanh saturation
+            fr = r * _tanh_fraction(m)
+            return math.isqrt((fr.numerator << (2 * FRAC_BITS)) // fr.denominator)
+        x = m ** (a * q) * r << (q * FRAC_BITS)
+        return math.isqrt(x) if q == 2 else iroot(x, q)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.spec!r})"
@@ -224,7 +245,7 @@ class IntPolynomial(DispersionRelation):
         self.degree = len(cs) - 1
         self.spec = "poly:" + ",".join(str(c) for c in self.coeffs)
 
-    def omega_int(self, n: int) -> int:
+    def omega_int(self, n):
         acc = 0
         for c in self.coeffs:
             acc = acc * n + c
@@ -244,28 +265,16 @@ class FractionalPower(DispersionRelation):
         if a <= 0:
             raise ValueError("fractional power needs alpha > 0")
         self.alpha = a
-        self._p, self._q = a.numerator, a.denominator
-        self.integer_valued = a.denominator == 1
-        self.spec = f"frac:{a.numerator}" if a.denominator == 1 else f"frac:{a.numerator}/{a.denominator}"
-        self._root_form = (self._p // self._q, self._q, (1,) + (0,) * (self._p % self._q), 1)
+        p, q = a.numerator, a.denominator
+        self.integer_valued = q == 1
+        self.degree = p if q == 1 else None
+        self.spec = f"frac:{p}" if q == 1 else f"frac:{p}/{q}"
+        self._root_form = (p // q, q, (1,) + (0,) * (p % q), 1)
 
-    def omega_int(self, n: int) -> int:
+    def omega_int(self, n):
         if not self.integer_valued:
             return super().omega_int(n)
-        return abs(n) ** self._p
-
-    def omega_mantissa(self, n: int) -> int:
-        q = self._q
-        x = abs(n) ** self._p << (q * FRAC_BITS)
-        return math.isqrt(x) if q == 2 else iroot(x, q)
-
-
-def _sqrt_fraction_fixed(fr: Fraction) -> int:
-    """Floor sqrt of a nonnegative rational, as a fixed-point mantissa."""
-    if fr < 0:
-        raise ValueError("negative radicand")
-    num, den = fr.numerator, fr.denominator
-    return math.isqrt((num << (2 * FRAC_BITS)) // den)
+        return abs(n) ** self.degree
 
 
 #: Above this |n|, tanh(n) is 1 to below fixed-point resolution:
@@ -293,17 +302,15 @@ class Boussinesq(DispersionRelation):
     spec = "boussinesq"
     _root_form = (1, 2, (1, 0, 1), 1)  # m * sqrt(m^2 + 1)
 
-    def omega_mantissa(self, n: int) -> int:
-        return math.isqrt((n * n + n**4) << (2 * FRAC_BITS))
-
 
 class BenjaminOno(DispersionRelation):
     """omega(n) = n|n| (integer-valued, odd in n)."""
 
     spec = "bo"
     integer_valued = True
+    degree = 2
 
-    def omega_int(self, n: int) -> int:
+    def omega_int(self, n):
         return n * abs(n)
 
 
@@ -313,24 +320,12 @@ class Gravity(DispersionRelation):
     spec = "gravity"
     _root_form = (0, 2, (1, 0), _TANH_SATURATION)
 
-    def omega_mantissa(self, n: int) -> int:
-        m = abs(n)
-        if m >= _TANH_SATURATION:
-            return math.isqrt(m << (2 * FRAC_BITS))
-        return _sqrt_fraction_fixed(m * _tanh_fraction(m))
-
 
 class GravityCapillary(DispersionRelation):
     """omega(n) = sqrt((n + n^3) tanh n); even in n, |n|^(3/2) + O(1)."""
 
     spec = "gravcap"
     _root_form = (0, 2, (1, 0, 1, 0), _TANH_SATURATION)
-
-    def omega_mantissa(self, n: int) -> int:
-        m = abs(n)
-        if m >= _TANH_SATURATION:
-            return math.isqrt((m + m**3) << (2 * FRAC_BITS))
-        return _sqrt_fraction_fixed((m + m**3) * _tanh_fraction(m))
 
 
 #: omega(n) = n: ``theta_omega_frac_array(LINEAR, x, ns)`` reduces the
@@ -373,7 +368,8 @@ def parse_relation(spec: str) -> DispersionRelation:
 _BLOCK = 1 << 13
 
 
-def theta_omega_frac_array(rel: DispersionRelation, theta: Turns, ns: Iterable[int]) -> np.ndarray:
+def theta_omega_frac_array(rel: DispersionRelation, theta: Turns,
+                           ns: Sequence[int] | np.ndarray) -> np.ndarray:
     """frac(theta * omega(n)) for each n, as float64 turns in [0, 1]: the
     double nearest the big-integer reduction, which is exact (to one 192-bit
     ulp for non-integer omega); a fraction within 2^-54 of 1 gives 1.0.
@@ -382,22 +378,21 @@ def theta_omega_frac_array(rel: DispersionRelation, theta: Turns, ns: Iterable[i
     modes, and a mode it cannot prove takes ``_exact_phase``, as does every
     mode when |n| >= 2^53 or |theta| >= 2^64 somewhere.
     """
-    arr = np.asarray(ns if isinstance(ns, np.ndarray) else list(ns))
+    arr = np.asarray(ns)  # int64, or object (Python integers) past int64
     if arr.size == 0:
         return np.empty(0)
-    if arr.dtype != np.int64:  # beyond int64: exact Python integers
-        arr = np.array([int(v) for v in arr.tolist()], dtype=object)
     n_mag = max(-int(arr.min()), int(arr.max()))
 
     if isinstance(theta, Fraction) and rel.integer_valued:
         a, q = theta.numerator, theta.denominator
-        if isinstance(rel, IntPolynomial) and q < (1 << 31) and n_mag < (1 << 62):
-            nm = arr.astype(np.int64) % q
+        if isinstance(rel, IntPolynomial) and q < (1 << 31) and arr.dtype == np.int64:
+            nm = arr % q
             acc = np.full(arr.shape, (a * rel.coeffs[0]) % q, dtype=np.int64)
             for c in rel.coeffs[1:]:
                 acc = (acc * nm + (a * c) % q) % q
             return acc / float(q)
-        return np.array([((a * rel.omega_int(n)) % q) / q for n in arr.tolist()])
+        w = oblique_frequencies(rel, -1, 0, arr).astype(object)  # a*omega(n) in Python integers
+        return (a * w % q / q).astype(np.float64)
 
     tm = FixedReal.convert(theta).m
     out = np.empty(arr.size)
@@ -410,7 +405,7 @@ def theta_omega_frac_array(rel: DispersionRelation, theta: Turns, ns: Iterable[i
         n = arr[lo:lo + _BLOCK]
         ok = np.zeros(n.size, dtype=bool)
         if fast:
-            out[lo:lo + n.size], ok = _phase_block(rel, t, np.asarray(n, dtype=np.int64), n_mag)
+            out[lo:lo + n.size], ok = _phase_block(rel, t, np.asarray(n, dtype=np.int64))
         for i in np.flatnonzero(~ok).tolist():
             out[lo + i] = _exact_phase(rel, tm, int(n[i]))
     return out
@@ -423,13 +418,13 @@ def _exact_phase(rel: DispersionRelation, tm: int, n: int) -> float:
     return (((rel.omega_mantissa(n) * tm) >> FRAC_BITS) % ONE) / ONE
 
 
-def _phase_block(rel: DispersionRelation, t: list[float], n: np.ndarray,
-                 n_mag: int) -> tuple[np.ndarray, np.ndarray]:
+def _phase_block(rel: DispersionRelation, t: list[float], n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(y_hi, ok) for an int64 block of modes, y_hi[ok] == _exact_phase bit for bit.
 
     theta = t1 + t2 + t3 + O(2^-159 t1); omega(n) = w_hi + w_lo, exact in
-    int64 for a polynomial, else m^a R(m)^(1/q) (``_root_form``) by one Newton
-    step s + c from the float root s, with R - s^q in double-double.
+    int64 where ``_fits_int64`` proves it fits, else m^a R(m)^(1/q)
+    (``_root_form``) by one Newton step s + c from the float root s, with
+    R - s^q in double-double.
     TwoProduct splits t1 w_hi, t1 w_lo and t2 w_hi; each part less its
     nearest integer (exact) enters a TwoSum chain; t2 w_lo and t3 w_hi round
     once, t3 w_lo is dropped.  With u = 2^-53 and Theta = |t1 w_hi|, the sum
@@ -446,14 +441,12 @@ def _phase_block(rel: DispersionRelation, t: list[float], n: np.ndarray,
     y_hi lies within eps of y, y_hi = float(V).  ok is also False off the
     proven range: m < m_min (n = 0, water waves at |n| < 70), R >= 2^99
     (inexact in double-double), m^a >= 2^53, |c| > 2^-40 s, y_hi within 2^-20
-    of an integer, a polynomial beyond int64, and bo (neither form).
+    of an integer, and an integer omega beyond int64 (no root form).
     """
     t1, t2, t3 = t
     with np.errstate(all="ignore"):  # modes out of range give inf/nan, which fail ok
-        if isinstance(rel, IntPolynomial) and sum(map(abs, rel.coeffs)) * max(n_mag, 1)**rel.degree < (1 << 62):
-            w = np.full(n.shape, rel.coeffs[0], dtype=np.int64)
-            for c in rel.coeffs[1:]:
-                w = w * n + c
+        if rel.integer_valued and _fits_int64(rel, -1, 0, n):
+            w = rel.omega_int(n)
             w_hi = w.astype(np.float64)
             w_lo = (w - w_hi.astype(np.int64)).astype(np.float64)
             eps_w, ok = 0.0, True
@@ -501,10 +494,27 @@ def _root_omega(form: tuple[int, int, tuple[int, ...], int], m: np.ndarray):
     return w_hi, w_lo, eps_w, (m >= m_min) & (rh < 2.0**99) & (ma < 2.0**53) & (np.abs(c) <= 2.0**-40 * s)
 
 
-def oblique_frequencies(rel: DispersionRelation, k: int, ell: int, ns: Iterable[int]) -> list[int]:
+def _fits_int64(rel: DispersionRelation, k: int, ell: int, n: np.ndarray) -> bool:
+    """Whether ell*n - k*omega(n), and every partial result on the way, is
+    proven below 2^62 in magnitude for each of the int64 modes n: with
+    |omega(n)| <= H |n|^d (``DispersionRelation.degree``), the bound is
+    |k| H n_mag^d + |ell| n_mag."""
+    if n.dtype != np.int64:
+        return False
+    n_mag = max(-int(n.min()), int(n.max()), 1) if n.size else 1
+    height = sum(map(abs, rel.coeffs)) if isinstance(rel, IntPolynomial) else 1
+    return abs(k) * height * n_mag**rel.degree + abs(ell) * n_mag < (1 << 62)
+
+
+def oblique_frequencies(rel: DispersionRelation, k: int, ell: int,
+                        ns: Sequence[int] | np.ndarray) -> np.ndarray:
     """h(n) = ell*n - k*omega(n), the integer frequency of mode n along an
     oblique line (x, t) = (ell*z, c - k*z) with integer slope k/ell, or along
-    a vertical line for (k, ell) = (-1, 0)."""
+    a vertical line for (k, ell) = (-1, 0): int64 where ``_fits_int64``
+    proves every value below 2^62, else an object array of Python integers."""
     if not rel.integer_valued:
         raise ValueError("oblique and vertical lines need an integer-valued dispersion relation")
-    return [ell * n - k * rel.omega_int(n) for n in ns]
+    n = np.asarray(ns)
+    if not _fits_int64(rel, k, ell, n):
+        n = n.astype(object)
+    return ell * n - k * rel.omega_int(n)

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
 
 import numpy as np
 
@@ -124,20 +123,20 @@ def parse_slice(spec: str) -> SliceSpec:
     raise ValueError(f"unknown slice kind in {spec!r}")
 
 
-def line_spectrum(rel: DispersionRelation, slc: SliceSpec, ns: Sequence[int],
-                  weights: np.ndarray) -> tuple[np.ndarray | list[int], np.ndarray]:
+def line_spectrum(rel: DispersionRelation, slc: SliceSpec, ns: np.ndarray,
+                  weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies and coefficients of sum_n w(n) e(theta*omega(n) + x*n)
-    restricted to a slice, as a sum over the line.
+    restricted to a slice, as a sum over the line of the int64 modes ns.
 
-    Horizontal (fixed theta): frequency n, as an int64 array, coefficient
-    w(n) e(theta*omega(n)).  Oblique (x, t) = (ell z, c - k z): frequency
-    ell*n - k*omega(n), a list of unbounded integers, coefficient
+    Horizontal (fixed theta): frequency n, coefficient w(n) e(theta*omega(n)).
+    Oblique (x, t) = (ell z, c - k z): frequency ell*n - k*omega(n), int64 or
+    past 2^62 an object array (``oblique_frequencies``), coefficient
     w(n) e(c*omega(n)).  Vertical (x, t) = (x0, t0 + z): frequency omega(n),
     the oblique one with (k, ell) = (-1, 0), coefficient
     w(n) e(t0*omega(n) + x0*n).  Oblique and vertical lines need an
     integer-valued omega (ValueError otherwise)."""
     if slc.kind == "horizontal":
-        freqs, theta = np.array(ns, dtype=np.int64), slc.t.theta
+        freqs, theta = ns, slc.t.theta
     elif slc.kind == "oblique":
         freqs, theta = oblique_frequencies(rel, slc.k, slc.ell, ns), slc.c.theta
     else:
@@ -216,7 +215,7 @@ def evolve_slice(rel: DispersionRelation | str, g, slc: SliceSpec,
                              f"{MAX_FOLDED_GRID}; reduce the grid or the window denominator")
         period = 2.0 * math.pi * (slc.t1.theta_float - slc.t0.theta_float)
 
-    ns = list(range(-M, M + 1))
+    ns = np.arange(-M, M + 1)
     coeffs = _datum_coefficients(g, M)
     provenance = {
         "relation": rel.spec,
@@ -248,7 +247,7 @@ def quantize_coefficients(rel: DispersionRelation, a: int, q: int) -> np.ndarray
         raise ValueError(f"q must be in [1, {MAX_QUANTIZE_DENOM}], got {q}")
     if gcd(a, q) != 1:
         raise ValueError(f"a/q must be reduced, got {a}/{q}")
-    fr = theta_omega_frac_array(rel, Fraction(a, q), range(q))
+    fr = theta_omega_frac_array(rel, Fraction(a, q), np.arange(q))
     # e(fr) = i^k e(fr - k/4) with k = rint(4 fr): the subtraction is exact,
     # so multipliers at quarter turns, and the weights of small q, are exact
     k = np.rint(4.0 * fr)

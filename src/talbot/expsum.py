@@ -27,7 +27,7 @@ import numpy as np
 from ._fftsum import (frequency_span, grid_values, is_pow2, next_pow2,
                       refine_supremum, tree_sum)
 from .dispersion import (LINEAR, DispersionRelation, IntPolynomial,
-                         parse_relation, theta_omega_frac_array)
+                         oblique_frequencies, parse_relation, theta_omega_frac_array)
 from .diophantine import ctr_constant
 from .evolution import SliceSpec, line_spectrum
 from .fixedpoint import ONE, FixedReal
@@ -61,19 +61,19 @@ class BlockSpec:
         if self.weight not in ("unit", "reciprocal"):
             raise ValueError(f"weight must be 'unit' or 'reciprocal', got {self.weight!r}")
 
-    def modes(self) -> list[int]:
-        pos = list(range(self.N, 2 * self.N))
-        neg = list(range(-2 * self.N + 1, -self.N + 1))
+    def modes(self) -> np.ndarray:
+        pos = np.arange(self.N, 2 * self.N)
+        neg = np.arange(-2 * self.N + 1, -self.N + 1)
         if self.sign == "+":
             return pos
         if self.sign == "-":
             return neg
-        return neg + pos
+        return np.concatenate([neg, pos])
 
-    def weights(self, ns: Sequence[int]) -> np.ndarray:
+    def weights(self, ns: np.ndarray) -> np.ndarray:
         if self.weight == "unit":
             return np.ones(len(ns))
-        return 1.0 / np.abs(np.array(ns, dtype=np.float64))
+        return 1.0 / np.abs(ns.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -266,23 +266,19 @@ class QuadrupleCount:
 
 def l4_quadruple_oracle(h: DispersionRelation | str, K: int) -> QuadrupleCount:
     """Count solutions of h(n1) + h(n3) = h(n2) + h(n4) with all n_i in
-    [K, 2K), by a hashed three-index enumeration (O(K^3) time)."""
+    [K, 2K), by counting the pairs at each difference (O(K^2 log K) time)."""
     rel = parse_relation(h) if isinstance(h, str) else h
     if not rel.integer_valued:
         raise ValueError("the quadruple oracle needs an integer-valued frequency map")
     if not is_pow2(K) or K > 128:
         raise ValueError(f"K must be a power of two <= 128, got {K}")
-    hv_py = [rel.omega_int(n) for n in range(K, 2 * K)]
-    if max(abs(v) for v in hv_py) >= 1 << 61:
+    hv = oblique_frequencies(rel, -1, 0, np.arange(K, 2 * K))
+    if hv.dtype != np.int64:
         raise ValueError("frequency values too large for exact int64 arithmetic")
-    hv = np.array(hv_py, dtype=np.int64)
-
-    # target[i, j, k] = h(n_i) - h(n_j) + h(n_k) must equal some h(n4)
-    target = hv[:, None, None] - hv[None, :, None] + hv[None, None, :]
-    uniq, counts = np.unique(hv, return_counts=True)
-    pos = np.minimum(np.searchsorted(uniq, target), len(uniq) - 1)
-    hit = uniq[pos] == target
-    count = int(np.sum(np.where(hit, counts[pos], 0)))
+    # h(n1) - h(n2) = h(n4) - h(n3): with r(d) ordered pairs at difference d,
+    # the count is sum_d r(d)^2, and |d| < 2^63 fits int64
+    _, pairs = np.unique(hv[:, None] - hv[None, :], return_counts=True)
+    count = int(np.sum(pairs**2))
     return QuadrupleCount(count=count, nontrivial=count - (2 * K * K - K), K=K, h=rel.spec)
 
 
@@ -312,23 +308,22 @@ def airy_l4_identity_check(t, N: int) -> IdentityCheck:
     if not is_pow2(N) or N > 1 << 7:
         raise ValueError(f"N must be a power of two <= {1 << 7}, got {N}")
     slc = SliceSpec.horizontal(t)
-    ns = list(range(N, 2 * N))
+    ns = np.arange(N, 2 * N)
     _, coeffs = line_spectrum(parse_relation("poly:1,0,0,0"), slc, ns, np.ones(N))
 
     G = next_pow2(32 * N)
     vals = grid_values(ns, coeffs, G)
     quadrature = float(np.mean(np.abs(vals) ** 4))
 
-    arr = np.array(ns, dtype=np.int64)
-    n1 = arr[:, None, None]
-    n2 = arr[None, :, None]
-    n3 = arr[None, None, :]
+    n1 = ns[:, None, None]
+    n2 = ns[None, :, None]
+    n3 = ns[None, None, :]
     n4 = n1 - n2 + n3
     mask = (n4 >= N) & (n4 < 2 * N)
     w = ((n1 - n2) * (n2 - n3) * (n1 + n3))[mask]
     uw, cnt = np.unique(w, return_counts=True)
     # e(3 theta w): phase the integers 3*w with the same exact machinery
-    fr = theta_omega_frac_array(IntPolynomial((3, 0)), slc.t.theta, [int(v) for v in uw])
+    fr = theta_omega_frac_array(IntPolynomial((3, 0)), slc.t.theta, uw)
     resonance = complex(np.sum(cnt * np.exp(2j * np.pi * fr)))
     rel_err = abs(quadrature - resonance) / quadrature
     return IdentityCheck(quadrature=quadrature, resonance_sum=resonance,
@@ -378,7 +373,7 @@ def bprocess_dual_compare(r: int, t, x, N: int) -> BProcessComparison:
 
     from .dispersion import FractionalPower
     rel = FractionalPower(alpha)
-    ns = list(range(N, 2 * N))
+    ns = np.arange(N, 2 * N)
     tfr = theta_omega_frac_array(rel, tf, ns)
     xfr = theta_omega_frac_array(LINEAR, xf, ns)
     direct = tree_sum(np.exp(2j * np.pi * (tfr + xfr)))

@@ -76,7 +76,7 @@ class SpectralField:
     def values(self) -> np.ndarray:
         """Physical samples on the next_pow2(2M+1)-point grid over [0, 2π)."""
         M = self.M
-        return grid_values(range(-M, M + 1), self.modes, next_pow2(2 * M + 1))
+        return grid_values(np.arange(-M, M + 1), self.modes, next_pow2(2 * M + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +285,7 @@ def linear_flow_modes(traj: Trajectory) -> np.ndarray:
     reduction (the time step·dt is an exact rational)."""
     theta = FixedReal.from_fraction(traj.exact_time()) / two_pi()
     _, modes = line_spectrum(parse_relation(traj.relation), SliceSpec.horizontal(theta),
-                             range(-traj.M, traj.M + 1), traj.datum_modes)
+                             np.arange(-traj.M, traj.M + 1), traj.datum_modes)
     return modes
 
 
@@ -301,7 +301,7 @@ def smoothing_residual(traj: Trajectory, length: int = 1 << 12) -> SampleGrid:
         raise ValueError("length must be a power of two >= 2M+1")
     f = traj.final
     res = f.modes - linear_flow_modes(traj)
-    vals = grid_values(range(-traj.M, traj.M + 1), res, length)
+    vals = grid_values(np.arange(-traj.M, traj.M + 1), res, length)
     if traj.kind == "kdv":
         vals = vals.real
     return SampleGrid(samples=vals, period=2.0 * math.pi, truncation=traj.M,

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from talbot import __version__
+from talbot import __version__, cli
 from talbot.cli import ConfigError, main
 
 
@@ -133,6 +133,17 @@ def test_sweep_usage_errors(capsys):
                "--scales", "9..25")[0] == 2  # exponent out of range
 
 
+def test_sweep_with_fewer_than_four_scales_exits_2_before_any_row(capsys, monkeypatch):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("sup_norm_sweep ran before the scale count was checked")
+    monkeypatch.setattr(cli, "sup_norm_sweep", no_rows)
+    code, out, err = run(capsys, "sweep", "--rel", "frac:3/2", "--at", "kl:sqrt2",
+                         "--scales", "17..19")
+    assert code == 2
+    assert out == ""
+    assert "config error: the sup exponent fit needs at least four distinct scales" in err
+
+
 SWEEP_SMALL = ("sweep", "--rel", "poly:-1,0,0", "--at", "rat:1/3", "--scales", "4..7")
 
 
@@ -194,6 +205,14 @@ def test_l4count_identical_block_sizes_have_no_slope(capsys):
     assert code == 2
     assert out == ""
     assert "config error: Cannot calculate a linear regression" in err
+
+
+def test_l4count_slope_gate_needs_two_block_sizes(capsys):
+    code, out, err = run(capsys, "l4count", "--h", "poly:1,1,0", "--K", "16",
+                         "--max-slope", "0.1")
+    assert code == 2
+    assert out == ""
+    assert "config error: --max-slope gates the count slope" in err
 
 
 def test_l4count_skip_quadrature(capsys):

@@ -167,6 +167,37 @@ def test_omega_mantissa_is_the_floor_root_of_the_radicand(spec, n):
     assert w**q * r.denominator <= scaled < (w + 1) ** q * r.denominator
 
 
+def _per_relation_mantissa(rel, n: int) -> int:
+    """omega_mantissa as each relation once computed it, formula by formula."""
+    m = abs(n)
+    if isinstance(rel, FractionalPower):
+        p, q = rel.alpha.numerator, rel.alpha.denominator
+        x = m**p << (q * FRAC_BITS)
+        return math.isqrt(x) if q == 2 else dispersion.iroot(x, q)
+    if isinstance(rel, Boussinesq):
+        return math.isqrt((n * n + n**4) << (2 * FRAC_BITS))
+    base = m if isinstance(rel, Gravity) else m + m**3
+    if m >= 70:
+        return math.isqrt(base << (2 * FRAC_BITS))
+    fr = base * _tanh_fraction(m)
+    return math.isqrt((fr.numerator << (2 * FRAC_BITS)) // fr.denominator)
+
+
+@pytest.mark.parametrize("spec", ["frac:1/2", "frac:3/2", "frac:9/5", "frac:7/3", "frac:1/3",
+                                  "frac:2/7", "frac:11/7", "frac:4/5",
+                                  "boussinesq", "gravity", "gravcap"])
+def test_root_form_mantissa_matches_each_relation_formula(spec):
+    """The one omega_mantissa built from _root_form, bit for bit against
+    the per-relation formulas, below and past tanh saturation and at
+    |n| = 2^20."""
+    rel = parse_relation(spec)
+    rng = np.random.default_rng(5)
+    ns = [*range(-100, 101), *rng.integers(-MAX_BLOCK, MAX_BLOCK + 1, 200).tolist(),
+          -MAX_BLOCK, MAX_BLOCK]
+    for n in ns:
+        assert rel.omega_mantissa(n) == _per_relation_mantissa(rel, n), n
+
+
 @pytest.mark.parametrize("spec", ["gravity", "gravcap"])
 def test_water_wave_mantissa_below_and_past_saturation(spec):
     rel = parse_relation(spec)
@@ -226,10 +257,34 @@ def test_linear_position_phases_match_exact_fractions():
 
 def test_oblique_frequency():
     rel = IntPolynomial((-1, 0, 0))
-    assert oblique_frequencies(rel, 1, 1, [3]) == [3 + 9]
-    assert oblique_frequencies(rel, 2, 3, [3, -2]) == [3 * 3 + 2 * 9, 3 * (-2) + 2 * 4]
+    assert oblique_frequencies(rel, 1, 1, [3]).tolist() == [3 + 9]
+    assert oblique_frequencies(rel, 2, 3, [3, -2]).tolist() == [3 * 3 + 2 * 9, 3 * (-2) + 2 * 4]
     with pytest.raises(ValueError, match="integer-valued"):
         oblique_frequencies(FractionalPower(Fraction(3, 2)), 1, 1, [1])
+
+
+@pytest.mark.parametrize("spec, k, ell, M, dtype", [
+    ("poly:-1,0,0", 1, 1, 1 << 20, np.int64),
+    ("poly:1,0,0,0", -1, 0, 1 << 20, np.int64),        # omega itself, up to 2^60
+    ("poly:1,0,0,0", 4, 1, 1 << 20, object),           # 4 * 2^60 = 2^62: past the bound
+    ("poly:1,0,0,0,0,0", -1, 0, 1 << 12, np.int64),    # 2^60
+    ("poly:1,0,0,0,0,0", -1, 0, 1 << 13, object),      # 2^65
+    ("poly:3,-2,7,0", 2, 5, 1 << 16, np.int64),
+    ("bo", 3, 2, 1 << 20, np.int64),
+    ("bo", -1, 0, 1 << 31, object),                    # 2^62
+    ("frac:2", 1, 1, 1 << 20, np.int64),
+    ("frac:4", -1, 0, 1 << 16, object),                # 2^64
+])
+def test_oblique_frequencies_dtype_and_values(spec, k, ell, M, dtype):
+    """int64 exactly when every |ell*n - k*omega(n)| is proven below 2^62,
+    object otherwise; either way the values of the scalar Python-integer
+    formula, at the ends of [-M, M] and in between."""
+    rel = parse_relation(spec)
+    ns = np.array([-M, -M + 1, -12345 % M, -7, -1, 0, 1, 2, 999, M - 1, M])
+    got = oblique_frequencies(rel, k, ell, ns)
+    assert got.dtype == dtype
+    assert got.tolist() == [ell * n - k * rel.omega_int(n) for n in ns.tolist()]
+    assert all(type(v) is int for v in got.tolist())
 
 
 @settings(max_examples=40, deadline=None)

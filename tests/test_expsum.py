@@ -48,7 +48,8 @@ def test_block_spec_validation():
 
 def test_block_modes():
     spec = BlockSpec(parse_relation(SCHRODINGER), 4, sign="both")
-    assert spec.modes() == [-7, -6, -5, -4] + [4, 5, 6, 7]
+    assert spec.modes().dtype == np.int64
+    assert spec.modes().tolist() == [-7, -6, -5, -4] + [4, 5, 6, 7]
 
 
 # -- exponent fits ----------------------------------------------------------------
@@ -186,6 +187,8 @@ def test_quadruple_validation():
         l4_quadruple_oracle("frac:1/2", 16)  # not integer-valued
     with pytest.raises(ValueError):
         l4_quadruple_oracle(IntPolynomial((1, 1, 0)), 24)
+    with pytest.raises(ValueError, match="too large"):
+        l4_quadruple_oracle(IntPolynomial((1,) + (0,) * 9), 128)  # 255^9 > 2^62
 
 
 def test_resonances_are_genuine():

@@ -92,7 +92,7 @@ def test_taylor_order_is_least_with_tail_below_two_to_minus_60():
 
 def test_taylor_evaluator_matches_direct_sum_off_grid():
     rng = np.random.default_rng(5)
-    freqs = list(range(40, 104))
+    freqs = np.arange(40, 104)
     coeffs = np.exp(2j * np.pi * rng.random(len(freqs)))
     G = 1024
     direct = DirectEvaluator(freqs, coeffs, G)
@@ -187,24 +187,30 @@ def test_bernstein_cut_finds_a_maximum_beyond_the_tenth_grid_peak():
 
 @pytest.mark.parametrize("sign", ["+", "-", "both"])
 def test_int64_frequencies_fold_like_unbounded_integers(sign):
-    """A horizontal row's int64 modes and the same modes as Python integers
-    give bit-identical folds, spans, Taylor offsets, grids and refined sups."""
-    spec = BlockSpec(parse_relation("frac:3/2"), 256, sign=sign)
-    ns = spec.modes()
-    freqs, coeffs = line_spectrum(spec.relation, SliceSpec.horizontal(seeded_theta(4)), ns,
-                                  spec.weights(ns))
-    assert freqs.dtype == np.int64
-    for G in (4096, 1000):
-        assert np.array_equal(fold_frequencies(freqs, G), fold_frequencies(ns, G))
-        assert frequency_span(freqs) == frequency_span(ns)
-        span = frequency_span(ns)
-        assert np.array_equal(TaylorEvaluator(freqs, coeffs, G, span).u,
-                              TaylorEvaluator(ns, coeffs, G, span).u)
-        vals = grid_values(freqs, coeffs, G)
-        assert np.array_equal(vals, grid_values(ns, coeffs, G))
-        absvals = np.abs(vals)
-        assert (refine_supremum(freqs, coeffs, G, absvals)
-                == refine_supremum(ns, coeffs, G, absvals))
+    """An int64 frequency array and the same values as an object array of
+    Python integers (the dtype past 2^62) give bit-identical folds, spans,
+    offsets, grids and refined sups, on a horizontal and an oblique row."""
+    for rel, slc in (("frac:3/2", SliceSpec.horizontal(seeded_theta(4))),
+                     (SCHRODINGER, SliceSpec.oblique(seeded_theta(4), 1, 1))):
+        spec = BlockSpec(parse_relation(rel), 256, sign=sign)
+        ns = spec.modes()
+        freqs, coeffs = line_spectrum(spec.relation, slc, ns, spec.weights(ns))
+        assert freqs.dtype == np.int64
+        unbounded = freqs.astype(object)
+        for G in (4096, 1000):
+            assert np.array_equal(fold_frequencies(freqs, G), fold_frequencies(unbounded, G))
+            span = frequency_span(freqs)
+            assert span == frequency_span(unbounded)
+            if slc.kind == "horizontal":  # an oblique span is far too wide for the Taylor path
+                assert np.array_equal(TaylorEvaluator(freqs, coeffs, G, span).u,
+                                      TaylorEvaluator(unbounded, coeffs, G, span).u)
+            assert np.array_equal(AnchoredEvaluator(freqs, coeffs, G).turns,
+                                  AnchoredEvaluator(unbounded, coeffs, G).turns)
+            vals = grid_values(freqs, coeffs, G)
+            assert np.array_equal(vals, grid_values(unbounded, coeffs, G))
+            absvals = np.abs(vals)
+            assert (refine_supremum(freqs, coeffs, G, absvals)
+                    == refine_supremum(unbounded, coeffs, G, absvals))
 
 
 def test_unit_phasor_series_order():
