@@ -143,6 +143,8 @@ class AnchoredEvaluator:
 
 
 TAYLOR_TAIL = 2.0 ** -60
+#: Largest rho taylor_order accepts: past it, terms ~e^rho cancel every digit.
+TAYLOR_RHO_MAX = 64.0
 
 
 def frequency_span(freqs: np.ndarray) -> int:
@@ -152,7 +154,10 @@ def frequency_span(freqs: np.ndarray) -> int:
 
 def taylor_order(rho: float) -> int:
     """Least K with rho^K / K! * e^rho <= 2^-60: the tail bound of the
-    exponential series truncated after K terms, for |argument| <= rho."""
+    exponential series truncated after K terms, for |argument| <= rho.
+    rho outside [0, TAYLOR_RHO_MAX = 64], NaN included, is a ValueError."""
+    if not 0.0 <= rho <= TAYLOR_RHO_MAX:
+        raise ValueError(f"taylor_order needs 0 <= rho <= {TAYLOR_RHO_MAX:g}, got {rho}")
     K, bound = 0, math.exp(rho)
     while bound > TAYLOR_TAIL:
         K += 1

@@ -2,10 +2,12 @@
 
 Box-counting dimension via column oscillation counts, Hölder exponents via
 the grid modulus of continuity, hard-cutoff dyadic-block (Littlewood-Paley)
-Besov profiles.  Each block is evaluated band-limited, as one batched call
-of 4N-point inverse FFTs with exact integer twiddles; its L^2 norm comes
-from the spectrum by Parseval.  Block norms agree with a full-length masked
-inverse FFT per block to 1e-12 relative.
+Besov profiles.  Column extrema are taken at the finest scale and merged
+pairwise for each coarser one.  Each Besov block is evaluated band-limited,
+as one batched call of 4N-point inverse FFTs with exact integer twiddles
+(half-length real ones of the positive frequencies for real samples); its
+L^2 norm comes from the spectrum by Parseval.  Block norms agree with a
+full-length masked inverse FFT per block to 1e-12 relative.
 
 The Weierstrass family W(x) = sum 2^{-j gamma} cos(2^j x) serves as the
 calibration oracle: its graph has box dimension 2 - gamma, Hölder exponent
@@ -62,18 +64,6 @@ def _as_real_samples(samples) -> np.ndarray:
     return arr
 
 
-def _column_oscillations(ys: np.ndarray, k: int) -> np.ndarray:
-    """Max - min of ys over 2^k equal closed columns.
-
-    Each column includes the first sample of the next one (circularly):
-    boxes are closed in x, so a jump landing exactly on a dyadic boundary
-    still registers in the column to its left."""
-    cols = ys.reshape(1 << k, -1)
-    nxt = np.roll(ys[:: ys.shape[0] >> k], -1)
-    return (np.maximum(cols.max(axis=1), nxt)
-            - np.minimum(cols.min(axis=1), nxt))
-
-
 # ---------------------------------------------------------------------------
 # box counting
 # ---------------------------------------------------------------------------
@@ -103,13 +93,16 @@ def box_dimension(samples, drop: tuple[int, int] = (2, 2)) -> BoxCountResult:
 
     The graph is rescaled to [0,1]^2; for each dyadic eps = 2^-k,
     k = 2..log2(len) - 6, the cover size is sum over columns of
-    (ceil(osc/eps) + 1), exact for grid graphs.  The dimension is the slope
-    of log2 N(eps) against k over the central window left by dropping
-    ``drop`` = (large, small) scales, with the trivial one-box-per-column
-    floor removed before fitting (the floor adds a spurious +2^k term that
-    flattens the slope, and the calibration family recovers its known
-    dimension only without it).  A window of fewer than two scales is a
-    ValueError.  A constant input is flagged degenerate (dimension 1)."""
+    (ceil(osc/eps) + 1), exact for grid graphs.  Columns are closed: each
+    includes the first sample of the next one (circularly), so a jump on a
+    dyadic boundary still registers in the column to its left.  The
+    dimension is the slope of log2 N(eps) against k over the central window
+    left by dropping ``drop`` = (large, small) scales, with the trivial
+    one-box-per-column floor removed before fitting (the floor adds a
+    spurious +2^k term that flattens the slope, and the calibration family
+    recovers its known dimension only without it).  A window of fewer than
+    two scales is a ValueError.  A constant input is flagged degenerate
+    (dimension 1)."""
     ys = _as_real_samples(samples)
     ks = list(range(2, int(math.log2(len(ys))) - 5))
     lo, hi = drop
@@ -118,30 +111,29 @@ def box_dimension(samples, drop: tuple[int, int] = (2, 2)) -> BoxCountResult:
         raise ValueError(f"drop {lo},{hi} keeps {max(kept, 0)} of the {len(ks)} box-count "
                          "scales; it must be nonnegative and keep at least two")
 
-    span = float(ys.max() - ys.min())
-    degenerate = span == 0.0
-    if not degenerate:
-        ys = (ys - ys.min()) / span
-
-    counts, excess = [], []
-    for k in ks:
-        osc = _column_oscillations(ys, k)
-        over = int(np.sum(np.ceil(osc * (1 << k) - 1e-9)))
-        excess.append(max(over, 1))
-        counts.append(over + (1 << k))
-    eps_list = tuple(0.5 ** k for k in ks)
-
+    # finest-scale column extrema, merged pairwise; max/min commute exactly
+    # with the monotone rescaling to [0, 1], so only they are rescaled
+    cols = ys.reshape(1 << ks[-1], -1)
+    top, low = cols.max(axis=1), cols.min(axis=1)
+    bottom, span = low.min(), float(top.max() - low.min())
+    degenerate, scale = span == 0.0, span or 1.0
+    top, low = (top - bottom) / scale, (low - bottom) / scale
+    over = {}
+    for k in reversed(ks):
+        nxt = np.roll((ys[:: len(ys) >> k] - bottom) / scale, -1)
+        osc = np.maximum(top, nxt) - np.minimum(low, nxt)
+        over[k] = int(np.sum(np.ceil(osc * (1 << k) - 1e-9)))
+        top, low = np.maximum(top[0::2], top[1::2]), np.minimum(low[0::2], low[1::2])
     if degenerate:
         fit = ExponentFit(slope=1.0, intercept=0.0, stderr=0.0, r_squared=1.0,
                           scales=tuple(1 << k for k in ks))
-        return BoxCountResult(eps_list=eps_list, counts=tuple(counts), fit=fit,
-                              degenerate=True)
-
-    sel = slice(lo, len(ks) - hi)
-    fit = least_squares_line(np.array(ks[sel], dtype=np.float64),
-                             np.log2(np.array(excess[sel], dtype=np.float64)),
-                             [1 << k for k in ks[sel]])
-    return BoxCountResult(eps_list=eps_list, counts=tuple(counts), fit=fit,
+    else:
+        window = ks[lo:len(ks) - hi]
+        excess = np.array([max(over[k], 1) for k in window], dtype=np.float64)
+        fit = least_squares_line(np.array(window, dtype=np.float64), np.log2(excess),
+                                 [1 << k for k in window])
+    return BoxCountResult(eps_list=tuple(0.5 ** k for k in ks),
+                          counts=tuple(over[k] + (1 << k) for k in ks), fit=fit,
                           degenerate=degenerate)
 
 
@@ -164,7 +156,11 @@ def holder_exponent(samples, lag_min: int = 32, lag_max: int = 1024) -> Exponent
     if not 1 <= lag_min < lag_max <= len(ys) // 4:
         raise ValueError("need 1 <= lag_min < lag_max <= len/4")
     lags = [lag_min << i for i in range(int(math.log2(lag_max // lag_min)) + 1)]
-    hs = [float(np.abs(np.roll(ys, -w) - ys).max()) for w in lags]
+    d, hs = np.empty_like(ys), []  # f(x + h) - f(x), the last h of them wrapping around
+    for w in lags:
+        np.subtract(ys[w:], ys[:-w], out=d[:-w])
+        np.subtract(ys[:w], ys[-w:], out=d[-w:])
+        hs.append(float(np.abs(d, out=d).max()))
     if max(hs) == 0.0:
         return ExponentFit(slope=0.0, intercept=0.0, stderr=0.0, r_squared=0.0,
                            scales=tuple(lags))
@@ -194,19 +190,23 @@ class BesovProfile:
         return None if fit is None else -fit.slope
 
 
-def _block_samples(spec: np.ndarray, table: np.ndarray, N: int) -> np.ndarray:
+def _block_samples(spec: np.ndarray, table: np.ndarray, N: int, real: bool) -> np.ndarray:
     """All L samples of P_N f from one batched B-point inverse FFT, B = 4N.
 
     The 2N block frequencies are distinct mod B, so with sample j = r + R s
     (R = L/B), P_N f(j/L) = sum_n [c_n e(n r/L)] e(n s/B): row r of the
     (R, B) array holds the coefficients times exact twiddles e(n r/L), read
     from ``table`` (e(k/L) for 0 <= k < L/2) at the integer product |n| r.
-    Samples come back in (r, s) order, which grid-measure norms ignore."""
+    For ``real`` f, c_-n is conj(c_n): only the bins N..2N-1 are filled and
+    a half-length real inverse FFT returns the real samples.  Samples come
+    back in (r, s) order, which grid-measure norms ignore."""
     L = len(spec)
     B = 4 * N
     tw = table[np.outer(np.arange(L // B), np.arange(N, 2 * N))]
-    X = np.zeros((L // B, B), dtype=np.complex128)
+    X = np.zeros((L // B, 2 * N + 1 if real else B), dtype=np.complex128)
     np.multiply(tw, spec[N:2 * N], out=X[:, N:2 * N])
+    if real:
+        return np.fft.irfft(X, B, axis=1, norm="forward")
     np.multiply(np.conjugate(tw, out=tw), spec[L - N:L - 2 * N:-1], out=X[:, 3 * N:2 * N:-1])
     return np.fft.ifft(X, axis=1, norm="forward")
 
@@ -220,8 +220,10 @@ def besov_profile(samples, ps: Sequence = (1, 2, math.inf)) -> BesovProfile:
     fits use blocks from FIT_MIN_BLOCK up to len/8 whose norm exceeds
     1e-13.  ||P_N f||_2 comes from the spectrum by Parseval; the other norms
     reduce samples of each block evaluated as 4N-point batched transforms
-    (``_block_samples``), never as a full-length inverse FFT."""
+    (``_block_samples``), never as a full-length inverse FFT; real input
+    takes half-length real transforms."""
     arr = samples.samples if hasattr(samples, "samples") else samples
+    real = not np.iscomplexobj(arr)
     arr = np.asarray(arr, dtype=np.complex128)
     if arr.ndim != 1 or len(arr) < MIN_SAMPLES or not is_pow2(len(arr)):
         raise ValueError(f"need a 1-d power-of-two sample array of length >= {MIN_SAMPLES}")
@@ -235,7 +237,7 @@ def besov_profile(samples, ps: Sequence = (1, 2, math.inf)) -> BesovProfile:
     Ns, by_p = [], {p: [] for p in ps}
     N = 1
     while 2 * N <= L // 8:
-        a = np.abs(_block_samples(spec, table, N)) if need_samples else None
+        a = np.abs(_block_samples(spec, table, N, real)) if need_samples else None
         for p in ps:
             if p == 1:
                 by_p[p].append(float(np.mean(a)))

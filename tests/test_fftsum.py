@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -88,6 +89,15 @@ def test_taylor_order_is_least_with_tail_below_two_to_minus_60():
         assert K == 0 or tail(K - 1) > 2.0 ** -60
     assert taylor_order(math.pi / 16) == 13
     assert taylor_order(1.0) == 21
+
+
+@pytest.mark.parametrize("rho", [math.nan, -1.0, math.inf, 400.0, 1000.0])
+def test_taylor_order_rejects_rho_outside_the_cap_at_once(rho):
+    # 355 < rho < 709 used to loop forever and rho > 709 overflowed math.exp
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="rho"):
+        taylor_order(rho)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_taylor_evaluator_matches_direct_sum_off_grid():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from talbot import besov_profile, box_dimension, holder_exponent, weierstrass
+from talbot import fractal
 from talbot.fractal import NOISE_FLOOR, measured_parts
 
 L = 1 << 14
@@ -53,6 +54,61 @@ def test_constant_input_is_degenerate():
     assert res.fit.r_squared == 1.0
 
 
+def _column_oscillations(ys, k):
+    """Test oracle: max - min of ys over 2^k equal closed columns, each
+    scanned in full and including the first sample of the next column."""
+    cols = ys.reshape(1 << k, -1)
+    nxt = np.roll(ys[:: ys.shape[0] >> k], -1)
+    return (np.maximum(cols.max(axis=1), nxt)
+            - np.minimum(cols.min(axis=1), nxt))
+
+
+def _box_counts_oracle(samples):
+    """Test oracle: the cover size at every scale, from the whole rescaled
+    array, one scale at a time."""
+    ys = np.asarray(samples, dtype=np.float64)
+    span = float(ys.max() - ys.min())
+    if span:
+        ys = (ys - ys.min()) / span
+    ks = range(2, int(math.log2(len(ys))) - 5)
+    return tuple(int(np.sum(np.ceil(_column_oscillations(ys, k) * (1 << k) - 1e-9))) + (1 << k)
+                 for k in ks)
+
+
+def _dyadic_steps():
+    # jumps exactly on column boundaries of every scale, including the wrap
+    # from the last sample to the first and a jump on the finest boundary
+    j = np.arange(L)
+    return np.where(j < L // 4, 3.0, 0.0) + np.where(j >= L // 2, -1.5, 0.0) \
+        + np.where(j >= L - L // 64, 0.75, 0.0)
+
+
+ORACLE_GRAPHS = {
+    "random-walk": lambda: np.cumsum(np.random.default_rng(11).standard_normal(L)),
+    "weierstrass": lambda: weierstrass(0.4, J=16, length=L),
+    "dyadic-steps": _dyadic_steps,
+    "one-sample-spike": lambda: np.where(np.arange(L) == L // 8, 1.0, 0.0),
+    "real-view": lambda: (np.cumsum(np.random.default_rng(12).standard_normal(L))
+                          + 1j * np.cumsum(np.random.default_rng(13).standard_normal(L))).real,
+}
+
+
+@pytest.mark.parametrize("kind", ORACLE_GRAPHS)
+def test_box_counts_match_per_scale_oracle_bitwise(kind):
+    ys = ORACLE_GRAPHS[kind]()
+    if kind == "real-view":
+        assert not ys.flags.contiguous
+    assert box_dimension(ys).counts == _box_counts_oracle(ys)
+
+
+def test_closed_columns_count_a_jump_on_a_dyadic_boundary():
+    # the jump at x = 1/2 and the wrap from 0 back to 1 each land on a column
+    # boundary at every scale; the column to the left of each sees the full
+    # rise, so the cover is 2^k boxes for the jumps plus one per column
+    counts = box_dimension(np.where(X < 0.5, 1.0, 0.0)).counts
+    assert counts == tuple(3 << k for k in range(2, 9))
+
+
 def test_box_dimension_validation():
     ys = np.sin(2.0 * np.pi * X)
     with pytest.raises(ValueError):
@@ -90,6 +146,30 @@ def test_holder_of_zero_function():
     fit = holder_exponent(np.zeros(L))
     assert fit.slope == 0.0
     assert fit.r_squared == 0.0
+
+
+def _holder_moduli_roll(ys, lags):
+    """Test oracle: max_x |f(x + h) - f(x)| from a rolled copy per lag."""
+    return [float(np.abs(np.roll(ys, -w) - ys).max()) for w in lags]
+
+
+@pytest.mark.parametrize("kind", ORACLE_GRAPHS)
+def test_holder_moduli_match_roll_oracle_bitwise(kind, monkeypatch):
+    ys = ORACLE_GRAPHS[kind]()
+    seen, fit_line = [], fractal.least_squares_line
+
+    def capture(xs, vals, scales):
+        seen.append((xs, vals))
+        return fit_line(xs, vals, scales)
+    monkeypatch.setattr(fractal, "least_squares_line", capture)
+    fit = holder_exponent(ys, lag_min=1, lag_max=L // 4)
+    lags = [1 << i for i in range(int(math.log2(L // 4)) + 1)]
+    want = _holder_moduli_roll(ys, lags)
+    keep = [i for i, h in enumerate(want) if h > 0.0]
+    (xs, vals), = seen
+    assert np.array_equal(xs, np.log2(np.array([lags[i] for i in keep], dtype=np.float64)))
+    assert np.array_equal(vals, np.log2(np.array([want[i] for i in keep])))
+    assert fit.scales == tuple(lags[i] for i in keep)
 
 
 def test_holder_validation():
@@ -203,6 +283,20 @@ def test_besov_l2_only_matches_default_profile():
     assert alone.Ns == default.Ns
     assert alone.norms[2] == default.norms[2]
     assert alone.gamma(2) == default.gamma(2)
+
+
+@pytest.mark.parametrize("kind", ["real", "weierstrass"])
+def test_besov_real_input_matches_its_complex_copy(kind):
+    # real input takes half-length real transforms; the complex copy the
+    # full-length complex ones, and both share the Parseval L^2 norms
+    ys = _oracle_input(kind, L)
+    real, cplx = besov_profile(ys, ps=ORACLE_PS), besov_profile(ys.astype(np.complex128), ps=ORACLE_PS)
+    assert real.Ns == cplx.Ns
+    assert real.norms[2] == cplx.norms[2]
+    assert real.gamma(2) == cplx.gamma(2)
+    for p in (1, 3, math.inf):
+        np.testing.assert_allclose(real.norms[p], cplx.norms[p], rtol=1e-13, atol=0.0)
+        assert real.gamma(p) == pytest.approx(cplx.gamma(p), rel=0.0, abs=1e-12)
 
 
 # -- re/im parts -------------------------------------------------------------------
