@@ -63,6 +63,15 @@ def next_pow2(n: int) -> int:
     return 1 << max(0, (int(n) - 1).bit_length())
 
 
+def next_smooth(n: int) -> int:
+    """The least even 2^a*3^b*5^c >= n (a >= 1), an FFT length as fast as a
+    power of two; below 2^64 a length is 5-smooth iff it divides 30^64."""
+    m = max(2, n + n % 2)
+    while pow(30, 64, m):
+        m += 2
+    return m
+
+
 def is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 

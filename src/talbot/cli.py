@@ -622,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "nls":
             sol.add_argument("--sign", type=int, choices=(1, -1),
                              help="nonlinearity sign (default +1, defocusing)")
-        sol.add_argument("--snapshots", help="comma list of snapshot times")
+        sol.add_argument("--snapshots", help="comma list of snapshot times, each a multiple of dt")
         sol.add_argument("--residual-length", type=int,
                          help="residual sample count (default 4096)")
         sol.add_argument("--min-holder", type=float,

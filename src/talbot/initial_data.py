@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dispersion import LINEAR, theta_omega_frac_array
 from .fixedpoint import pi as pi_fixed
 
 TWO_PI = 2.0 * math.pi
@@ -110,25 +111,16 @@ class StepFunction:
     def coefficients_array(self, M: int) -> np.ndarray:
         """ghat(n) for n = -M..M as a complex array (index n+M).
 
-        Vectorised per jump: the phases -n*b_j are exact residues mod the
-        breakpoint denominator, evaluated for the whole n-range at once.
+        Vectorised per jump: the phases -n*b_j mod 1 come from the exact
+        position-phase reduction ``theta_omega_frac_array(LINEAR, -b_j, ns)``.
         """
         if M < 0:
             raise ValueError("M must be >= 0")
         ns = np.arange(-M, M + 1, dtype=np.int64)
         out = np.zeros(2 * M + 1, dtype=np.complex128)
         for b, jump in self.jumps():
-            if jump == 0:
-                continue
-            p, q = b.numerator, b.denominator
-            if p == 0:
-                out += jump
-            elif abs(p) * M < (1 << 62):
-                res = (-ns * p) % q
-                out += jump * np.exp(2j * np.pi * (res / q))
-            else:
-                phases = np.array([float((-int(n) * b) % 1) for n in ns])
-                out += jump * np.exp(2j * np.pi * phases)
+            if jump != 0:
+                out += jump * np.exp(2j * np.pi * theta_omega_frac_array(LINEAR, -b, ns))
         nz = ns != 0
         out[nz] /= 2j * np.pi * ns[nz]
         out[M] = complex(self.mean())

@@ -9,6 +9,10 @@ RK4 in mode space with an alias-free quadratic term; the field is real, so
 only the modes n = 0..M are stepped, through one real FFT pair per stage.
 Both solvers run one stepping loop that keeps the snapshots, the L² drift
 and the blow-up guard.
+Each grid is the least even 2^a·3^b·5^c length (``next_smooth``) at the
+dealiasing bound: G ≥ 3M + 1 for KdV's quadratic term, alias-free, and
+G ≥ 4M + 1 for NLS's cubic one, whose rotation is not band-limited, so its
+higher-order aliasing depends on G (3200 and 4320 points at M = 1024).
 
 Both solvers declare the truncated datum P_{≤M}g as the actual initial
 condition of the experiment; ``smoothing_residual`` subtracts the exact
@@ -23,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._fftsum import grid_values, is_pow2, next_pow2
+from ._fftsum import grid_values, is_pow2, next_pow2, next_smooth
 from .dispersion import FixedReal, parse_relation, two_pi
 from .evolution import SampleGrid, SliceSpec, _datum_coefficients, line_spectrum
 
@@ -127,30 +131,29 @@ class Trajectory:
         }
 
 
-def _solver_checks(M: int, dt: float, t_max: float) -> int:
+def _solver_checks(M: int, dt: float, t_max: float, snapshot_times) -> tuple[int, set[int]]:
+    """The step count and the snapshot steps, the final step among them."""
     if not 1 <= M <= MAX_MODES:
         raise ValueError(f"M must lie in [1, {MAX_MODES}]")
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"dt must lie in (0, {MAX_DT}]")
     if t_max < 0.0:
         raise ValueError("t_max must be nonnegative")
-    steps = int(round(t_max / dt))
-    if abs(steps * dt - t_max) > 1e-9 + 1e-9 * abs(t_max):
-        raise ValueError("t_max must be an integer multiple of dt")
-    return steps
 
+    def step_of(t: float, name: str) -> int:
+        i = int(round(t / dt))
+        if abs(i * dt - t) > 1e-9 + 1e-9 * abs(t):
+            raise ValueError(f"{name} must be an integer multiple of dt")
+        return i
 
-def _snapshot_steps(snapshot_times, dt: float, steps: int) -> set[int]:
-    """Map requested times to step indices; the final step is always kept."""
-    idxs = {steps}
+    steps = step_of(t_max, "t_max")
+    snaps = {steps}
     for t in snapshot_times or ():
-        i = int(round(float(t) / dt))
+        i = step_of(float(t), f"snapshot time {t!r}")
         if not 0 <= i <= steps:
             raise ValueError(f"snapshot time {t!r} outside [0, t_max]")
-        if abs(i * dt - float(t)) > dt / 2 + 1e-12:
-            raise ValueError(f"snapshot time {t!r} is not near a step boundary")
-        idxs.add(i)
-    return idxs
+        snaps.add(i)
+    return steps, snaps
 
 
 def _march(kind: str, step, c: np.ndarray, modes, weight: float, dt: float, steps: int,
@@ -192,13 +195,12 @@ def nls_wick_solve(g, sign: int = 1, M: int = 1 << 10, dt: float = 1e-4,
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    steps = _solver_checks(M, dt, t_max)
-    snaps = _snapshot_steps(snapshot_times, dt, steps)
+    steps, snaps = _solver_checks(M, dt, t_max, snapshot_times)
 
     datum = _datum_coefficients(g, M).astype(np.complex128)
     P = wick_constant(datum)
     half = np.exp(-1j * dt / 2.0 * np.arange(-M, M + 1, dtype=np.float64) ** 2)
-    G = next_pow2(2 * (2 * M + 1))
+    G = next_smooth(4 * M + 1)
     spec = np.zeros(G, dtype=np.complex128)   # modes 0..M, then -M..-1 at the top
     # reused every step: a fresh FFT output this size costs page faults each call
     vals, out, rot = (np.empty(G, dtype=np.complex128) for _ in range(3))
@@ -231,14 +233,14 @@ def kdv_solve(g, M: int = 1 << 10, dt: float = 1e-4, t_max: float = 0.5,
     """Integrating-factor RK4 solve of u_t + u_xxx + u·u_x = 0 from P_{≤M}g.
 
     In mode space c_n' = in³c_n − (in/2)·(û²)_n; the stiff in³ factor is
-    removed exactly, and the quadratic term is evaluated on a grid of at
-    least 4M points, which is alias-free for the retained band.  The datum
+    removed exactly, and the quadratic term is evaluated on the least even
+    5-smooth grid G ≥ 3M + 1 (at least 16), which is alias-free for the
+    retained band: û² reaches 2M, which folds to 2M − G < −M.  The datum
     must be real and mean-zero.  The field stays real, so only the modes
     n = 0..M are stepped (c_{−n} = conj c_n), and the mean is conserved
     exactly (the quadratic term contributes in·(û²)_n/2 = 0 at n = 0).
     """
-    steps = _solver_checks(M, dt, t_max)
-    snaps = _snapshot_steps(snapshot_times, dt, steps)
+    steps, snaps = _solver_checks(M, dt, t_max, snapshot_times)
 
     c = _datum_coefficients(g, M).astype(np.complex128)
     sym = np.conj(c[::-1])
@@ -250,7 +252,7 @@ def kdv_solve(g, M: int = 1 << 10, dt: float = 1e-4, t_max: float = 0.5,
     datum[M] = 0.0
 
     ns = np.arange(M + 1, dtype=np.float64)
-    G = max(next_pow2(4 * M), 16)
+    G = max(next_smooth(3 * M + 1), 16)
     E = np.exp(1j * (dt / 2.0) * ns ** 3)
     E2 = E * E
     halfin = -0.5j * ns

@@ -281,6 +281,15 @@ def test_solver_non_finite_datum_is_a_config_error(capsys, kind, value):
     assert "config error: datum must be finite" in err
 
 
+@pytest.mark.parametrize("kind", ["nls", "kdv"])
+def test_solver_snapshot_between_steps_is_a_config_error(capsys, kind):
+    code, out, err = run(capsys, kind, "--M", "8", "--dt", "1e-4", "--t-max", "1e-3",
+                         "--snapshots", "0.00015")
+    assert code == 2
+    assert out == ""
+    assert "config error: snapshot time 0.00015 must be an integer multiple of dt" in err
+
+
 # -- dimension ------------------------------------------------------------------------
 
 def test_dimension_quick_run(capsys, tmp_path):

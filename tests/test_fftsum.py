@@ -21,7 +21,7 @@ from talbot import (BlockSpec, SliceSpec, fit_exponent, parse_relation,
 from talbot._fftsum import (PHASOR_TABLE, AnchoredEvaluator, TaylorEvaluator,
                             _unit_phasor, fold_frequencies, frequency_span,
                             golden_section_peak, grid_values, local_maxima,
-                            refine_supremum, taylor_order)
+                            next_pow2, next_smooth, refine_supremum, taylor_order)
 from talbot.evolution import line_spectrum
 from talbot.expsum import least_squares_line
 
@@ -79,6 +79,20 @@ def direct_calls(monkeypatch):
         return original(self, j, delta)
     monkeypatch.setattr(AnchoredEvaluator, "__call__", counted)
     return calls
+
+
+def test_next_smooth_is_the_least_even_5_smooth_length():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    lengths = [m for m in range(2, 10 ** 4 + 20, 2) if smooth(m)]
+    for n in range(10 ** 4 + 1):
+        assert next_smooth(n) == next(m for m in lengths if m >= n)
+        assert next_smooth(n) <= next_pow2(max(n, 2))
+    assert (next_smooth(3073), next_smooth(4097)) == (3200, 4320)
 
 
 def test_taylor_order_is_least_with_tail_below_two_to_minus_60():

@@ -101,6 +101,18 @@ def test_coefficients_array_matches_scalar():
         assert arr[n + 16] == pytest.approx(g.fourier_coefficient(n), abs=1e-14)
 
 
+def test_coefficients_array_takes_exact_phases_at_large_denominators():
+    # a residue mod q >= 2^53 divided as doubles misplaces the phase by an ulp, which
+    # moves the smallest coefficients of this datum by 1.5e-3 relative
+    q = (1 << 53) + 5
+    g = StepFunction((Fraction(0), Fraction(2 ** 51 + 3, q), Fraction(2 ** 52 - 1, q),
+                      Fraction(5, 7), Fraction(12345, (1 << 61) + 9) + Fraction(6, 7)),
+                     (0.3, 1.0 + 0.5j, -0.7, 0.2, 1j))
+    M = 1024
+    ref = np.array([g.fourier_coefficient(n) for n in range(-M, M + 1)])
+    np.testing.assert_allclose(g.coefficients_array(M), ref, rtol=1e-14, atol=0)
+
+
 def test_coefficient_quadrature_agreement():
     # closed form vs trapezoidal quadrature on a dense grid
     g = StepFunction((Fraction(0), Fraction(1, 3), Fraction(3, 4)), (1.0, 2j, -0.5))

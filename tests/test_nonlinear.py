@@ -8,7 +8,7 @@ import pytest
 from talbot import (BlowUpError, SpectralField, StepFunction, kdv_solve,
                     linear_flow_modes, nls_wick_solve, smoothing_residual,
                     wick_constant, write_snapshot_csv)
-from talbot._fftsum import next_pow2
+from talbot._fftsum import next_pow2, next_smooth
 from talbot.nonlinear import BLOWUP_LINF
 
 
@@ -29,13 +29,14 @@ def cosine_datum(M: int, amplitude: float = 1.0) -> np.ndarray:
 # -- complex-FFT oracles ---------------------------------------------------------------
 # The solvers' earlier loops: the full centred spectrum through complex FFTs, scaled
 # by G by hand, and for KdV a re-projection onto conjugate symmetry every step.  Each
-# returns (snapshot modes, l2 drift, warnings) or raises the same BlowUpError.
+# returns (snapshot modes, l2 drift, warnings) or raises the same BlowUpError.  The
+# grid follows the solvers' rule unless G is given.
 
-def nls_oracle(c, sign, M, dt, steps, snaps):
+def nls_oracle(c, sign, M, dt, steps, snaps, G=None):
     c = np.array(c, dtype=np.complex128)
     P = 2.0 * float(np.sum(np.abs(c) ** 2))
     ns = np.arange(-M, M + 1, dtype=np.int64)
-    G = next_pow2(2 * (2 * M + 1))
+    G = G or next_smooth(4 * M + 1)
     idx = ns % G
     half = np.exp(-1j * dt / 2.0 * ns.astype(np.float64) ** 2)
     l2_ref = float(np.sqrt(np.sum(np.abs(c) ** 2)))
@@ -59,12 +60,12 @@ def nls_oracle(c, sign, M, dt, steps, snaps):
     return fields, drift, ()
 
 
-def kdv_oracle(c, M, dt, steps, snaps):
+def kdv_oracle(c, M, dt, steps, snaps, G=None):
     c = np.array(c, dtype=np.complex128)
     c = (c + np.conj(c[::-1])) / 2.0
     c[M] = 0.0
     ns = np.arange(-M, M + 1, dtype=np.int64)
-    G = max(next_pow2(4 * M), 16)
+    G = G or max(next_smooth(3 * M + 1), 16)
     idx = ns % G
     E = np.exp(1j * (dt / 2.0) * ns.astype(np.float64) ** 3)
     E2 = E * E
@@ -132,6 +133,41 @@ def test_solver_matches_complex_fft_oracle(kind, lam, M):
         np.testing.assert_allclose(f.modes, ref, rtol=0, atol=1e-12 * scale)
     assert traj.l2_drift == pytest.approx(drift, rel=0, abs=1e-12)
     assert traj.warnings == warnings
+
+
+@pytest.mark.parametrize("M", [8, 64, 1024])
+def test_kdv_grid_size_moves_results_by_rounding_only(M):
+    # both grids exceed the dealiasing bound 3M + 1, so the product is alias-free on each
+    traj, _ = solve_both("kdv", 1.0, M)
+    c = scaled(KDV_STEP, 1.0).coefficients_array(M)
+    modes, _, _ = kdv_oracle(c, M, KDV_DT, STEPS, {0, STEPS // 2, STEPS},
+                             G=max(next_pow2(4 * M), 16))
+    for f, ref in zip(traj.fields, modes, strict=True):
+        np.testing.assert_allclose(f.modes, ref, rtol=0, atol=1e-15 * float(np.max(np.abs(ref))))
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
+def test_nls_grid_size_moves_results_within_the_stated_tolerance(lam):
+    # the cubic rotation is not band-limited, so its aliasing depends on G; at M = 1024
+    # the 4320-point grid and the power-of-two 8192 agree to 1e-13 after 20 steps
+    M = 1024
+    traj, _ = solve_both("nls", lam, M)
+    c = scaled(NLS_STEP, lam).coefficients_array(M)
+    modes, _, _ = nls_oracle(c, 1, M, NLS_DT, STEPS, {0, STEPS // 2, STEPS},
+                             G=next_pow2(2 * (2 * M + 1)))
+    for f, ref in zip(traj.fields, modes, strict=True):
+        np.testing.assert_allclose(f.modes, ref, rtol=0, atol=1e-13 * float(np.max(np.abs(ref))))
+
+
+def test_solver_grids_are_least_even_5_smooth_above_the_dealiasing_bound():
+    assert kdv_solve(cosine_datum(1024), M=1024, dt=KDV_DT, t_max=0.0).grid == 3200
+    assert nls_wick_solve(cosine_datum(1024), M=1024, dt=NLS_DT, t_max=0.0).grid == 4320
+    for M in range(1, 2049):
+        kdv = kdv_solve(cosine_datum(M), M=M, dt=KDV_DT, t_max=0.0).grid
+        nls = nls_wick_solve(cosine_datum(M), M=M, dt=NLS_DT, t_max=0.0).grid
+        assert 3 * M + 1 <= kdv <= max(next_pow2(4 * M), 16)
+        assert 4 * M + 1 <= nls <= next_pow2(2 * (2 * M + 1))
+        assert kdv % 2 == nls % 2 == 0
 
 
 def test_oracle_comparison_covers_the_rotation_warning():
@@ -342,6 +378,14 @@ def test_snapshot_validation():
         nls_wick_solve(g, M=M, dt=1e-3, t_max=0.01, snapshot_times=(0.5,))
     with pytest.raises(ValueError):
         nls_wick_solve(g, M=M, dt=1e-3, t_max=0.01, snapshot_times=(-0.001,))
+    # a time between steps is refused, not snapped to the nearest step
+    for times in ((1.5e-4,), (1e-4, 3.49e-4), (2e-4 + 1e-8,)):
+        with pytest.raises(ValueError, match="multiple of dt"):
+            nls_wick_solve(g, M=M, dt=1e-4, t_max=1e-3, snapshot_times=times)
+        with pytest.raises(ValueError, match="multiple of dt"):
+            kdv_solve(cosine_datum(M), M=M, dt=1e-4, t_max=1e-3, snapshot_times=times)
+    traj = nls_wick_solve(g, M=M, dt=1e-4, t_max=1e-3, snapshot_times=(1e-4, 3e-4, 1e-3))
+    assert [f.step for f in traj.fields] == [1, 3, 10]
 
 
 # -- snapshots and manifests ---------------------------------------------------------------
