@@ -101,7 +101,7 @@ def grid_values(freqs: np.ndarray, coeffs: np.ndarray, G: int) -> np.ndarray:
         raise ValueError("grid size must be positive")
     spectrum = np.zeros(G, dtype=np.complex128)
     np.add.at(spectrum, fold_frequencies(freqs, G), np.asarray(coeffs, dtype=np.complex128))
-    return np.fft.ifft(spectrum) * G
+    return np.fft.ifft(spectrum, norm="forward")
 
 
 def anchored_coefficients(coeffs: np.ndarray, fmod: np.ndarray, G: int, j: int) -> np.ndarray:
@@ -159,6 +159,23 @@ TAYLOR_RHO_MAX = 64.0
 def frequency_span(freqs: np.ndarray) -> int:
     """max f - min f, exactly."""
     return int(freqs.max() - freqs.min())
+
+
+#: Largest grid ``l4_quadrature`` allocates.
+QUADRATURE_GRID_CAP = 1 << 22
+
+
+def l4_quadrature(freqs: np.ndarray, coeffs: np.ndarray) -> float | None:
+    """(1/2pi) int |S|^4 dx over one period, or None when the grid would
+    exceed QUADRATURE_GRID_CAP.
+
+    The frequencies of |S|^4 lie within 2*span of 0, so on the
+    next_pow2(2*span + 2)-point grid none but 0 itself folds onto 0: the grid
+    mean of |S|^4 is the integral up to rounding."""
+    G = next_pow2(2 * frequency_span(freqs) + 2)
+    if G > QUADRATURE_GRID_CAP:
+        return None
+    return float(np.mean(np.abs(grid_values(freqs, coeffs, G)) ** 4))
 
 
 def taylor_order(rho: float) -> int:

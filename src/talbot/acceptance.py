@@ -11,9 +11,9 @@ Every threshold and resolution is frozen here -- the runners take no
 parameters -- so a passing run certifies a fixed, numbered statement.
 Slope thresholds carry a +0.05 allowance absorbing the epsilon-losses and
 logarithmic factors that the asymptotic statements hide; exact identities
-are tested at rounding level.  Each runner returns a ``CriterionResult``
-whose checks carry the observed values; ``run_acceptance`` executes any
-subset and aggregates.
+are tested at rounding level.  Each runner returns its ``Check``s, which
+carry the observed values; ``run_acceptance`` runs and times any subset,
+titles each result from ``CRITERIA`` and aggregates.
 """
 from __future__ import annotations
 
@@ -111,10 +111,9 @@ def _rms(samples: np.ndarray) -> float:
 # criteria
 # ---------------------------------------------------------------------------
 
-def criterion_1() -> CriterionResult:
+def criterion_1() -> list[Check]:
     """Rational-time reconstruction: translate weights are unitary and the
     truncated series matches the exact step reconstruction off the jumps."""
-    start = time.perf_counter()
     rel = parse_relation("poly:-1,0,0")
     g = _step_datum()
     checks = []
@@ -127,14 +126,12 @@ def criterion_1() -> CriterionResult:
         checks.append(_check(f"theta={a}/{q}: off-jump deviation",
                              f"{res.deviation:.3e}", "<= 2e-3",
                              res.deviation <= 2e-3))
-    return CriterionResult(1, "rational-time quantization", tuple(checks),
-                           time.perf_counter() - start)
+    return checks
 
 
-def criterion_2() -> CriterionResult:
+def criterion_2() -> list[Check]:
     """Box dimension of fixed-time space slices of the quadratic flow:
     3/2-like at the reference irrational times, trivial at a rational."""
-    start = time.perf_counter()
     g = _step_datum()
     cases = ((kl_theta("sqrt2"), 1.40, 1.60),
              (kl_theta("phi"), 1.40, 1.60),
@@ -148,15 +145,13 @@ def criterion_2() -> CriterionResult:
             checks.append(_check(f"{tp.describe()} {part}: box dimension",
                                  f"{dim:.4f}", f"in [{lo:.2f}, {hi:.2f}]",
                                  lo <= dim <= hi))
-    return CriterionResult(2, "space-slice box dimension", tuple(checks),
-                           time.perf_counter() - start)
+    return checks
 
 
-def criterion_3() -> CriterionResult:
+def criterion_3() -> list[Check]:
     """Sup-norm growth along unit-slope oblique slices of the quadratic
     flow, for a reference irrational intercept and ten seeded draws: the
     fitted exponent sits between the L^2 floor and the quartic ceiling."""
-    start = time.perf_counter()
     scales = [1 << j for j in range(8, 17)]
     checks = []
     intercepts = [kl_theta("sqrt2")] + [seeded_theta(s) for s in range(1, 11)]
@@ -165,15 +160,13 @@ def criterion_3() -> CriterionResult:
         s = sw.sup_fit().slope
         checks.append(_check(f"c={tp.describe()}: oblique sup slope",
                              f"{s:.4f}", "in [0.48, 0.85]", 0.48 <= s <= 0.85))
-    return CriterionResult(3, "oblique sup-norm exponent", tuple(checks),
-                           time.perf_counter() - start)
+    return checks
 
 
-def criterion_4() -> CriterionResult:
+def criterion_4() -> list[Check]:
     """Oblique-slice graph dimension of the quadratic flow inside the
     predicted window, and the dyadic-block L^2 decay slope -1/4 that feeds
     the lower end of that window."""
-    start = time.perf_counter()
     g = _step_datum()
     checks = []
     for tp in (kl_theta("sqrt2"), seeded_theta(1), seeded_theta(2), seeded_theta(3)):
@@ -189,14 +182,12 @@ def criterion_4() -> CriterionResult:
     fit = besov_profile(sg.samples, ps=(2,)).fits[2]
     checks.append(_check("c=kl:sqrt2: block L2 slope", f"{fit.slope:.4f}",
                          "-0.25 within 0.03", abs(fit.slope + 0.25) <= 0.03))
-    return CriterionResult(4, "oblique dimension and block decay", tuple(checks),
-                           time.perf_counter() - start)
+    return checks
 
 
-def criterion_5() -> CriterionResult:
+def criterion_5() -> list[Check]:
     """L^4 growth of cubic-relation blocks stays at the square-root rate,
     and the quartic quadrature equals the resonance triple sum exactly."""
-    start = time.perf_counter()
     tp = kl_theta("sqrt2")
     sw = sup_norm_sweep("poly:1,0,0,0", tp, [1 << j for j in range(6, 14)])
     s = sw.l4_fit().slope
@@ -206,14 +197,12 @@ def criterion_5() -> CriterionResult:
         checks.append(_check(f"N={N}: quadrature vs triple-sum relative error",
                              f"{chk.relative_error:.3e}", "<= 1e-8",
                              chk.relative_error <= 1e-8))
-    return CriterionResult(5, "cubic-relation L4 growth", tuple(checks),
-                           time.perf_counter() - start)
+    return checks
 
 
-def criterion_6() -> CriterionResult:
+def criterion_6() -> list[Check]:
     """Exact quadruple counts h(n1)+h(n3) = h(n2)+h(n4) grow at most like
     K^(2+) across dyadic block sizes for the oblique frequency maps."""
-    start = time.perf_counter()
     checks = []
     Ks = (16, 32, 64)
     for label, coeffs in (("h(n)=n+n^2", (1, 1, 0)),
@@ -223,15 +212,13 @@ def criterion_6() -> CriterionResult:
         checks.append(_check(f"{label}: count slope over K={list(Ks)}",
                              f"{slope:.4f} (counts {counts})", "<= 2.25",
                              slope <= 2.25))
-    return CriterionResult(6, "resonant quadruple counting", tuple(checks),
-                           time.perf_counter() - start)
+    return checks
 
 
-def criterion_7() -> CriterionResult:
+def criterion_7() -> list[Check]:
     """Sup-norm exponents of fractional-power blocks at t = 1 stay below
     1 - beta(alpha) + 0.05, and the water-wave relations track their
     fractional-power models."""
-    start = time.perf_counter()
     tp = TimePoint.from_time(1.0)
     scales = [1 << j for j in range(12, 19)]
     checks = []
@@ -245,16 +232,14 @@ def criterion_7() -> CriterionResult:
         checks.append(_check(f"{spec}: sup slope vs {model}",
                              f"{s:.4f} (model {slopes[model]:.4f})",
                              "within 0.05", abs(s - slopes[model]) <= 0.05))
-    return CriterionResult(7, "fractional-relation sup exponents", tuple(checks),
-                           time.perf_counter() - start)
+    return checks
 
 
-def criterion_8() -> CriterionResult:
+def criterion_8() -> list[Check]:
     """At the time tuned so the dual-phase curvature constant is sqrt(2),
     the alpha = 3/2 sup exponent drops to the 5/8-type rate, and the
     stationary-phase dual sum reproduces each direct block sum within the
     calibrated error budget."""
-    start = time.perf_counter()
     t = solve_time_for_ctr(sqrt2(), 3)
     tp = TimePoint.from_theta(t, label="ctr:sqrt2,r=3")
     sw = sup_norm_sweep("frac:3/2", tp, [1 << j for j in range(8, 17)])
@@ -269,14 +254,12 @@ def criterion_8() -> CriterionResult:
             f"N=2^{N.bit_length() - 1}: dual-sum discrepancy",
             f"{cmp_.discrepancy:.3f} ({cmp_.dual_terms} dual terms)",
             f"<= {budget:.3f}", cmp_.discrepancy <= budget))
-    return CriterionResult(8, "curvature-tuned dual-sum budget", tuple(checks),
-                           time.perf_counter() - start)
+    return checks
 
 
-def criterion_9() -> CriterionResult:
+def criterion_9() -> list[Check]:
     """Estimator calibration on Weierstrass functions with known box
     dimension 2 - gamma, Holder exponent gamma, and block decay gamma."""
-    start = time.perf_counter()
     checks = []
     for gamma in (0.3, 0.5, 0.7):
         w = weierstrass(gamma, J=18, length=1 << 20)
@@ -292,16 +275,14 @@ def criterion_9() -> CriterionResult:
         checks.append(_check(f"gamma={gamma}: block sup-decay exponent",
                              f"{ginf:.4f}", f"{gamma:.2f} within 0.02",
                              ginf is not None and abs(ginf - gamma) <= 0.02))
-    return CriterionResult(9, "estimator calibration", tuple(checks),
-                           time.perf_counter() - start)
+    return checks
 
 
-def criterion_10() -> CriterionResult:
+def criterion_10() -> list[Check]:
     """Nonlinear smoothing: the residual u minus the linear flow of the
     truncated datum is markedly smoother than the datum for both solvers,
     conserved quantities drift within tolerance, and the residual amplitude
     scales with the order of the nonlinearity."""
-    start = time.perf_counter()
     g = _step_datum()
     checks = []
 
@@ -350,13 +331,11 @@ def criterion_10() -> CriterionResult:
     slope = least_squares_line(np.log2(lams), np.log2(rs), ()).slope
     checks.append(_check("quadratic flow: residual amplitude-scaling slope",
                          f"{slope:.4f}", "2 within 0.2", abs(slope - 2) <= 0.2))
-    return CriterionResult(10, "nonlinear smoothing regularity", tuple(checks),
-                           time.perf_counter() - start)
+    return checks
 
 
-def criterion_11() -> CriterionResult:
+def criterion_11() -> list[Check]:
     """The rational bound table reproduces its frozen exact values."""
-    start = time.perf_counter()
     cases = (
         ("oblique dimension interval, d=2", oblique_interval(2),
          (Fraction(7, 4), Fraction(19, 10))),
@@ -377,15 +356,14 @@ def criterion_11() -> CriterionResult:
     rendered = all(isinstance(r.payload(), dict) for r in table)
     checks.append(_check("bound table renders", f"{len(table)} rows",
                          "18 rows", rendered and len(table) == 18))
-    return CriterionResult(11, "exact bound table", tuple(checks),
-                           time.perf_counter() - start)
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
-CRITERIA: tuple[tuple[int, str, Callable[[], CriterionResult]], ...] = (
+CRITERIA: tuple[tuple[int, str, Callable[[], list[Check]]], ...] = (
     (1, "rational-time quantization", criterion_1),
     (2, "space-slice box dimension", criterion_2),
     (3, "oblique sup-norm exponent", criterion_3),
@@ -399,7 +377,7 @@ CRITERIA: tuple[tuple[int, str, Callable[[], CriterionResult]], ...] = (
     (11, "exact bound table", criterion_11),
 )
 
-_BY_NUMBER = {number: fn for number, _, fn in CRITERIA}
+_BY_NUMBER = {number: (title, fn) for number, title, fn in CRITERIA}
 
 
 def run_acceptance(numbers: Iterable[int] | None = None,
@@ -411,7 +389,10 @@ def run_acceptance(numbers: Iterable[int] | None = None,
         raise ValueError(f"unknown criteria {unknown}; valid numbers are 1..{len(CRITERIA)}")
     results = []
     for n in wanted:
-        result = _BY_NUMBER[n]()
+        title, criterion = _BY_NUMBER[n]
+        start = time.perf_counter()
+        checks = tuple(criterion())
+        result = CriterionResult(n, title, checks, time.perf_counter() - start)
         results.append(result)
         if echo is not None:
             verdict = "pass" if result.passed else "FAIL"

@@ -27,14 +27,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import __version__
-from ._fftsum import frequency_span, grid_values, next_pow2
+from ._fftsum import l4_quadrature
 from .bounds import (bound_table, exponent_pair_bound, format_bound,
                      frac_nls_beta, heath_brown_exponent, oblique_interval,
                      strichartz_lower, t32_dimension_interval, t32_exponent,
@@ -48,9 +47,6 @@ from .initial_data import parse_datum
 from .nonlinear import (BlowUpError, kdv_solve, nls_wick_solve,
                         smoothing_residual, write_snapshot_csv)
 
-#: Largest FFT grid the l4count quadrature cross-check will allocate.
-QUADRATURE_GRID_CAP = 1 << 22
-
 
 class ConfigError(Exception):
     """A problem with flags or the config file (exit code 2)."""
@@ -60,47 +56,32 @@ class ConfigError(Exception):
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """The resolved options of one run; ``to_dict()``, saved as a ``--config``
-    file, reproduces the run."""
-
-    subcommand: str
-    options: dict
-
-    def to_dict(self) -> dict:
-        return {"subcommand": self.subcommand, "options": dict(self.options)}
+#: Namespace entries that are not options of a run.
+_NOT_OPTIONS = ("handler", "subcommand", "config")
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> ExperimentConfig:
-    """Merge CLI flags over the optional config file over hard defaults.
+def _options(args: argparse.Namespace) -> dict:
+    """The resolved options of a run; saved as a ``--config`` file inside
+    ``{"subcommand", "options"}``, they reproduce it."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
 
-    Flags are declared with default None ("not given"); a JSON config file
-    supplies values for flags the user did not pass; remaining holes are
-    filled from ``defaults``.
-    """
-    file_cfg: dict = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        if isinstance(file_cfg, dict) and file_cfg.get("subcommand"):
-            file_cfg = dict(file_cfg.get("options", {}))
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown config keys for this subcommand: {sorted(unknown)}")
-    options = {}
-    for key, hard_default in defaults.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            options[key] = cli_value
-        elif key in file_cfg:
-            options[key] = file_cfg[key]
-        else:
-            options[key] = hard_default
-    return ExperimentConfig(subcommand=args.subcommand, options=options)
+
+def _config_file(path: str, known: dict) -> dict:
+    """The options a ``--config`` file sets, from its flat form or from its
+    ``{"subcommand", "options"}`` form; each must be one of ``known``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            file_cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if isinstance(file_cfg, dict) and file_cfg.get("subcommand"):
+        file_cfg = file_cfg.get("options", {})
+    if not isinstance(file_cfg, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    unknown = set(file_cfg) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown config keys for this subcommand: {sorted(unknown)}")
+    return file_cfg
 
 
 def _parse_scales(text: str) -> list[int]:
@@ -158,21 +139,20 @@ def _write_json(payload: dict, path: str | None) -> None:
         print(text)
 
 
-def _report(config: ExperimentConfig, body: dict, failures: list[str]) -> dict:
+def _report(args: argparse.Namespace, body: dict, failures: list[str]) -> dict:
     return {
-        "subcommand": config.subcommand,
+        "subcommand": args.subcommand,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "config": config.to_dict(),
+        "config": {"subcommand": args.subcommand, "options": _options(args)},
         **body,
         "failures": failures,
         "passed": not failures,
     }
 
 
-def _finish(config: ExperimentConfig, body: dict, failures: list[str],
-            out: str | None) -> int:
-    _write_json(_report(config, body, failures), out)
+def _finish(args: argparse.Namespace, body: dict, failures: list[str]) -> int:
+    _write_json(_report(args, body, failures), args.out)
     for line in failures:
         print(f"threshold failed: {line}", file=sys.stderr)
     return 1 if failures else 0
@@ -182,37 +162,28 @@ def _finish(config: ExperimentConfig, body: dict, failures: list[str],
 # sweep
 # ---------------------------------------------------------------------------
 
-SWEEP_DEFAULTS = {
-    "rel": None, "at": None, "seeds": None, "oblique": None,
-    "scales": "8..16", "weight": "unit", "sign": "+",
-    "min_slope": None, "max_slope": None, "csv": None, "out": None,
-}
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _resolve(args, SWEEP_DEFAULTS)
-    opt = config.options
-    if opt["rel"] is None:
+    if args.rel is None:
         raise ConfigError("sweep needs --rel")
-    if (opt["at"] is None) == (opt["seeds"] is None):
+    if (args.at is None) == (args.seeds is None):
         raise ConfigError("sweep needs exactly one of --at or --seeds")
-    rel = parse_relation(opt["rel"])
-    scales = _parse_scales(opt["scales"])
+    rel = parse_relation(args.rel)
+    scales = _parse_scales(args.scales)
     if len(set(scales)) < 4:
         raise ConfigError(f"the sup exponent fit needs at least four distinct scales, got {scales}")
 
-    if opt["seeds"] is not None:
-        seeds = _parse_int_list(str(opt["seeds"]))
+    if args.seeds is not None:
+        seeds = _parse_int_list(str(args.seeds))
         at_specs = [f"rand:{s}" for s in seeds]
     else:
-        at_specs = [opt["at"]]
+        at_specs = [args.at]
     oblique = None
-    if opt["oblique"] is not None:
-        k_text, _, ell_text = str(opt["oblique"]).partition("/")
+    if args.oblique is not None:
+        k_text, _, ell_text = str(args.oblique).partition("/")
         try:
             oblique = (int(k_text), int(ell_text or "1"))
         except ValueError as exc:
-            raise ConfigError(f"bad --oblique {opt['oblique']!r}") from exc
+            raise ConfigError(f"bad --oblique {args.oblique!r}") from exc
 
     results = []
     failures: list[str] = []
@@ -220,7 +191,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for spec in at_specs:
         tp = parse_theta(str(spec))
         at = SliceSpec.oblique(tp, *oblique) if oblique else tp
-        sweep = sup_norm_sweep(rel, at, scales, weight=opt["weight"], sign=opt["sign"])
+        sweep = sup_norm_sweep(rel, at, scales, weight=args.weight, sign=args.sign)
         degenerate = isinstance(at, TimePoint) and at.is_rational and at.theta == 0
         entry = sweep.fit_payload()
         entry["degenerate_control"] = degenerate
@@ -229,39 +200,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             csv_lines.append(f"{sweep.at},{row.N},{row.sup_abs!r},{row.l2!r},"
                              f"{row.l4!r},{row.grid},1")
         slope = sweep.sup_fit().slope
-        if opt["min_slope"] is not None and slope < float(opt["min_slope"]):
-            failures.append(f"at={sweep.at}: sup slope {slope:.4f} < {opt['min_slope']}")
-        if opt["max_slope"] is not None and slope > float(opt["max_slope"]):
-            failures.append(f"at={sweep.at}: sup slope {slope:.4f} > {opt['max_slope']}")
-    if opt["csv"]:
-        with open(opt["csv"], "w", encoding="utf-8") as fh:
+        if args.min_slope is not None and slope < float(args.min_slope):
+            failures.append(f"at={sweep.at}: sup slope {slope:.4f} < {args.min_slope}")
+        if args.max_slope is not None and slope > float(args.max_slope):
+            failures.append(f"at={sweep.at}: sup slope {slope:.4f} > {args.max_slope}")
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(csv_lines) + "\n")
-    return _finish(config, {"results": results}, failures, opt["out"])
+    return _finish(args, {"results": results}, failures)
 
 
 # ---------------------------------------------------------------------------
 # dimension
 # ---------------------------------------------------------------------------
 
-DIMENSION_DEFAULTS = {
-    "rel": None, "data": "step:0,pi", "slice": None,
-    "truncation": 1 << 14, "length": 1 << 18, "drop": "2,2",
-    "lag_min": 32, "lag_max": 1024,
-    "min_dim": None, "max_dim": None, "min_holder": None,
-    "csv": None, "out": None,
-}
-
-
 def _cmd_dimension(args: argparse.Namespace) -> int:
-    config = _resolve(args, DIMENSION_DEFAULTS)
-    opt = config.options
-    if opt["rel"] is None or opt["slice"] is None:
+    if args.rel is None or args.slice is None:
         raise ConfigError("dimension needs --rel and --slice")
-    rel = parse_relation(opt["rel"])
-    g = parse_datum(opt["data"])
-    slc = parse_slice(opt["slice"])
-    drop = _parse_drop(str(opt["drop"]))
-    sg = evolve_slice(rel, g, slc, M=int(opt["truncation"]), length=int(opt["length"]))
+    rel = parse_relation(args.rel)
+    g = parse_datum(args.data)
+    slc = parse_slice(args.slice)
+    drop = _parse_drop(str(args.drop))
+    sg = evolve_slice(rel, g, slc, M=int(args.truncation), length=int(args.length))
 
     measured, skipped = measured_parts(sg.samples)
     body: dict = {"provenance": sg.provenance, "parts": {}}
@@ -273,8 +233,7 @@ def _cmd_dimension(args: argparse.Namespace) -> int:
             continue
         arr = measured[name]
         box = box_dimension(arr, drop=drop)
-        hold = holder_exponent(arr, lag_min=int(opt["lag_min"]),
-                               lag_max=int(opt["lag_max"]))
+        hold = holder_exponent(arr, lag_min=int(args.lag_min), lag_max=int(args.lag_max))
         dims[name] = box.dimension
         holders[name] = hold.slope
         body["parts"][name] = {"box_dimension": box.dimension,
@@ -287,40 +246,31 @@ def _cmd_dimension(args: argparse.Namespace) -> int:
     body["holder_exponent"] = min(holders.values())
 
     failures: list[str] = []
-    if opt["min_dim"] is not None and body["box_dimension"] < float(opt["min_dim"]):
-        failures.append(f"box dimension {body['box_dimension']:.4f} < {opt['min_dim']}")
-    if opt["max_dim"] is not None and body["box_dimension"] > float(opt["max_dim"]):
-        failures.append(f"box dimension {body['box_dimension']:.4f} > {opt['max_dim']}")
-    if opt["min_holder"] is not None and body["holder_exponent"] < float(opt["min_holder"]):
-        failures.append(f"Holder exponent {body['holder_exponent']:.4f} < {opt['min_holder']}")
-    if opt["csv"]:
-        write_snapshot_csv(sg, opt["csv"])
-    return _finish(config, body, failures, opt["out"])
+    if args.min_dim is not None and body["box_dimension"] < float(args.min_dim):
+        failures.append(f"box dimension {body['box_dimension']:.4f} < {args.min_dim}")
+    if args.max_dim is not None and body["box_dimension"] > float(args.max_dim):
+        failures.append(f"box dimension {body['box_dimension']:.4f} > {args.max_dim}")
+    if args.min_holder is not None and body["holder_exponent"] < float(args.min_holder):
+        failures.append(f"Holder exponent {body['holder_exponent']:.4f} < {args.min_holder}")
+    if args.csv:
+        write_snapshot_csv(sg, args.csv)
+    return _finish(args, body, failures)
 
 
 # ---------------------------------------------------------------------------
 # quantize
 # ---------------------------------------------------------------------------
 
-QUANTIZE_DEFAULTS = {
-    "rel": None, "data": "step:0,pi", "a": None, "q": None,
-    "truncation": 1 << 12, "length": 1 << 13, "max_deviation": 2e-3,
-    "csv": None, "out": None,
-}
-
-
 def _cmd_quantize(args: argparse.Namespace) -> int:
-    config = _resolve(args, QUANTIZE_DEFAULTS)
-    opt = config.options
-    if opt["rel"] is None or opt["a"] is None or opt["q"] is None:
+    if args.rel is None or args.a is None or args.q is None:
         raise ConfigError("quantize needs --rel, --a and --q")
-    rel = parse_relation(opt["rel"])
-    g = parse_datum(opt["data"])
-    check = quantize_verify(rel, g, int(opt["a"]), int(opt["q"]),
-                            M=int(opt["truncation"]), length=int(opt["length"]))
+    rel = parse_relation(args.rel)
+    g = parse_datum(args.data)
+    check = quantize_verify(rel, g, int(args.a), int(args.q),
+                            M=int(args.truncation), length=int(args.length))
     mass = float(np.sum(np.abs(check.coefficients) ** 2))
     body = {
-        "theta": f"{opt['a']}/{opt['q']}",
+        "theta": f"{args.a}/{args.q}",
         "deviation": check.deviation,
         "compared": check.compared,
         "excluded": check.excluded,
@@ -329,55 +279,37 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
         "reconstruction_pieces": check.reconstruction.pieces,
     }
     failures: list[str] = []
-    if check.deviation > float(opt["max_deviation"]):
-        failures.append(f"off-jump deviation {check.deviation:.3e} > {opt['max_deviation']}")
+    if check.deviation > float(args.max_deviation):
+        failures.append(f"off-jump deviation {check.deviation:.3e} > {args.max_deviation}")
     if abs(mass - 1.0) > 1e-12:
         failures.append(f"coefficient mass {mass!r} differs from 1 by more than 1e-12")
-    if opt["csv"]:
-        with open(opt["csv"], "w", encoding="utf-8") as fh:
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("m,re,im\n")
             for m, c in enumerate(check.coefficients.tolist()):
                 fh.write(f"{m},{c.real!r},{c.imag!r}\n")
-    return _finish(config, body, failures, opt["out"])
+    return _finish(args, body, failures)
 
 
 # ---------------------------------------------------------------------------
 # l4count
 # ---------------------------------------------------------------------------
 
-L4COUNT_DEFAULTS = {
-    "h": None, "K": "16,32,64", "max_slope": None, "skip_quadrature": False,
-    "csv": None, "out": None,
-}
-
-
-def _l4_quadrature(h, K: int) -> float | None:
-    """(1/2pi) int |sum_{n in [K,2K)} e^{i h(n) x}|^4 dx on an alias-free
-    grid; equals the quadruple count exactly.  None when the grid would
-    exceed the cap."""
-    hv = oblique_frequencies(h, -1, 0, np.arange(K, 2 * K))
-    G = next_pow2(2 * frequency_span(hv) + 2)
-    if G > QUADRATURE_GRID_CAP:
-        return None
-    vals = grid_values(hv, np.ones(K, dtype=np.complex128), G)
-    return float(np.mean(np.abs(vals) ** 4))
-
-
 def _cmd_l4count(args: argparse.Namespace) -> int:
-    config = _resolve(args, L4COUNT_DEFAULTS)
-    opt = config.options
-    if opt["h"] is None:
+    if args.h is None:
         raise ConfigError("l4count needs --h (an integer-valued frequency map)")
-    h = parse_relation(opt["h"])
-    Ks = _parse_int_list(str(opt["K"]))
-    if opt["max_slope"] is not None and len(Ks) < 2:
+    h = parse_relation(args.h)
+    Ks = _parse_int_list(str(args.K))
+    if args.max_slope is not None and len(Ks) < 2:
         raise ConfigError("--max-slope gates the count slope, which needs at least two "
                           f"block sizes, got {Ks}")
     rows = []
     failures: list[str] = []
     for K in Ks:
         oracle = l4_quadruple_oracle(h, K)
-        quad = None if opt["skip_quadrature"] else _l4_quadrature(h, K)
+        quad = None
+        if not args.skip_quadrature:
+            quad = l4_quadrature(oblique_frequencies(h, -1, 0, np.arange(K, 2 * K)), np.ones(K))
         rel_err = None if quad is None else abs(quad - oracle.count) / oracle.count
         rows.append({"K": K, "count": oracle.count,
                      "nontrivial_resonances": oracle.nontrivial,
@@ -390,52 +322,39 @@ def _cmd_l4count(args: argparse.Namespace) -> int:
         counts = [r["count"] for r in rows]
         slope = least_squares_line(np.log2(Ks), np.log2(counts), Ks).slope
         body["count_slope"] = slope
-        if opt["max_slope"] is not None and slope > float(opt["max_slope"]):
-            failures.append(f"count slope {slope:.4f} > {opt['max_slope']}")
-    if opt["csv"]:
-        with open(opt["csv"], "w", encoding="utf-8") as fh:
+        if args.max_slope is not None and slope > float(args.max_slope):
+            failures.append(f"count slope {slope:.4f} > {args.max_slope}")
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("K,count,quadrature,relative_error\n")
             for r in rows:
                 fh.write(f"{r['K']},{r['count']},{r['quadrature']!r},"
                          f"{r['relative_error']!r}\n")
-    return _finish(config, body, failures, opt["out"])
+    return _finish(args, body, failures)
 
 
 # ---------------------------------------------------------------------------
 # nls / kdv
 # ---------------------------------------------------------------------------
 
-SOLVER_DEFAULTS = {
-    "data": "step:0,pi", "M": 1 << 10, "dt": 1e-4, "t_max": 0.5,
-    "sign": 1, "snapshots": None, "residual_length": 1 << 12,
-    "min_holder": None, "max_l2_drift": None,
-    "csv": None, "residual_csv": None, "out": None,
-}
-
-
 def _cmd_solver(args: argparse.Namespace) -> int:
-    config = _resolve(args, SOLVER_DEFAULTS)
-    opt = config.options
-    kind = config.subcommand
-    g = parse_datum(opt["data"])
-    snapshots = () if opt["snapshots"] is None else tuple(
-        _parse_float_list(str(opt["snapshots"])))
+    g = parse_datum(args.data)
+    snapshots = () if args.snapshots is None else tuple(_parse_float_list(str(args.snapshots)))
     try:
-        if kind == "nls":
-            traj = nls_wick_solve(g, sign=int(opt["sign"]), M=int(opt["M"]),
-                                  dt=float(opt["dt"]), t_max=float(opt["t_max"]),
+        if args.subcommand == "nls":
+            traj = nls_wick_solve(g, sign=int(args.sign), M=int(args.M),
+                                  dt=float(args.dt), t_max=float(args.t_max),
                                   snapshot_times=snapshots)
         else:
-            traj = kdv_solve(g, M=int(opt["M"]), dt=float(opt["dt"]),
-                             t_max=float(opt["t_max"]), snapshot_times=snapshots)
+            traj = kdv_solve(g, M=int(args.M), dt=float(args.dt),
+                             t_max=float(args.t_max), snapshot_times=snapshots)
     except BlowUpError as exc:
         body = {"blow_up": {"kind": exc.kind, "step": exc.step, "time": exc.time,
                             "linf": exc.linf, "l2": exc.l2}}
-        return _finish(config, body, [f"solution blew up at t={exc.time:.6f}"],
-                       opt["out"])
+        return _finish(args, body, [f"solution blew up at t={exc.time:.6f}"])
 
-    residual = smoothing_residual(traj, length=int(opt["residual_length"]))
-    if kind == "nls":
+    residual = smoothing_residual(traj, length=int(args.residual_length))
+    if args.subcommand == "nls":
         holder = min(holder_exponent(part).slope
                      for part in measured_parts(residual.samples)[0].values())
     else:
@@ -446,26 +365,20 @@ def _cmd_solver(args: argparse.Namespace) -> int:
         "residual_rms": float(np.sqrt(np.mean(np.abs(residual.samples) ** 2))),
     }
     failures: list[str] = []
-    if opt["min_holder"] is not None and holder < float(opt["min_holder"]):
-        failures.append(f"residual Holder {holder:.4f} < {opt['min_holder']}")
-    if opt["max_l2_drift"] is not None and traj.l2_drift > float(opt["max_l2_drift"]):
-        failures.append(f"L2 drift {traj.l2_drift:.3e} > {opt['max_l2_drift']}")
-    if opt["csv"]:
-        write_snapshot_csv(traj.final, opt["csv"])
-    if opt["residual_csv"]:
-        write_snapshot_csv(residual, opt["residual_csv"])
-    return _finish(config, body, failures, opt["out"])
+    if args.min_holder is not None and holder < float(args.min_holder):
+        failures.append(f"residual Holder {holder:.4f} < {args.min_holder}")
+    if args.max_l2_drift is not None and traj.l2_drift > float(args.max_l2_drift):
+        failures.append(f"L2 drift {traj.l2_drift:.3e} > {args.max_l2_drift}")
+    if args.csv:
+        write_snapshot_csv(traj.final, args.csv)
+    if args.residual_csv:
+        write_snapshot_csv(residual, args.residual_csv)
+    return _finish(args, body, failures)
 
 
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
-
-BOUNDS_DEFAULTS = {
-    "theorem": None, "table": False, "d": None, "alpha": None, "r": None,
-    "k": None, "ell": None, "r0": None, "s": None, "q": None, "out": None,
-}
-
 
 #: theorem -> (calculator, the flags it takes in argument order); --d and
 #: --r are integers, every other flag an exact rational.
@@ -484,22 +397,21 @@ THEOREMS: dict[str, tuple[Callable, tuple[str, ...]]] = {
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    config = _resolve(args, BOUNDS_DEFAULTS)
-    opt = config.options
-    if bool(opt["table"]) == (opt["theorem"] is not None):
+    if bool(args.table) == (args.theorem is not None):
         raise ConfigError("bounds needs exactly one of --theorem or --table")
-    if opt["table"]:
+    if args.table:
         rows = [r.payload() for r in bound_table()]
         for row in rows:
             print(f"{row['name']}: {row.get('value', row.get('interval'))}")
-        if opt["out"]:
-            _write_json(_report(config, {"rows": rows}, []), opt["out"])
+        if args.out:
+            _write_json(_report(args, {"rows": rows}, []), args.out)
         return 0
 
-    theorem = str(opt["theorem"])
+    theorem = str(args.theorem)
     if theorem not in THEOREMS:
         raise ConfigError(f"unknown theorem {theorem!r}")
     calculator, keys = THEOREMS[theorem]
+    opt = vars(args)
     missing = [k for k in keys if opt[k] is None]
     if missing:
         flags = ", ".join(f"--{k}" for k in missing)
@@ -507,8 +419,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     value = calculator(*(int(opt[k]) if k in ("d", "r") else _fraction(str(opt[k]))
                          for k in keys))
     print(format_bound(value))
-    if opt["out"]:
-        _write_json(_report(config, {"value": format_bound(value)}, []), opt["out"])
+    if args.out:
+        _write_json(_report(args, {"value": format_bound(value)}, []), args.out)
     return 0
 
 
@@ -516,27 +428,24 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 # acceptance
 # ---------------------------------------------------------------------------
 
-ACCEPTANCE_DEFAULTS = {"only": None, "out": None}
-
-
 def _cmd_acceptance(args: argparse.Namespace) -> int:
-    config = _resolve(args, ACCEPTANCE_DEFAULTS)
-    opt = config.options
-    numbers = None if opt["only"] is None else _parse_int_list(str(opt["only"]))
+    numbers = None if args.only is None else _parse_int_list(str(args.only))
     try:
         report = run_acceptance(numbers, echo=lambda line: print(line, file=sys.stderr))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     failures = [f"criterion {r.number} ({r.title})"
                 for r in report.results if not r.passed]
-    return _finish(config, report.payload(), failures, opt["out"])
+    return _finish(args, report.payload(), failures)
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name; every flag default is
+    declared here and nowhere else."""
     parser = argparse.ArgumentParser(
         prog="talbot",
         description="Dispersive evolutions on the torus: exponential-sum sweeps, "
@@ -562,10 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seeds", help="comma list of seeds, each swept at rand:seed")
     sweep.add_argument("--oblique", metavar="K/ELL",
                        help="sweep the oblique slice with this slope instead of a fixed time")
-    sweep.add_argument("--scales", help="dyadic exponent range lo..hi or comma list of Ns "
-                                        "(default 8..16)")
-    sweep.add_argument("--weight", choices=("unit", "reciprocal"), help="mode weights")
-    sweep.add_argument("--sign", choices=("+", "-", "both"), help="block sign")
+    sweep.add_argument("--scales", default="8..16",
+                       help="dyadic exponent range lo..hi or comma list of Ns "
+                            "(default %(default)s)")
+    sweep.add_argument("--weight", choices=("unit", "reciprocal"), default="unit",
+                       help="mode weights (default %(default)s)")
+    sweep.add_argument("--sign", choices=("+", "-", "both"), default="+",
+                       help="block sign (default %(default)s)")
     sweep.add_argument("--min-slope", type=float, help="fail if a sup slope is below this")
     sweep.add_argument("--max-slope", type=float, help="fail if a sup slope is above this")
     sweep.add_argument("--csv", help="write per-scale norms here")
@@ -574,15 +486,20 @@ def build_parser() -> argparse.ArgumentParser:
     dim = add("dimension", "slice samples and fractal estimators",
               "CSV columns: x, re, im (slice samples)")
     dim.add_argument("--rel", help="dispersion relation spec")
-    dim.add_argument("--data", help="datum spec (default step:0,pi)")
+    dim.add_argument("--data", default="step:0,pi", help="datum spec (default %(default)s)")
     dim.add_argument("--slice", help="horiz:<theta> | obliq:<c>:<k>/<ell> | vert:<x0>:<t0>,<t1> "
                                      "(a folded line sum: integer omega, rational t0 < t1, "
                                      "length * denominator(t1 - t0) <= 2^22)")
-    dim.add_argument("--truncation", type=int, help="mode cutoff M (default 16384)")
-    dim.add_argument("--length", type=int, help="sample count (default 262144)")
-    dim.add_argument("--drop", help="box-count fit window trim 'large,small' (default 2,2)")
-    dim.add_argument("--lag-min", type=int, help="smallest Holder lag in samples (default 32)")
-    dim.add_argument("--lag-max", type=int, help="largest Holder lag in samples (default 1024)")
+    dim.add_argument("--truncation", type=int, default=1 << 14,
+                     help="mode cutoff M (default %(default)s)")
+    dim.add_argument("--length", type=int, default=1 << 18,
+                     help="sample count (default %(default)s)")
+    dim.add_argument("--drop", default="2,2",
+                     help="box-count fit window trim 'large,small' (default %(default)s)")
+    dim.add_argument("--lag-min", type=int, default=32,
+                     help="smallest Holder lag in samples (default %(default)s)")
+    dim.add_argument("--lag-max", type=int, default=1024,
+                     help="largest Holder lag in samples (default %(default)s)")
     dim.add_argument("--min-dim", type=float, help="fail if max(re,im) box dimension is below")
     dim.add_argument("--max-dim", type=float, help="fail if max(re,im) box dimension is above")
     dim.add_argument("--min-holder", type=float, help="fail if min(re,im) Holder is below")
@@ -592,39 +509,43 @@ def build_parser() -> argparse.ArgumentParser:
     quant = add("quantize", "rational-time translate reconstruction",
                 "CSV columns: m, re, im (translate weights)")
     quant.add_argument("--rel", help="integer-polynomial relation spec")
-    quant.add_argument("--data", help="step datum spec (default step:0,pi)")
+    quant.add_argument("--data", default="step:0,pi",
+                       help="step datum spec (default %(default)s)")
     quant.add_argument("--a", type=int, help="theta numerator")
     quant.add_argument("--q", type=int, help="theta denominator")
-    quant.add_argument("--truncation", type=int, help="series cutoff M (default 4096)")
-    quant.add_argument("--length", type=int, help="comparison grid (default 8192)")
-    quant.add_argument("--max-deviation", type=float,
-                       help="off-jump deviation threshold (default 2e-3)")
+    quant.add_argument("--truncation", type=int, default=1 << 12,
+                       help="series cutoff M (default %(default)s)")
+    quant.add_argument("--length", type=int, default=1 << 13,
+                       help="comparison grid (default %(default)s)")
+    quant.add_argument("--max-deviation", type=float, default=2e-3,
+                       help="off-jump deviation threshold (default %(default)s)")
     quant.add_argument("--csv", help="write translate weights here")
     quant.set_defaults(handler=_cmd_quantize)
 
     l4c = add("l4count", "resonant quadruple counts vs quadrature",
               "CSV columns: K, count, quadrature, relative_error")
     l4c.add_argument("--h", help="integer-valued frequency map, e.g. poly:1,1,0")
-    l4c.add_argument("--K", help="comma list of dyadic block sizes (default 16,32,64)")
+    l4c.add_argument("--K", default="16,32,64",
+                     help="comma list of dyadic block sizes (default %(default)s)")
     l4c.add_argument("--max-slope", type=float, help="fail if the count slope exceeds this")
-    l4c.add_argument("--skip-quadrature", action="store_true", default=None,
-                     help="skip the FFT cross-check")
+    l4c.add_argument("--skip-quadrature", action="store_true", help="skip the FFT cross-check")
     l4c.add_argument("--csv", help="write per-K rows here")
     l4c.set_defaults(handler=_cmd_l4count)
 
-    for name, help_text in (("nls", "Wick-ordered cubic solver + smoothing residual"),
-                            ("kdv", "quadratic solver + smoothing residual")):
+    for name, help_text, datum in (
+            ("nls", "Wick-ordered cubic solver + smoothing residual", "step:0,pi"),
+            ("kdv", "quadratic solver + smoothing residual", "step:0,pi:0.5,-0.5")):
         sol = add(name, help_text, "CSV columns: x, re, im (field or residual samples)")
-        sol.add_argument("--data", help="step datum spec (default step:0,pi)")
-        sol.add_argument("--M", type=int, help="mode cutoff (default 1024)")
-        sol.add_argument("--dt", type=float, help="time step (default 1e-4)")
-        sol.add_argument("--t-max", type=float, help="final time (default 0.5)")
+        sol.add_argument("--data", default=datum, help="step datum spec (default %(default)s)")
+        sol.add_argument("--M", type=int, default=1 << 10, help="mode cutoff (default %(default)s)")
+        sol.add_argument("--dt", type=float, default=1e-4, help="time step (default %(default)s)")
+        sol.add_argument("--t-max", type=float, default=0.5, help="final time (default %(default)s)")
         if name == "nls":
-            sol.add_argument("--sign", type=int, choices=(1, -1),
-                             help="nonlinearity sign (default +1, defocusing)")
+            sol.add_argument("--sign", type=int, choices=(1, -1), default=1,
+                             help="nonlinearity sign (default %(default)s, defocusing)")
         sol.add_argument("--snapshots", help="comma list of snapshot times, each a multiple of dt")
-        sol.add_argument("--residual-length", type=int,
-                         help="residual sample count (default 4096)")
+        sol.add_argument("--residual-length", type=int, default=1 << 12,
+                         help="residual sample count (default %(default)s)")
         sol.add_argument("--min-holder", type=float,
                          help="fail if the residual Holder exponent is below this")
         sol.add_argument("--max-l2-drift", type=float, help="fail if L2 drift exceeds this")
@@ -635,8 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     bnd = add("bounds", "exact rational bound tables",
               "Prints the exact value; intervals as [lower, upper].")
     bnd.add_argument("--theorem", choices=tuple(THEOREMS))
-    bnd.add_argument("--table", action="store_true", default=None,
-                     help="print every headline row")
+    bnd.add_argument("--table", action="store_true", help="print every headline row")
     bnd.add_argument("--d", type=int, help="polynomial degree")
     bnd.add_argument("--alpha", help="fractional exponent (rational, e.g. 3/2)")
     bnd.add_argument("--r", type=int, help="dual-sum order r >= 3")
@@ -651,19 +571,21 @@ def build_parser() -> argparse.ArgumentParser:
               "Progress lines go to stderr; the JSON report to stdout or --out.")
     acc.add_argument("--only", help="comma list of criterion numbers (default: all)")
     acc.set_defaults(handler=_cmd_acceptance)
-    return parser
+    return parser, subs.choices
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Parse argv, then, with ``--config FILE``, parse it again over the
+    file's values: flags win over the file, the file over the defaults."""
+    parser, subparsers = build_parser()
     args = parser.parse_args(argv)
-    handler: Callable[[argparse.Namespace], int] = args.handler
     try:
-        return handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        if args.config:
+            subparsers[args.subcommand].set_defaults(
+                **_config_file(args.config, _options(args)))
+            args = parser.parse_args(argv)
+        return args.handler(args)
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

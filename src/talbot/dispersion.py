@@ -119,10 +119,6 @@ class TimePoint:
     def theta_float(self) -> float:
         return float(self.theta)
 
-    @property
-    def t(self) -> float:
-        return 2.0 * math.pi * self.theta_float
-
     def describe(self) -> str:
         if self.label:
             return self.label

@@ -24,8 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._fftsum import (frequency_span, grid_values, is_pow2, next_pow2,
-                      refine_supremum, tree_sum)
+from ._fftsum import (frequency_span, grid_values, is_pow2, l4_quadrature,
+                      next_pow2, refine_supremum, tree_sum)
 from .dispersion import (LINEAR, DispersionRelation, IntPolynomial,
                          oblique_frequencies, parse_relation, theta_omega_frac_array)
 from .diophantine import ctr_constant
@@ -292,7 +292,6 @@ class IdentityCheck:
     resonance_sum: complex
     relative_error: float
     N: int
-    grid: int
 
 
 def airy_l4_identity_check(t, N: int) -> IdentityCheck:
@@ -302,18 +301,15 @@ def airy_l4_identity_check(t, N: int) -> IdentityCheck:
     quadrature (1/2pi) * int |S|^4 equals the constrained triple sum
     sum e(3 theta (n1-n2)(n2-n3)(n1+n3)) over n1, n2, n3 in the block with
     n1 - n2 + n3 also in the block.  Returns both sides and the relative
-    error; phases on both sides are exact 192-bit turns.  The grid of
-    next_pow2(32N) points lies far above the largest frequency 2N - 2 of
-    |S|^4, so its grid mean is the integral up to rounding."""
+    error; phases on both sides are exact 192-bit turns, and the quadrature
+    is ``l4_quadrature``'s alias-free grid mean."""
     if not is_pow2(N) or N > 1 << 7:
         raise ValueError(f"N must be a power of two <= {1 << 7}, got {N}")
     slc = SliceSpec.horizontal(t)
     ns = np.arange(N, 2 * N)
     _, coeffs = line_spectrum(parse_relation("poly:1,0,0,0"), slc, ns, np.ones(N))
 
-    G = next_pow2(32 * N)
-    vals = grid_values(ns, coeffs, G)
-    quadrature = float(np.mean(np.abs(vals) ** 4))
+    quadrature = l4_quadrature(ns, coeffs)
 
     n1 = ns[:, None, None]
     n2 = ns[None, :, None]
@@ -327,7 +323,7 @@ def airy_l4_identity_check(t, N: int) -> IdentityCheck:
     resonance = complex(np.sum(cnt * np.exp(2j * np.pi * fr)))
     rel_err = abs(quadrature - resonance) / quadrature
     return IdentityCheck(quadrature=quadrature, resonance_sum=resonance,
-                         relative_error=rel_err, N=N, grid=G)
+                         relative_error=rel_err, N=N)
 
 
 # ---------------------------------------------------------------------------

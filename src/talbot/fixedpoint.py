@@ -205,9 +205,6 @@ class FixedReal:
 
     # -- structure ---------------------------------------------------------
 
-    def floor(self) -> int:
-        return self.m >> FRAC_BITS
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.m, ONE)
 

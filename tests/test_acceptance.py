@@ -1,9 +1,10 @@
 """The eleven acceptance criteria, one test each.
 
-Each criterion function measures a frozen quantity (an exact value, a fitted
-exponent with a pinned window, or a budgeted discrepancy) and records every
-sub-check with its observed and required values.  A failure here prints the
-full check table of the offending criterion.
+Each test runs one criterion through ``run_acceptance``, as ``talbot
+acceptance --only N`` does.  A criterion measures a frozen quantity (an exact
+value, a fitted exponent with a pinned window, or a budgeted discrepancy) and
+records every sub-check with its observed and required values.  A failure
+here prints the full check table of the offending criterion.
 """
 import pytest
 
@@ -20,47 +21,47 @@ def _assert_passed(result):
 
 
 def test_criterion_1_rational_time_quantization():
-    _assert_passed(acceptance.criterion_1())
+    _assert_passed(acceptance.run_acceptance([1]).results[0])
 
 
 def test_criterion_2_time_slice_graph_dimensions():
-    _assert_passed(acceptance.criterion_2())
+    _assert_passed(acceptance.run_acceptance([2]).results[0])
 
 
 def test_criterion_3_oblique_slice_sup_growth():
-    _assert_passed(acceptance.criterion_3())
+    _assert_passed(acceptance.run_acceptance([3]).results[0])
 
 
 def test_criterion_4_quadratic_oblique_dimension_and_besov():
-    _assert_passed(acceptance.criterion_4())
+    _assert_passed(acceptance.run_acceptance([4]).results[0])
 
 
 def test_criterion_5_cubic_l4_norms_and_identity():
-    _assert_passed(acceptance.criterion_5())
+    _assert_passed(acceptance.run_acceptance([5]).results[0])
 
 
 def test_criterion_6_quadruple_count_growth():
-    _assert_passed(acceptance.criterion_6())
+    _assert_passed(acceptance.run_acceptance([6]).results[0])
 
 
 def test_criterion_7_fractional_sup_saving():
-    _assert_passed(acceptance.criterion_7())
+    _assert_passed(acceptance.run_acceptance([7]).results[0])
 
 
 def test_criterion_8_dual_sum_budget():
-    _assert_passed(acceptance.criterion_8())
+    _assert_passed(acceptance.run_acceptance([8]).results[0])
 
 
 def test_criterion_9_calibration_family():
-    _assert_passed(acceptance.criterion_9())
+    _assert_passed(acceptance.run_acceptance([9]).results[0])
 
 
 def test_criterion_10_nonlinear_smoothing():
-    _assert_passed(acceptance.criterion_10())
+    _assert_passed(acceptance.run_acceptance([10]).results[0])
 
 
 def test_criterion_11_exact_bound_table():
-    _assert_passed(acceptance.criterion_11())
+    _assert_passed(acceptance.run_acceptance([11]).results[0])
 
 
 def test_run_acceptance_rejects_unknown_numbers():

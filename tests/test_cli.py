@@ -271,6 +271,26 @@ def test_kdv_blowup_reports_failure(capsys):
     assert report["failures"]
 
 
+def test_kdv_runs_on_its_own_default_datum(capsys):
+    # no --data: the default is the mean-zero step of criterion 10
+    code, out, _ = run(capsys, "kdv", "--M", "64", "--dt", "1e-3", "--t-max", "0.05")
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["options"]["data"] == "step:0,pi:0.5,-0.5"
+    assert "sign" not in report["config"]["options"]
+    assert report["run"]["mean_drift"] == 0.0
+
+
+def test_kdv_config_sign_is_an_unknown_key(capsys, tmp_path):
+    cfg = tmp_path / "kdv.json"
+    cfg.write_text(json.dumps({"sign": -1}))
+    code, out, err = run(capsys, "kdv", "--M", "8", "--dt", "1e-3", "--t-max", "0.01",
+                         "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "config error: unknown config keys for this subcommand: ['sign']" in err
+
+
 @pytest.mark.filterwarnings("error")  # rejected before any arithmetic warns
 @pytest.mark.parametrize("kind, value", [("nls", "nan"), ("kdv", "inf")])
 def test_solver_non_finite_datum_is_a_config_error(capsys, kind, value):
@@ -440,6 +460,30 @@ def test_config_file_unreadable(capsys, tmp_path):
                "--config", str(broken))[0] == 2
 
 
+@pytest.mark.parametrize("content", [[], {"subcommand": "sweep", "options": ["at"]}])
+def test_config_file_not_an_object(capsys, tmp_path, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    code, out, err = run(capsys, "sweep", "--rel", "poly:-1,0,0", "--at", "rat:0/1",
+                         "--scales", "4..7", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "must hold a JSON object" in err
+
+
+def test_config_file_sets_a_store_true_flag(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"table": True}))
+    code, out, _ = run(capsys, "bounds", "--config", str(cfg))
+    assert code == 0
+    assert len(out.strip().splitlines()) == 18
+    cfg.write_text(json.dumps({"skip_quadrature": True}))
+    code, out, _ = run(capsys, "l4count", "--h", "poly:1,0,0", "--K", "16",
+                       "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["rows"][0]["quadrature"] is None
+
+
 def test_experiment_config_round_trip(capsys, tmp_path):
     # a report's config block, saved as a file, reproduces the run on its own
     code, out, _ = run(capsys, "sweep", "--rel", "poly:-1,0,0", "--at", "kl:sqrt2",
@@ -464,6 +508,14 @@ def test_report_envelope_fields(capsys):
                 "failures", "passed"):
         assert key in report
     assert report["version"] == __version__
+
+
+def test_help_shows_the_defaults(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert "(default 8..16)" in out and "(default unit)" in out and "(default +)" in out
 
 
 def test_version_flag(capsys):

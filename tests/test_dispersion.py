@@ -29,7 +29,6 @@ def test_from_time_divides_by_two_pi():
     tp = TimePoint.from_time(1.0)
     assert not tp.is_rational
     assert tp.theta_float == pytest.approx(1.0 / (2.0 * math.pi), abs=1e-17)
-    assert tp.t == pytest.approx(1.0, abs=1e-15)
 
 
 def test_from_theta_passthrough():
