@@ -14,8 +14,7 @@ from .bounds import (BoundReport, bound_table, exponent_pair_bound,
                      strichartz_lower, t32_dimension_interval, t32_exponent,
                      vdc_beta, vinogradov_interval, weyl_exponent)
 from .diophantine import (ContinuedFractionExpansion, continued_fraction,
-                          ctr_constant, dirichlet_approx,
-                          gauss_coefficient_sum, solve_time_for_ctr)
+                          ctr_constant, dirichlet_approx, solve_time_for_ctr)
 from .dispersion import (BenjaminOno, Boussinesq, DispersionRelation,
                          FractionalPower, Gravity, GravityCapillary,
                          IntPolynomial, TimePoint, kl_theta, parse_relation,

@@ -66,9 +66,11 @@ def _options(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
 
 
-def _config_file(path: str, known: dict) -> dict:
+def _config_argv(path: str, known: dict) -> list[str]:
     """The options a ``--config`` file sets, from its flat form or from its
-    ``{"subcommand", "options"}`` form; each must be one of ``known``."""
+    ``{"subcommand", "options"}`` form, as the flags that set them:
+    ``--key=value``, a bare ``--key`` for true, nothing for null or false.
+    Each key must be one of ``known``."""
     try:
         with open(path, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
@@ -81,7 +83,8 @@ def _config_file(path: str, known: dict) -> dict:
     unknown = set(file_cfg) - set(known)
     if unknown:
         raise ConfigError(f"unknown config keys for this subcommand: {sorted(unknown)}")
-    return file_cfg
+    return ["--" + key.replace("_", "-") + ("" if value is True else f"={value}")
+            for key, value in file_cfg.items() if value is not None and value is not False]
 
 
 def _parse_scales(text: str) -> list[int]:
@@ -173,13 +176,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"the sup exponent fit needs at least four distinct scales, got {scales}")
 
     if args.seeds is not None:
-        seeds = _parse_int_list(str(args.seeds))
+        seeds = _parse_int_list(args.seeds)
         at_specs = [f"rand:{s}" for s in seeds]
     else:
         at_specs = [args.at]
     oblique = None
     if args.oblique is not None:
-        k_text, _, ell_text = str(args.oblique).partition("/")
+        k_text, _, ell_text = args.oblique.partition("/")
         try:
             oblique = (int(k_text), int(ell_text or "1"))
         except ValueError as exc:
@@ -189,7 +192,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     failures: list[str] = []
     csv_lines = ["at,N,sup_abs,l2,l4,grid,refined"]
     for spec in at_specs:
-        tp = parse_theta(str(spec))
+        tp = parse_theta(spec)
         at = SliceSpec.oblique(tp, *oblique) if oblique else tp
         sweep = sup_norm_sweep(rel, at, scales, weight=args.weight, sign=args.sign)
         degenerate = isinstance(at, TimePoint) and at.is_rational and at.theta == 0
@@ -200,9 +203,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             csv_lines.append(f"{sweep.at},{row.N},{row.sup_abs!r},{row.l2!r},"
                              f"{row.l4!r},{row.grid},1")
         slope = sweep.sup_fit().slope
-        if args.min_slope is not None and slope < float(args.min_slope):
+        if args.min_slope is not None and slope < args.min_slope:
             failures.append(f"at={sweep.at}: sup slope {slope:.4f} < {args.min_slope}")
-        if args.max_slope is not None and slope > float(args.max_slope):
+        if args.max_slope is not None and slope > args.max_slope:
             failures.append(f"at={sweep.at}: sup slope {slope:.4f} > {args.max_slope}")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -220,8 +223,8 @@ def _cmd_dimension(args: argparse.Namespace) -> int:
     rel = parse_relation(args.rel)
     g = parse_datum(args.data)
     slc = parse_slice(args.slice)
-    drop = _parse_drop(str(args.drop))
-    sg = evolve_slice(rel, g, slc, M=int(args.truncation), length=int(args.length))
+    drop = _parse_drop(args.drop)
+    sg = evolve_slice(rel, g, slc, M=args.truncation, length=args.length)
 
     measured, skipped = measured_parts(sg.samples)
     body: dict = {"provenance": sg.provenance, "parts": {}}
@@ -233,7 +236,7 @@ def _cmd_dimension(args: argparse.Namespace) -> int:
             continue
         arr = measured[name]
         box = box_dimension(arr, drop=drop)
-        hold = holder_exponent(arr, lag_min=int(args.lag_min), lag_max=int(args.lag_max))
+        hold = holder_exponent(arr, lag_min=args.lag_min, lag_max=args.lag_max)
         dims[name] = box.dimension
         holders[name] = hold.slope
         body["parts"][name] = {"box_dimension": box.dimension,
@@ -246,11 +249,11 @@ def _cmd_dimension(args: argparse.Namespace) -> int:
     body["holder_exponent"] = min(holders.values())
 
     failures: list[str] = []
-    if args.min_dim is not None and body["box_dimension"] < float(args.min_dim):
+    if args.min_dim is not None and body["box_dimension"] < args.min_dim:
         failures.append(f"box dimension {body['box_dimension']:.4f} < {args.min_dim}")
-    if args.max_dim is not None and body["box_dimension"] > float(args.max_dim):
+    if args.max_dim is not None and body["box_dimension"] > args.max_dim:
         failures.append(f"box dimension {body['box_dimension']:.4f} > {args.max_dim}")
-    if args.min_holder is not None and body["holder_exponent"] < float(args.min_holder):
+    if args.min_holder is not None and body["holder_exponent"] < args.min_holder:
         failures.append(f"Holder exponent {body['holder_exponent']:.4f} < {args.min_holder}")
     if args.csv:
         write_snapshot_csv(sg, args.csv)
@@ -266,8 +269,7 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
         raise ConfigError("quantize needs --rel, --a and --q")
     rel = parse_relation(args.rel)
     g = parse_datum(args.data)
-    check = quantize_verify(rel, g, int(args.a), int(args.q),
-                            M=int(args.truncation), length=int(args.length))
+    check = quantize_verify(rel, g, args.a, args.q, M=args.truncation, length=args.length)
     mass = float(np.sum(np.abs(check.coefficients) ** 2))
     body = {
         "theta": f"{args.a}/{args.q}",
@@ -279,7 +281,7 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
         "reconstruction_pieces": check.reconstruction.pieces,
     }
     failures: list[str] = []
-    if check.deviation > float(args.max_deviation):
+    if check.deviation > args.max_deviation:
         failures.append(f"off-jump deviation {check.deviation:.3e} > {args.max_deviation}")
     if abs(mass - 1.0) > 1e-12:
         failures.append(f"coefficient mass {mass!r} differs from 1 by more than 1e-12")
@@ -299,7 +301,7 @@ def _cmd_l4count(args: argparse.Namespace) -> int:
     if args.h is None:
         raise ConfigError("l4count needs --h (an integer-valued frequency map)")
     h = parse_relation(args.h)
-    Ks = _parse_int_list(str(args.K))
+    Ks = _parse_int_list(args.K)
     if args.max_slope is not None and len(Ks) < 2:
         raise ConfigError("--max-slope gates the count slope, which needs at least two "
                           f"block sizes, got {Ks}")
@@ -322,7 +324,7 @@ def _cmd_l4count(args: argparse.Namespace) -> int:
         counts = [r["count"] for r in rows]
         slope = least_squares_line(np.log2(Ks), np.log2(counts), Ks).slope
         body["count_slope"] = slope
-        if args.max_slope is not None and slope > float(args.max_slope):
+        if args.max_slope is not None and slope > args.max_slope:
             failures.append(f"count slope {slope:.4f} > {args.max_slope}")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -339,21 +341,20 @@ def _cmd_l4count(args: argparse.Namespace) -> int:
 
 def _cmd_solver(args: argparse.Namespace) -> int:
     g = parse_datum(args.data)
-    snapshots = () if args.snapshots is None else tuple(_parse_float_list(str(args.snapshots)))
+    snapshots = () if args.snapshots is None else tuple(_parse_float_list(args.snapshots))
     try:
         if args.subcommand == "nls":
-            traj = nls_wick_solve(g, sign=int(args.sign), M=int(args.M),
-                                  dt=float(args.dt), t_max=float(args.t_max),
-                                  snapshot_times=snapshots)
+            traj = nls_wick_solve(g, sign=args.sign, M=args.M, dt=args.dt,
+                                  t_max=args.t_max, snapshot_times=snapshots)
         else:
-            traj = kdv_solve(g, M=int(args.M), dt=float(args.dt),
-                             t_max=float(args.t_max), snapshot_times=snapshots)
+            traj = kdv_solve(g, M=args.M, dt=args.dt, t_max=args.t_max,
+                             snapshot_times=snapshots)
     except BlowUpError as exc:
         body = {"blow_up": {"kind": exc.kind, "step": exc.step, "time": exc.time,
                             "linf": exc.linf, "l2": exc.l2}}
         return _finish(args, body, [f"solution blew up at t={exc.time:.6f}"])
 
-    residual = smoothing_residual(traj, length=int(args.residual_length))
+    residual = smoothing_residual(traj, length=args.residual_length)
     if args.subcommand == "nls":
         holder = min(holder_exponent(part).slope
                      for part in measured_parts(residual.samples)[0].values())
@@ -365,9 +366,9 @@ def _cmd_solver(args: argparse.Namespace) -> int:
         "residual_rms": float(np.sqrt(np.mean(np.abs(residual.samples) ** 2))),
     }
     failures: list[str] = []
-    if args.min_holder is not None and holder < float(args.min_holder):
+    if args.min_holder is not None and holder < args.min_holder:
         failures.append(f"residual Holder {holder:.4f} < {args.min_holder}")
-    if args.max_l2_drift is not None and traj.l2_drift > float(args.max_l2_drift):
+    if args.max_l2_drift is not None and traj.l2_drift > args.max_l2_drift:
         failures.append(f"L2 drift {traj.l2_drift:.3e} > {args.max_l2_drift}")
     if args.csv:
         write_snapshot_csv(traj.final, args.csv)
@@ -407,17 +408,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             _write_json(_report(args, {"rows": rows}, []), args.out)
         return 0
 
-    theorem = str(args.theorem)
-    if theorem not in THEOREMS:
-        raise ConfigError(f"unknown theorem {theorem!r}")
-    calculator, keys = THEOREMS[theorem]
+    calculator, keys = THEOREMS[args.theorem]
     opt = vars(args)
     missing = [k for k in keys if opt[k] is None]
     if missing:
         flags = ", ".join(f"--{k}" for k in missing)
-        raise ConfigError(f"bounds --theorem {theorem} needs {flags}")
-    value = calculator(*(int(opt[k]) if k in ("d", "r") else _fraction(str(opt[k]))
-                         for k in keys))
+        raise ConfigError(f"bounds --theorem {args.theorem} needs {flags}")
+    value = calculator(*(opt[k] if k in ("d", "r") else _fraction(opt[k]) for k in keys))
     print(format_bound(value))
     if args.out:
         _write_json(_report(args, {"value": format_bound(value)}, []), args.out)
@@ -429,7 +426,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_acceptance(args: argparse.Namespace) -> int:
-    numbers = None if args.only is None else _parse_int_list(str(args.only))
+    numbers = None if args.only is None else _parse_int_list(args.only)
     try:
         report = run_acceptance(numbers, echo=lambda line: print(line, file=sys.stderr))
     except ValueError as exc:
@@ -443,9 +440,8 @@ def _cmd_acceptance(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its subcommand parsers by name; every flag default is
-    declared here and nowhere else."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser; every flag default is declared here and nowhere else."""
     parser = argparse.ArgumentParser(
         prog="talbot",
         description="Dispersive evolutions on the torus: exponential-sum sweeps, "
@@ -457,7 +453,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     def add(name: str, help_text: str, epilog: str) -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=help_text, epilog=epilog, formatter_class=raw)
-        sub.add_argument("--config", help="JSON file supplying defaults for any flag")
+        sub.add_argument("--config", help="JSON file setting any flag; the command line wins")
         sub.add_argument("--out", help="write the JSON report here instead of stdout")
         return sub
 
@@ -571,19 +567,27 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
               "Progress lines go to stderr; the JSON report to stdout or --out.")
     acc.add_argument("--only", help="comma list of criterion numbers (default: all)")
     acc.set_defaults(handler=_cmd_acceptance)
-    return parser, subs.choices
+    return parser
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse argv; with ``--config FILE``, parse it again with the file's
+    flags placed right after the subcommand name, so that each value is
+    parsed like the same flag and the command line's own flags win."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        argv = list(argv)
+        at = argv.index(args.subcommand) + 1
+        argv[at:at] = _config_argv(args.config, _options(args))
+        args = parser.parse_args(argv)
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Parse argv, then, with ``--config FILE``, parse it again over the
-    file's values: flags win over the file, the file over the defaults."""
-    parser, subparsers = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        if args.config:
-            subparsers[args.subcommand].set_defaults(
-                **_config_file(args.config, _options(args)))
-            args = parser.parse_args(argv)
+        args = _parse_args(argv)
         return args.handler(args)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

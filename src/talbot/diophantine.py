@@ -1,4 +1,4 @@
-"""Continued fractions, rational approximation and Gauss sums of time points.
+"""Continued fractions, rational approximation and curvature constants of time points.
 
 The qualitative behaviour of a dispersive evolution at time t = 2*pi*theta
 is governed by how well theta is approximated by rationals: rational theta
@@ -19,14 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
 
-import numpy as np
-
-from .fixedpoint import FRAC_BITS, FixedReal
-from .dispersion import IntPolynomial, TimePoint, theta_omega_frac_array
-
-RealLike = Union[int, float, Fraction, FixedReal]
+from .fixedpoint import FRAC_BITS, FixedReal, RealLike
+from .dispersion import TimePoint
 
 #: CF remainders below this are treated as exact rational hits.
 RATIONAL_CUTOFF = Fraction(1, 1 << 80)
@@ -124,18 +119,6 @@ def dirichlet_approx(theta: RealLike, Q: int) -> tuple[Fraction, float]:
         else:
             break
     return best, float(value - best)
-
-
-def gauss_coefficient_sum(a: int, q: int, omega) -> complex:
-    """The normalising sum sum_{j=0}^{q-1} e(a*omega(j)/q) with exact
-    residue phases; omega is an integer polynomial (or coefficient list)."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if math.gcd(a, q) != 1:
-        raise ValueError("gauss_coefficient_sum requires gcd(a, q) = 1")
-    rel = omega if isinstance(omega, IntPolynomial) else IntPolynomial(list(omega))
-    phases = theta_omega_frac_array(rel, Fraction(a, q), np.arange(q))
-    return complex(np.sum(np.exp(2j * np.pi * phases)))
 
 
 def solve_time_for_ctr(c_target: RealLike, r: int) -> FixedReal:

@@ -256,26 +256,22 @@ def quantize_coefficients(rel: DispersionRelation, a: int, q: int) -> np.ndarray
 
 
 def _reconstruct(g: StepFunction, c: np.ndarray) -> StepFunction:
-    """sum_m c_m g(x - 2 pi m / q) for the q = len(c) translate weights c."""
+    """sum_m c_m g(x - 2 pi m / q) for the q = len(c) translate weights c,
+    as a jump sum: the jump d of g at b becomes the jump c_m d at
+    (b + m/q) mod 1.  Coincident jumps merge, and a zero net jump keeps its
+    breakpoint.  Each piece's value is the running sum of the jumps over the
+    value of the piece that wraps past 1, taken from q lookups of g."""
     q = len(c)
-    breaks: set[Fraction] = set()
-    for b in g.breakpoints:
-        for m in range(q):
-            v = b + Fraction(m, q)
-            breaks.add(v - (v >= 1))
-    refined = sorted(breaks)
-    values = []
-    for i, left in enumerate(refined):
-        right = refined[i + 1] if i + 1 < len(refined) else refined[0] + 1
-        rep = (left + right) / 2
-        rep -= rep >= 1
-        val = 0j
-        for m in range(q):
-            u = rep - Fraction(m, q)
-            u -= math.floor(u)
-            val += complex(c[m]) * complex(g.value_at_turns(u))
-        values.append(val)
-    return StepFunction(refined, values)
+    bs, ds = zip(*g.jumps())
+    L = math.lcm(q, *(b.denominator for b in bs))  # positions in units of 1/L
+    starts = np.array([b.numerator * (L // b.denominator) for b in bs], dtype=object)
+    at = (starts[:, None] + np.arange(q, dtype=object) * (L // q)) % L
+    where, merged = np.unique(at.ravel(), return_inverse=True)
+    net = np.zeros(len(where), dtype=np.complex128)
+    np.add.at(net, merged, (np.array(ds)[:, None] * c).ravel())
+    inside = Fraction(where[-1] + where[0] + L, 2 * L)  # in the wrapping piece
+    wrapped = c @ np.array([g.value_at_turns(inside - Fraction(m, q)) for m in range(q)])
+    return StepFunction([Fraction(p, L) for p in where], wrapped + np.cumsum(net))
 
 
 @dataclass(frozen=True)
@@ -301,17 +297,21 @@ def quantize_verify(rel: DispersionRelation, g: StepFunction, a: int, q: int,
                     M: int = 1 << 12, length: int = 1 << 13) -> QuantizeCheck:
     """Maximum deviation between the truncated evolution at theta = a/q and
     the exact translate reconstruction, over grid points at torus distance
-    >= 1/64 of a turn from every reconstructed jump."""
+    >= 1/64 of a turn from every reconstructed jump; ValueError, before the
+    series is evolved, when no grid point is that far from them all."""
     c = quantize_coefficients(rel, a, q)
     recon = _reconstruct(g, c)
-    series = evolve_slice(rel, g, SliceSpec.horizontal(TimePoint.rational(a, q)),
-                          M=M, length=length)
     ts = np.arange(length, dtype=np.float64) / length
     dist = np.full(length, np.inf)
     for b in recon.breakpoints:
         d = np.abs(ts - float(b))
         np.minimum(dist, np.minimum(d, 1.0 - d), out=dist)
     mask = dist >= float(OFF_JUMP_RADIUS) - 1e-12
+    if not mask.any():
+        raise ValueError(f"nothing to compare at q = {q}: no grid point lies "
+                         f"{OFF_JUMP_RADIUS} turn from all {recon.pieces} reconstructed jumps")
+    series = evolve_slice(rel, g, SliceSpec.horizontal(TimePoint.rational(a, q)),
+                          M=M, length=length)
     exact = _step_grid_values(recon, length)
     deviation = float(np.max(np.abs(series.samples[mask] - exact[mask])))
     return QuantizeCheck(deviation=deviation, compared=int(np.sum(mask)),

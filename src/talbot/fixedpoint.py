@@ -145,29 +145,13 @@ class FixedReal:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: RealLike) -> "FixedReal":
-        return FixedReal(self.m + FixedReal.convert(other).m)
-
-    __radd__ = __add__
-
     def __sub__(self, other: RealLike) -> "FixedReal":
         return FixedReal(self.m - FixedReal.convert(other).m)
-
-    def __rsub__(self, other: RealLike) -> "FixedReal":
-        return FixedReal(FixedReal.convert(other).m - self.m)
-
-    def __neg__(self) -> "FixedReal":
-        return FixedReal(-self.m)
-
-    def __abs__(self) -> "FixedReal":
-        return FixedReal(abs(self.m))
 
     def __mul__(self, other: RealLike) -> "FixedReal":
         if isinstance(other, int):
             return FixedReal(self.m * other)  # exact
         return FixedReal((self.m * FixedReal.convert(other).m) >> FRAC_BITS)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other: RealLike) -> "FixedReal":
         if isinstance(other, int):
@@ -176,9 +160,6 @@ class FixedReal:
         if om == 0:
             raise ZeroDivisionError("FixedReal division by zero")
         return FixedReal((self.m << FRAC_BITS) // om)
-
-    def __rtruediv__(self, other: RealLike) -> "FixedReal":
-        return FixedReal.convert(other) / self
 
     def __pow__(self, k: int) -> "FixedReal":
         if not isinstance(k, int) or k < 0:
@@ -191,11 +172,6 @@ class FixedReal:
             base = base * base
             k >>= 1
         return out
-
-    def sqrt(self) -> "FixedReal":
-        if self.m < 0:
-            raise ValueError("sqrt of negative FixedReal")
-        return FixedReal(math.isqrt(self.m << FRAC_BITS))
 
     def root(self, k: int) -> "FixedReal":
         """Floor k-th root (k >= 1)."""
@@ -247,7 +223,7 @@ _GUARD = 32
 
 @lru_cache(maxsize=None)
 def sqrt2() -> FixedReal:
-    return FixedReal.from_int(2).sqrt()
+    return FixedReal.from_int(2).root(2)
 
 
 @lru_cache(maxsize=None)

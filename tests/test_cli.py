@@ -1,4 +1,5 @@
 """End-to-end command-line runs, in process via talbot.cli.main()."""
+import argparse
 import json
 
 import pytest
@@ -523,3 +524,56 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert capsys.readouterr().out.strip() == f"talbot {__version__}"
+
+
+def _options_of_every_subcommand() -> list[tuple[str, argparse.Action]]:
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    return [(name, action) for name, sub in subparsers.items() for action in sub._actions
+            if action.dest not in ("help", "config")]
+
+
+def _non_default(action: argparse.Action):
+    """A value of the option other than its default, as a JSON file holds it."""
+    if action.nargs == 0:
+        return True
+    if action.choices:
+        return list(action.choices)[-1]
+    return {int: 3, float: 0.25}.get(action.type, "x")
+
+
+@pytest.mark.parametrize("subcommand, action", _options_of_every_subcommand(),
+                         ids=lambda v: v if isinstance(v, str) else v.option_strings[0].lstrip("-"))
+def test_config_value_parses_like_its_flag(tmp_path, subcommand, action):
+    value = _non_default(action)
+    flag = [action.option_strings[0]] + ([] if value is True else [str(value)])
+    from_flag = vars(cli._parse_args([subcommand, *flag]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({action.dest: value}))
+    from_file = vars(cli._parse_args([subcommand, "--config", str(cfg)]))
+    assert from_flag[action.dest] != action.default
+    assert (from_flag.pop("config"), from_file.pop("config")) == (None, str(cfg))
+    assert from_file == from_flag
+
+
+@pytest.mark.parametrize("argv, options, message", [
+    (["sweep", "--rel", "poly:-1,0,0", "--at", "rat:0/1"], {"scales": 8},
+     "config error: the sup exponent fit needs at least four distinct scales"),
+    (["sweep", "--at", "rat:0/1", "--scales", "4..7"], {"rel": 5}, "config error:"),
+    (["nls"], {"M": 64.5}, "argument --M: invalid int value: '64.5'"),
+    (["dimension", "--rel", "poly:-1,0,0", "--slice", "horiz:rat:1/3"], {"truncation": 1024.9},
+     "argument --truncation: invalid int value: '1024.9'"),
+    (["l4count", "--h", "poly:1,0,0"], {"skip_quadrature": "false"},
+     "argument --skip-quadrature: ignored explicit argument 'false'"),
+])
+def test_config_value_of_the_wrong_kind_exits_2(capsys, tmp_path, argv, options, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(options))
+    try:
+        code = main([*argv, "--config", str(cfg)])
+    except SystemExit as exc:  # rejected by argparse, as the same flag is
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from talbot import (IntPolynomial, SampleGrid, SliceSpec, StepFunction,
-                    TimePoint, evolve_slice, kl_theta, parse_relation,
-                    parse_slice, quantize_coefficients, quantize_verify)
+                    TimePoint, evolve_slice, kl_theta, parse_datum,
+                    parse_relation, parse_slice, quantize_coefficients,
+                    quantize_verify)
 from talbot import evolution
 from talbot.fixedpoint import sqrt2
 
@@ -320,6 +321,74 @@ def test_quantize_reconstruct_refines_breakpoints():
     assert set(recon.breakpoints) == {
         Fraction(0), Fraction(1, 6), Fraction(1, 3), Fraction(1, 2),
         Fraction(2, 3), Fraction(5, 6)}
+
+
+def _reconstruct_by_pieces(g: StepFunction, c: np.ndarray) -> StepFunction:
+    """Reference: every translate of every breakpoint, then each piece's
+    value as sum_m c_m g(x - m/q) at its midpoint, one lookup per (piece, m)."""
+    q = len(c)
+    breaks: set[Fraction] = set()
+    for b in g.breakpoints:
+        for m in range(q):
+            v = b + Fraction(m, q)
+            breaks.add(v - (v >= 1))
+    refined = sorted(breaks)
+    values = []
+    for i, left in enumerate(refined):
+        right = refined[i + 1] if i + 1 < len(refined) else refined[0] + 1
+        rep = (left + right) / 2
+        rep -= rep >= 1
+        val = 0j
+        for m in range(q):
+            u = rep - Fraction(m, q)
+            u -= math.floor(u)
+            val += complex(c[m]) * complex(g.value_at_turns(u))
+        values.append(val)
+    return StepFunction(refined, values)
+
+
+def assert_same_reconstruction(g: StepFunction, c: np.ndarray) -> None:
+    got, want = evolution._reconstruct(g, c), _reconstruct_by_pieces(g, c)
+    assert got.breakpoints == want.breakpoints
+    assert np.max(np.abs(np.array(got.values) - np.array(want.values))) <= 1e-13
+
+
+_PARTS = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+@st.composite
+def lattice_steps(draw) -> StepFunction:
+    """A step function with 1-5 breakpoints on the 1/16 or the 1/7 lattice."""
+    den = draw(st.sampled_from([16, 7]))
+    ks = sorted(draw(st.sets(st.integers(0, den - 1), min_size=1, max_size=5)))
+    values = [complex(draw(_PARTS), draw(_PARTS)) for _ in ks]
+    return StepFunction([Fraction(k, den) for k in ks], values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_steps(), st.integers(min_value=1, max_value=64),
+       st.integers(min_value=-64, max_value=64),
+       st.sampled_from(["poly:-1,0,0", "poly:1,0,0,0", "poly:1,1,0"]))
+def test_reconstruct_matches_piece_loop(g, q, a, rel_text):
+    if math.gcd(a, q) != 1:
+        a = 1
+    assert_same_reconstruction(g, quantize_coefficients(parse_relation(rel_text), a, q))
+
+
+def test_reconstruct_matches_piece_loop_at_q_509():
+    g = StepFunction((Fraction(1, 16), Fraction(3, 7)), (1.5 - 0.5j, -1.0))
+    assert_same_reconstruction(g, quantize_coefficients(SCHRODINGER, 1, 509))
+
+
+def test_quantize_verify_without_off_jump_points_fails_early(monkeypatch):
+    # 34 jumps at q = 17 leave every grid point within 1/68 of a turn of one
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the series was evolved")
+    monkeypatch.setattr(evolution, "evolve_slice", unexpected)
+    message = ("nothing to compare at q = 17: no grid point lies 1/64 turn "
+               "from all 34 reconstructed jumps")
+    with pytest.raises(ValueError, match=message):
+        quantize_verify(SCHRODINGER, parse_datum("step:0,pi"), 1, 17)
 
 
 def test_quantize_verify_identity_time():
