@@ -8,23 +8,27 @@ Nyquist rate of the largest frequency.
 
 Off-grid values for refinement, z = (2*pi/G)*(j + delta) with |delta| <= 1,
 are evaluated against an anchor grid point j so no large products enter a
-double before reduction.  Two evaluators share one golden-section search:
+double before reduction: A_n = b_n e((f_n j mod G)/G).  Both evaluators
+take K moments sum_n B_n r_n^k, k < K, as one real matrix product of a
+(K, N) array of powers of r with the re/im parts of B (``_moments``), and
+share one golden-section search:
 
 * narrow span (rho = pi*(max f - min f)/G <= 1, every horizontal row): a
-  Taylor polynomial in delta about the midpoint frequency, built once per
-  refined cell, so each probe costs O(K) instead of O(N) exponentials.  K is
-  the least order whose tail bound rho^K/K! * e^rho is below 2^-60; the
-  result matches the direct sum to 1e-12 relative.
-* wide span (rho > 1, oblique rows): an N-term sum per probe of the
-  anchored coefficients, formed once per peak, times the offset phasor
-  e(f_n*delta/G).  The phasor comes from a 2^11-entry table of e(k/2^11) at
-  the nearest table point and an order-6 Taylor series for the rest, so it
-  costs a few multiplies instead of a complex exponential.  The series
-  truncation is below 2^-60 and the phasor is within 2e-15 of the exact
-  one.  Refined sups match the direct complex-exponential sum to 1e-11
-  relative; single probes differ from it only by the rounding both make of
-  phases of up to max|f|/G turns (~5e-10 of the sup on cubic rows at
-  N = 2^11).
+  Taylor polynomial in delta about the midpoint frequency.  r_n, the
+  centred frequency in radians per unit delta, is fixed for the row, so
+  its powers are built once per row, each refined cell takes one moment
+  product of its A_n, and each probe costs O(K).  K is the least order
+  whose tail bound rho^K/K! * e^rho is below 2^-60; the result matches the
+  direct sum to 1e-12 relative.
+* wide span (rho > 1, oblique rows): each probe splits u_n = f_n*delta*L/G,
+  L = 2^11, into k_n = rint(u_n) and r_n = u_n - k_n, so that
+  e(f_n*delta/G) = e(k_n/L) e(r_n/L).  With B_n = A_n e(k_n/L), A_n formed
+  once per peak and e(k/L) from a table, S = sum_k c_k mu_k for
+  c_k = (2*pi*i/L)^k/k!, k < 6 (series tail below 2^-60): an N-term gather
+  and one (6, N) matrix product per probe, no complex exponential.  Refined
+  sups match the direct complex-exponential sum to 1e-11 relative; single
+  probes differ from it only by the rounding both make of phases of up to
+  max|f|/G turns (~5e-10 of the sup on cubic rows at N = 2^11).
 
 Which cells to refine.  On a narrow-span row the cells come from the sum
 itself.  Centred at its midpoint frequency, S is e^(icz) times a sum T of
@@ -41,7 +45,7 @@ the bound admits every cell; those rows refine the TOP largest grid peaks.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -104,51 +108,19 @@ def grid_values(freqs: np.ndarray, coeffs: np.ndarray, G: int) -> np.ndarray:
     return np.fft.ifft(spectrum, norm="forward")
 
 
+def check_offsets(freqs: np.ndarray, row: str) -> None:
+    """ValueError naming ``row`` unless every |f_n| < 2^53: wide-span probes
+    form the offsets f_n*delta/G from f_n as a double."""
+    top = max(abs(int(freqs.min())), abs(int(freqs.max())))
+    if top >= 1 << 53:
+        raise ValueError(f"{row}: max|f| = 2^{math.log2(top):.2f} is not below the "
+                         "2^53 bound of refinement offsets")
+
+
 def anchored_coefficients(coeffs: np.ndarray, fmod: np.ndarray, G: int, j: int) -> np.ndarray:
     """A_n = b_n e((f_n j mod G)/G): the coefficients as seen from grid point j."""
     base = (fmod * (j % G)) % G
     return coeffs * np.exp(1j * ((2.0 * np.pi / G) * base))
-
-
-class AnchoredEvaluator:
-    """Evaluate S at z = (2*pi/G)*(j + delta) for integer j and |delta| <= 1
-    as sum_n A_n e(f_n*delta/G), with A_n the anchored coefficients.
-
-    The anchor phase (f*j mod G)/G is exact integer arithmetic; the offset
-    f*delta/G stays below ~2^14 turns for desk-scale frequencies, so double
-    precision holds it to ~1e-12 of a turn.  A_n is formed once per peak j
-    and the offset phasor comes from ``_unit_phasor``."""
-
-    def __init__(self, freqs: np.ndarray, coeffs: np.ndarray, G: int):
-        self.G = G
-        self.fmod = fold_frequencies(freqs, G)
-        ffloat = freqs.astype(np.float64)
-        if np.any(np.abs(ffloat) >= 2.0**53):
-            raise ValueError("frequencies too large for refinement offsets")
-        self.turns = ffloat / G  # offset turns per unit delta
-        self.coeffs = np.asarray(coeffs, dtype=np.complex128)
-        self._anchor: tuple[int, np.ndarray, np.ndarray] | None = None
-
-    def _anchored(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Real and imaginary parts of A_n, cached for the last j."""
-        anchor = self._anchor
-        if anchor is None or anchor[0] != j:
-            A = anchored_coefficients(self.coeffs, self.fmod, self.G, j)
-            anchor = self._anchor = (j, A.real.copy(), A.imag.copy())
-        return anchor[1], anchor[2]
-
-    def __call__(self, j: int, delta: float) -> complex:
-        a, b = self._anchored(j)
-        cos, sin = _unit_phasor(self.turns * delta)
-        re = a * cos
-        re -= b * sin
-        im = a * sin
-        im += b * cos
-        return complex(np.sum(re), np.sum(im))
-
-    def local(self, j: int) -> Callable[[float], float]:
-        """delta -> |S((2*pi/G)*(j + delta))| by the N-term sum."""
-        return lambda delta: abs(self(j, delta))
 
 
 TAYLOR_TAIL = 2.0 ** -60
@@ -191,13 +163,29 @@ def taylor_order(rho: float) -> int:
     return K
 
 
+def _powers(out: np.ndarray) -> np.ndarray:
+    """Complete the (K, N) powers array: out[k] = r_n^k for k >= 2, by
+    repeated multiplication from out[0] = 1 and out[1] = r; return out."""
+    for k in range(2, out.shape[0]):
+        np.multiply(out[k - 1], out[1], out=out[k])
+    return out
+
+
+def _moments(B: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """The K complex moments sum_n B_n r_n^k, with powers[k, n] = r_n^k, as
+    one real matrix product of the powers with the (N, 2) re/im view of B."""
+    real = powers @ B.view(np.float64).reshape(-1, 2)
+    return real.view(np.complex128).ravel()
+
+
 class TaylorEvaluator:
     """|S| at z = (2*pi/G)*(j + delta), |delta| <= 1, from a polynomial in delta.
 
     With c the midpoint frequency and u_n = 2*pi*(f_n - c)/G,
     |S| = |sum_n A_n e^(i u_n delta)| where A_n = b_n e((f_n j mod G)/G), and
     |u_n delta| <= rho.  Expanding the exponential gives
-    sum_k M_k (i delta)^k / k! with moments M_k = sum_n A_n u_n^k."""
+    sum_k M_k (i delta)^k / k! with moments M_k = sum_n A_n u_n^k, one
+    ``_moments`` product per cell against the powers of u built once."""
 
     def __init__(self, freqs: np.ndarray, coeffs: np.ndarray, G: int, span: int):
         self.G = G
@@ -206,18 +194,16 @@ class TaylorEvaluator:
         centred = 2 * (freqs - freqs.min()) - span
         self.u = (np.pi / G) * centred.astype(np.float64)
         self.coeffs = np.asarray(coeffs, dtype=np.complex128)
-        self.order = taylor_order(math.pi * span / G)
+        order = taylor_order(math.pi * span / G)
+        self.powers = np.ones((order, self.u.size))
+        self.powers[1:2] = self.u  # empty when order is 1 (a single frequency)
+        _powers(self.powers)
+        self.series = np.array([1j ** k / math.factorial(k) for k in range(order)])
 
     def local(self, j: int) -> Callable[[float], float]:
         """delta -> |S((2*pi/G)*(j + delta))| from the order-K polynomial."""
-        term = anchored_coefficients(self.coeffs, self.fmod, self.G, j)
-        poly = []  # M_k i^k / k!, lowest order first
-        scale = 1 + 0j
-        for k in range(self.order):
-            poly.append(complex(np.sum(term)) * scale)
-            term *= self.u
-            scale *= 1j / (k + 1)
-        poly.reverse()
+        moments = _moments(anchored_coefficients(self.coeffs, self.fmod, self.G, j), self.powers)
+        poly = (moments * self.series)[::-1].tolist()  # M_k i^k / k!, highest order first
 
         def abs_at(delta: float) -> float:
             acc = 0j
@@ -229,49 +215,56 @@ class TaylorEvaluator:
 
 #: Entries of the offset-phasor table e(k/PHASOR_TABLE), k < PHASOR_TABLE.
 PHASOR_TABLE = 1 << 11
-_TABLE_COS = np.cos((2.0 * np.pi / PHASOR_TABLE) * np.arange(PHASOR_TABLE))
-_TABLE_SIN = np.sin((2.0 * np.pi / PHASOR_TABLE) * np.arange(PHASOR_TABLE))
-#: Taylor series of e^(i*x), x = 2*pi*r/PHASOR_TABLE with |r| <= 1/2, as the
-#: real coefficients of r^k (even k: cosine, odd k: sine); the order makes
-#: the truncation error below 2^-60.
-_SERIES = [(-1) ** (k // 2) * (2.0 * np.pi / PHASOR_TABLE) ** k / math.factorial(k)
-           for k in range(taylor_order(math.pi / PHASOR_TABLE))]
-_COS_SERIES, _SIN_SERIES = _SERIES[0::2], _SERIES[1::2]
+_PHASOR = np.exp((2j * np.pi / PHASOR_TABLE) * np.arange(PHASOR_TABLE))
+#: Taylor series of e(r/PHASOR_TABLE) in r, |r| <= 1/2, as the coefficients
+#: (2*pi*i/PHASOR_TABLE)^k / k!; the order makes the truncation error below 2^-60.
+_PHASOR_SERIES = np.array([(2j * np.pi / PHASOR_TABLE) ** k / math.factorial(k)
+                           for k in range(taylor_order(math.pi / PHASOR_TABLE))])
 
 
-def _horner(coeffs: Sequence[float], y: np.ndarray) -> np.ndarray:
-    """sum_m coeffs[m] * y^m."""
-    acc = coeffs[-1] * y
-    acc += coeffs[-2]
-    for c in reversed(coeffs[:-2]):
-        acc *= y
-        acc += c
-    return acc
+class AnchoredEvaluator:
+    """Evaluate S at z = (2*pi/G)*(j + delta) for integer j and |delta| <= 1
+    as sum_n A_n e(f_n*delta/G), with A_n the anchored coefficients.
 
+    The anchor phase (f*j mod G)/G is exact integer arithmetic and A_n is
+    formed once per peak j.  The offset u_n = f_n*delta*L/G table steps,
+    L = PHASOR_TABLE, is rounded once to a double; each probe is then a
+    table gather and one ``_moments`` product (module docstring)."""
 
-def _unit_phasor(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos(2*pi*t) and sin(2*pi*t) for an array of turns t.
+    def __init__(self, freqs: np.ndarray, coeffs: np.ndarray, G: int):
+        self.G = G
+        self.fmod = fold_frequencies(freqs, G)
+        check_offsets(freqs, f"G={G}")
+        self.turns = freqs.astype(np.float64) / G  # offset turns per unit delta
+        self.coeffs = np.asarray(coeffs, dtype=np.complex128)
+        self._anchor: tuple[int, np.ndarray] | None = None
+        # per-probe buffers, reused so that no probe allocates an N-term array
+        n = self.coeffs.size
+        self._offsets = np.empty(n)
+        self._index = np.empty(n, dtype=np.int64)
+        self._terms = np.empty(n, dtype=np.complex128)
+        self._powers = np.empty((_PHASOR_SERIES.size, n))
+        self._powers[0] = 1.0
 
-    With k = rint(L*t), L = PHASOR_TABLE, e(t) = e(k/L) * e^(i*x) for
-    x = 2*pi*r/L, r = L*t - k: a table entry times the Taylor series in r.
-    L*t and r are exact for |L*t| < 2^52, so the result is within ~1e-15
-    of e(t - rint t) however many turns t holds."""
-    u = t * PHASOR_TABLE
-    k = np.rint(u)
-    idx = k.astype(np.int64)
-    idx &= PHASOR_TABLE - 1
-    r = u - k
-    r2 = r * r
-    c = _horner(_COS_SERIES, r2)
-    s = _horner(_SIN_SERIES, r2)
-    s *= r
-    tc = _TABLE_COS.take(idx)
-    ts = _TABLE_SIN.take(idx)
-    cos = tc * c
-    cos -= ts * s
-    sin = tc * s
-    sin += ts * c
-    return cos, sin
+    def _anchored(self, j: int) -> np.ndarray:
+        """A_n, cached for the last j."""
+        if self._anchor is None or self._anchor[0] != j:
+            self._anchor = (j, anchored_coefficients(self.coeffs, self.fmod, self.G, j))
+        return self._anchor[1]
+
+    def __call__(self, j: int, delta: float) -> complex:
+        u = np.multiply(self.turns, delta * PHASOR_TABLE, out=self._offsets)
+        k = np.rint(u, out=self._index, casting="unsafe")
+        np.subtract(u, k, out=self._powers[1])  # r_n, exact
+        k &= PHASOR_TABLE - 1
+        # k is in range, so "clip" changes nothing; "raise" would buffer out
+        B = _PHASOR.take(k, out=self._terms, mode="clip")
+        B *= self._anchored(j)
+        return complex(_PHASOR_SERIES @ _moments(B, _powers(self._powers)))
+
+    def local(self, j: int) -> Callable[[float], float]:
+        """delta -> |S((2*pi/G)*(j + delta))| by the N-term sum."""
+        return lambda delta: abs(self(j, delta))
 
 
 def local_maxima(absvals: np.ndarray, top: int) -> list[int]:

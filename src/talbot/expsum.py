@@ -24,8 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._fftsum import (frequency_span, grid_values, is_pow2, l4_quadrature,
-                      next_pow2, refine_supremum, tree_sum)
+from ._fftsum import (check_offsets, frequency_span, grid_values, is_pow2,
+                      l4_quadrature, next_pow2, refine_supremum, tree_sum)
 from .dispersion import (LINEAR, DispersionRelation, IntPolynomial,
                          oblique_frequencies, parse_relation, theta_omega_frac_array)
 from .diophantine import ctr_constant
@@ -209,6 +209,7 @@ def _sweep_cell(relation: DispersionRelation, slc: SliceSpec, N: int,
     spec = BlockSpec(relation, N, sign=sign, weight=weight)
     ns = spec.modes()
     freqs, coeffs = line_spectrum(relation, slc, ns, spec.weights(ns))
+    check_offsets(freqs, f"N={N}")
 
     G = min(next_pow2(16 * N), MAX_GRID)
     span = frequency_span(freqs)

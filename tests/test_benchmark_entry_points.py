@@ -12,6 +12,7 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -49,6 +50,10 @@ def test_leaf_entry_points_resolve():
     assert callable(_resolve("talbot.dispersion", "iroot"))
     evaluator = _resolve("talbot._fftsum", "AnchoredEvaluator")
     assert list(inspect.signature(evaluator.__call__).parameters) == ["self", "j", "delta"]
+    # counted_call adds self.coeffs.size, the N terms of each probe
+    freqs = np.arange(-5, 12) ** 2
+    instance = evaluator(freqs, np.ones(freqs.size, dtype=complex), 64)
+    assert instance.coeffs.size == freqs.size
 
 
 @pytest.mark.parametrize("key, names", sorted(COUNTED_ARGUMENTS.items()))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from talbot import __version__, cli
+from talbot import __version__, cli, expsum
 from talbot.cli import ConfigError, main
 
 
@@ -143,6 +143,20 @@ def test_sweep_with_fewer_than_four_scales_exits_2_before_any_row(capsys, monkey
     assert code == 2
     assert out == ""
     assert "config error: the sup exponent fit needs at least four distinct scales" in err
+
+
+def test_sweep_row_past_the_offset_bound_exits_2_before_its_grid(capsys, monkeypatch):
+    # cubic oblique frequencies n - n^3 reach 2^54 at N = 2^17, where
+    # refinement offsets f*delta/G would no longer start from an exact double
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid_values ran before the offset bound was checked")
+    monkeypatch.setattr(expsum, "grid_values", no_grid)
+    code, out, err = run(capsys, "sweep", "--rel", "poly:1,0,0,0", "--at", "kl:sqrt2",
+                         "--oblique", "1/1", "--scales", "17..20")
+    assert code == 2
+    assert out == ""
+    assert ("config error: N=131072: max|f| = 2^54.00 is not below the 2^53 bound "
+            "of refinement offsets") in err
 
 
 SWEEP_SMALL = ("sweep", "--rel", "poly:-1,0,0", "--at", "rat:1/3", "--scales", "4..7")

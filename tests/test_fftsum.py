@@ -19,9 +19,9 @@ import talbot
 from talbot import (BlockSpec, SliceSpec, fit_exponent, parse_relation,
                     seeded_theta, sup_norm_sweep, theta_omega_frac_array)
 from talbot._fftsum import (PHASOR_TABLE, AnchoredEvaluator, TaylorEvaluator,
-                            _unit_phasor, fold_frequencies, frequency_span,
-                            golden_section_peak, grid_values, local_maxima,
-                            next_pow2, next_smooth, refine_supremum, taylor_order)
+                            fold_frequencies, frequency_span, golden_section_peak,
+                            grid_values, local_maxima, next_pow2, next_smooth,
+                            refine_supremum, taylor_order)
 from talbot.evolution import line_spectrum
 from talbot.expsum import least_squares_line
 
@@ -147,18 +147,46 @@ def test_taylor_path_matches_direct_golden_section(rel, theta, log2N, oversample
     assert refine_supremum(ns, coeffs, G, absvals) == pytest.approx(want, rel=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), G=st.integers(16, 1 << 20), wide=st.booleans(),
+       unbounded=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       j=st.integers(-(1 << 40), 1 << 40), delta=st.floats(-1.0, 1.0))
+def test_both_evaluators_match_the_direct_sum(data, G, wide, unbounded, seed, j, delta):
+    """Any probe of either moment evaluator is within 1e-12 of sum |b_n| of
+    the direct sum.  Frequencies lie within 2^8*G of 0, so each offset holds
+    at most 2^8 turns and both sides round its phase to ~4e-13 radians;
+    their span is at most G/pi (narrow: both evaluators) or above it (wide:
+    the anchored one), as int64 or as an object array of Python integers."""
+    limit = 256 * G
+    narrow_max = math.floor(G / math.pi)
+    span = data.draw(st.integers(narrow_max + 1, 2 * limit) if wide
+                     else st.integers(0, narrow_max))
+    base = data.draw(st.integers(-limit, limit - span))
+    inner = data.draw(st.lists(st.integers(0, span), max_size=38))
+    freqs = np.array([base + x for x in [0, span, *inner]],
+                     dtype=object if unbounded else np.int64)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=freqs.size) + 1j * rng.normal(size=freqs.size)
+    tol = 1e-12 * float(np.sum(np.abs(coeffs)))
+    want = DirectEvaluator(freqs, coeffs, G)(j, delta)
+    assert abs(AnchoredEvaluator(freqs, coeffs, G)(j, delta) - want) <= tol
+    if not wide:
+        taylor = TaylorEvaluator(freqs, coeffs, G, frequency_span(freqs))
+        assert abs(taylor.local(j)(delta) - abs(want)) <= tol
+
+
 def test_narrow_span_rows_skip_the_direct_sum(direct_calls):
     sup_norm_sweep("frac:3/2", seeded_theta(3), [256])
     assert direct_calls == []
 
 
 def test_wide_span_oblique_cell_keeps_the_direct_path(direct_calls):
-    # every probe is an N-term sum through AnchoredEvaluator; the table
+    # every probe is an N-term sum through AnchoredEvaluator; the moment
     # kernel's refined values and the direct-exponential oracle's, pinned
-    # bit for bit (they differ by one rounding in the first)
+    # bit for bit (on these two rows they agree)
     at = SliceSpec.oblique(seeded_theta(3), 1, 1)
     sweep = sup_norm_sweep(SCHRODINGER, at, [64, 128])
-    assert [row.sup_abs for row in sweep.rows] == [24.964447820715662, 37.84729555007791]
+    assert [row.sup_abs for row in sweep.rows] == [24.964447820715666, 37.84729555007791]
     assert len(direct_calls) == 2 * 10 * 32
     oracle = []
     for N in (64, 128):
@@ -237,9 +265,16 @@ def test_int64_frequencies_fold_like_unbounded_integers(sign):
                     == refine_supremum(unbounded, coeffs, G, absvals))
 
 
+def _one_mode_phasor(t):
+    """e(t) for each turn count t, probed through an AnchoredEvaluator of the
+    single mode f = 1 on a G = 1 grid, where the offset of delta = t is t."""
+    ev = AnchoredEvaluator(np.array([1]), np.array([1 + 0j]), 1)
+    return np.array([ev(0, x) for x in t])
+
+
 def test_unit_phasor_series_order():
-    # |x| <= pi/L: the order-6 series (cosine to x^4, sine to x^5) leaves a
-    # tail below 2^-60
+    # |x| <= pi/L: the order-6 series of e^(ix) (to x^5) leaves a tail
+    # below 2^-60
     assert PHASOR_TABLE == 1 << 11
     assert taylor_order(math.pi / PHASOR_TABLE) == 6
 
@@ -249,18 +284,16 @@ def test_unit_phasor_matches_exp_at_any_magnitude():
     mags = 2.0 ** rng.uniform(-30, 40, 20_000)
     t = np.concatenate([mags * rng.choice([-1.0, 1.0], mags.size),
                         [0.0, 0.5, -0.5, 2.0**40 - 0.5, -(2.0**40) + 2.0**-12]])
-    cos, sin = _unit_phasor(t)
     want = np.exp(2j * np.pi * (t - np.rint(t)))
-    assert np.max(np.abs(cos + 1j * sin - want)) <= 2e-15
+    assert np.max(np.abs(_one_mode_phasor(t) - want)) <= 2e-15
 
 
 def test_unit_phasor_at_table_points():
     k = np.arange(-3 * PHASOR_TABLE, 3 * PHASOR_TABLE + 1)
     t = np.concatenate([k / PHASOR_TABLE, k / PHASOR_TABLE + 2.0**30,
                         k / PHASOR_TABLE - 2.0**39])
-    cos, sin = _unit_phasor(t)
     want = np.exp(2j * np.pi * (t - np.rint(t)))
-    assert np.max(np.abs(cos + 1j * sin - want)) <= 2e-15
+    assert np.max(np.abs(_one_mode_phasor(t) - want)) <= 2e-15
 
 
 @pytest.mark.parametrize("rel", [SCHRODINGER, "poly:1,0,0,0", "bo"])
