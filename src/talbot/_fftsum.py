@@ -13,7 +13,7 @@ take K moments sum_n B_n r_n^k, k < K, as one real matrix product of a
 (K, N) array of powers of r with the re/im parts of B (``_moments``), and
 share one golden-section search:
 
-* narrow span (rho = pi*(max f - min f)/G <= 1, every horizontal row): a
+* narrow span (rho = pi*(max f - min f)/G <= 1, horizontal rows to 2^18): a
   Taylor polynomial in delta about the midpoint frequency.  r_n, the
   centred frequency in radians per unit delta, is fixed for the row, so
   its powers are built once per row, each refined cell takes one moment
@@ -80,29 +80,26 @@ def is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def tree_sum(values: np.ndarray) -> complex:
-    """Sum by a fixed-shape pairwise tree: bit-identical for identical
-    inputs."""
-    v = np.asarray(values, dtype=np.complex128)
-    if v.size == 0:
-        return 0j
-    L = next_pow2(v.size)
-    if L != v.size:
-        v = np.concatenate([v, np.zeros(L - v.size, dtype=np.complex128)])
-    while v.size > 1:
-        v = v[0::2] + v[1::2]
-    return complex(v[0])
-
-
 def fold_frequencies(freqs: np.ndarray, G: int) -> np.ndarray:
     """f mod G as int64, for int64 or object-dtype integer frequencies."""
     return np.asarray(freqs % G, dtype=np.int64)
 
 
-def grid_values(freqs: np.ndarray, coeffs: np.ndarray, G: int) -> np.ndarray:
-    """S(2*pi*j/G) for j = 0..G-1, exactly (single inverse FFT)."""
+#: Largest grid any sum is evaluated on: 64 MiB of complex samples.
+GRID_CAP = 1 << 22
+
+
+def check_grid(G: int) -> None:
+    """ValueError unless 1 <= G <= GRID_CAP, before a G-point grid is allocated."""
     if G < 1:
         raise ValueError("grid size must be positive")
+    if G > GRID_CAP:
+        raise ValueError(f"grid of {G} points too large: the cap is GRID_CAP = {GRID_CAP}")
+
+
+def grid_values(freqs: np.ndarray, coeffs: np.ndarray, G: int) -> np.ndarray:
+    """S(2*pi*j/G) for j = 0..G-1, exactly (single inverse FFT)."""
+    check_grid(G)
     spectrum = np.zeros(G, dtype=np.complex128)
     np.add.at(spectrum, fold_frequencies(freqs, G), np.asarray(coeffs, dtype=np.complex128))
     return np.fft.ifft(spectrum, norm="forward")
@@ -133,19 +130,15 @@ def frequency_span(freqs: np.ndarray) -> int:
     return int(freqs.max() - freqs.min())
 
 
-#: Largest grid ``l4_quadrature`` allocates.
-QUADRATURE_GRID_CAP = 1 << 22
-
-
 def l4_quadrature(freqs: np.ndarray, coeffs: np.ndarray) -> float | None:
     """(1/2pi) int |S|^4 dx over one period, or None when the grid would
-    exceed QUADRATURE_GRID_CAP.
+    exceed GRID_CAP.
 
     The frequencies of |S|^4 lie within 2*span of 0, so on the
     next_pow2(2*span + 2)-point grid none but 0 itself folds onto 0: the grid
     mean of |S|^4 is the integral up to rounding."""
     G = next_pow2(2 * frequency_span(freqs) + 2)
-    if G > QUADRATURE_GRID_CAP:
+    if G > GRID_CAP:
         return None
     return float(np.mean(np.abs(grid_values(freqs, coeffs, G)) ** 4))
 
@@ -303,6 +296,11 @@ def golden_section_peak(f: Callable[[float], float], lo: float,
     return d, fd
 
 
+def wide_span(span: int, G: int) -> bool:
+    """pi*span > G: no Bernstein cut, so the refined sup is a lower bound."""
+    return math.pi * span > G
+
+
 def refine_supremum(freqs: np.ndarray, coeffs: np.ndarray, G: int,
                     absvals: np.ndarray) -> float:
     """Golden-section refinement of the grid supremum, one grid cell to each
@@ -318,7 +316,7 @@ def refine_supremum(freqs: np.ndarray, coeffs: np.ndarray, G: int,
     evaluator."""
     best = float(np.max(absvals))
     span = frequency_span(freqs)
-    if math.pi * span > G:
+    if wide_span(span, G):
         ev = AnchoredEvaluator(freqs, coeffs, G)
         for j in local_maxima(absvals, TOP):
             best = max(best, golden_section_peak(ev.local(j), -1.0, 1.0)[1])

@@ -44,7 +44,7 @@ from .evolution import SliceSpec, evolve_slice, parse_slice, quantize_verify
 from .expsum import l4_quadruple_oracle, least_squares_line, sup_norm_sweep
 from .fractal import besov_profile, box_dimension, holder_exponent, measured_parts
 from .initial_data import parse_datum
-from .nonlinear import (BlowUpError, kdv_solve, nls_wick_solve,
+from .nonlinear import (BlowUpError, check_residual_length, kdv_solve, nls_wick_solve,
                         smoothing_residual, write_snapshot_csv)
 
 
@@ -342,6 +342,7 @@ def _cmd_l4count(args: argparse.Namespace) -> int:
 def _cmd_solver(args: argparse.Namespace) -> int:
     g = parse_datum(args.data)
     snapshots = () if args.snapshots is None else tuple(_parse_float_list(args.snapshots))
+    check_residual_length(args.residual_length, args.M)
     try:
         if args.subcommand == "nls":
             traj = nls_wick_solve(g, sign=args.sign, M=args.M, dt=args.dt,

@@ -12,7 +12,8 @@ by one of three paths chosen from the kinds of theta and omega (the position
 part n*xi is the same reduction with omega = ``LINEAR``):
 
 * rational theta = a/q, integer omega: the exact residue (a*omega(n) mod q)/q,
-  in int64 for polynomials with q < 2^31, in Python integers otherwise;
+  in int64 wherever omega fits (``oblique_frequencies``) and q < 2^31, in
+  Python integers otherwise;
 * 192-bit fixed-point theta, integer omega: the exact product of the
   mantissa with omega(n), reduced mod 1;
 * any theta, non-integer omega: the mantissa floor(omega(n) * 2^FRAC_BITS)
@@ -221,11 +222,9 @@ class DispersionRelation:
 
 
 class IntPolynomial(DispersionRelation):
-    """omega(n) = c_d n^d + ... + c_1 n + c_0 with integer coefficients.
-
-    Evaluation uses Python integers throughout, so there is no width limit
-    and no rounding at any |n|.
-    """
+    """omega(n) = c_d n^d + ... + c_1 n + c_0 with integer coefficients,
+    exact at any |n| in Python integers (``oblique_frequencies`` decides
+    when int64 suffices)."""
 
     integer_valued = True
 
@@ -381,14 +380,10 @@ def theta_omega_frac_array(rel: DispersionRelation, theta: Turns,
 
     if isinstance(theta, Fraction) and rel.integer_valued:
         a, q = theta.numerator, theta.denominator
-        if isinstance(rel, IntPolynomial) and q < (1 << 31) and arr.dtype == np.int64:
-            nm = arr % q
-            acc = np.full(arr.shape, (a * rel.coeffs[0]) % q, dtype=np.int64)
-            for c in rel.coeffs[1:]:
-                acc = (acc * nm + (a * c) % q) % q
-            return acc / float(q)
-        w = oblique_frequencies(rel, -1, 0, arr).astype(object)  # a*omega(n) in Python integers
-        return (a * w % q / q).astype(np.float64)
+        w = oblique_frequencies(rel, -1, 0, arr)
+        if q >= 1 << 31:  # (w mod q)(a mod q) < q^2 would pass int64
+            w = w.astype(object)
+        return np.asarray(w % q * (a % q) % q / q, dtype=np.float64)
 
     tm = FixedReal.convert(theta).m
     out = np.empty(arr.size)
@@ -442,7 +437,7 @@ def _phase_block(rel: DispersionRelation, t: list[float], n: np.ndarray) -> tupl
     t1, t2, t3 = t
     with np.errstate(all="ignore"):  # modes out of range give inf/nan, which fail ok
         if rel.integer_valued and _fits_int64(rel, -1, 0, n):
-            w = rel.omega_int(n)
+            w = oblique_frequencies(rel, -1, 0, n)
             w_hi = w.astype(np.float64)
             w_lo = (w - w_hi.astype(np.int64)).astype(np.float64)
             eps_w, ok = 0.0, True

@@ -24,14 +24,13 @@ from math import gcd
 
 import numpy as np
 
-from ._fftsum import grid_values, is_pow2
+from ._fftsum import check_grid, grid_values, is_pow2
 from .dispersion import (LINEAR, DispersionRelation, IntPolynomial, TimePoint,
                          oblique_frequencies, parse_relation, parse_theta,
                          theta_omega_frac_array)
 from .initial_data import StepFunction, parse_position
 
 MAX_TRUNCATION = 1 << 18
-MAX_FOLDED_GRID = 1 << 22  # b*length of a vertical window of a/b turns
 MAX_QUANTIZE_DENOM = 1 << 12
 OFF_JUMP_RADIUS = Fraction(1, 64)  # turns; 2*pi/64 in radians
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
@@ -197,8 +196,8 @@ def evolve_slice(rel: DispersionRelation | str, g, slc: SliceSpec,
     evaluation.  Every slice takes its spectrum from ``line_spectrum`` and
     is band-folded and evaluated by a single FFT, which is exact at grid
     points.  A vertical slice with t1 - t0 = a/b (Fractions) folds onto
-    b*length <= MAX_FOLDED_GRID = 2^22 points, of which j*a mod b*length is
-    sample j; ValueError otherwise, or for a non-integer omega."""
+    b*length points, of which j*a mod b*length is sample j.  ValueError for
+    a non-integer omega, or before any phase for a grid above ``GRID_CAP``."""
     rel = parse_relation(rel) if isinstance(rel, str) else rel
     if not 1 <= M <= MAX_TRUNCATION:
         raise ValueError(f"truncation must be in [1, {MAX_TRUNCATION}], got {M}")
@@ -210,11 +209,9 @@ def evolve_slice(rel: DispersionRelation | str, g, slc: SliceSpec,
             raise ValueError("vertical slice needs rational endpoints")
         width = slc.t1.theta - slc.t0.theta
         G = width.denominator * length
-        if G > MAX_FOLDED_GRID:
-            raise ValueError(f"vertical slice too large: folded grid {G} above "
-                             f"{MAX_FOLDED_GRID}; reduce the grid or the window denominator")
         period = 2.0 * math.pi * (slc.t1.theta_float - slc.t0.theta_float)
 
+    check_grid(G)
     ns = np.arange(-M, M + 1)
     coeffs = _datum_coefficients(g, M)
     provenance = {
@@ -298,7 +295,8 @@ def quantize_verify(rel: DispersionRelation, g: StepFunction, a: int, q: int,
     """Maximum deviation between the truncated evolution at theta = a/q and
     the exact translate reconstruction, over grid points at torus distance
     >= 1/64 of a turn from every reconstructed jump; ValueError, before the
-    series is evolved, when no grid point is that far from them all."""
+    series is evolved, for a length above ``GRID_CAP`` or no such point."""
+    check_grid(length)
     c = quantize_coefficients(rel, a, q)
     recon = _reconstruct(g, c)
     ts = np.arange(length, dtype=np.float64) / length

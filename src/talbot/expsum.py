@@ -12,8 +12,8 @@ is carried in exact fixed-point turns.  The module provides:
 * ``bprocess_dual_compare``   -- a stationary-phase dual sum against the
                                  direct sum, with an error budget.
 
-Everything here is deterministic: fixed-shape tree reductions, and sweeps
-that run their scales in order in the calling thread.
+Everything here is deterministic: sums by numpy's pairwise ``np.sum``, and
+sweeps that run their scales in order in the calling thread.
 """
 from __future__ import annotations
 
@@ -24,9 +24,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._fftsum import (check_offsets, frequency_span, grid_values, is_pow2,
-                      l4_quadrature, next_pow2, refine_supremum, tree_sum)
-from .dispersion import (LINEAR, DispersionRelation, IntPolynomial,
+from ._fftsum import (TOP, check_offsets, frequency_span, grid_values, is_pow2,
+                      l4_quadrature, next_pow2, refine_supremum, wide_span)
+from .dispersion import (LINEAR, DispersionRelation, FractionalPower, IntPolynomial,
                          oblique_frequencies, parse_relation, theta_omega_frac_array)
 from .diophantine import ctr_constant
 from .evolution import SliceSpec, line_spectrum
@@ -82,14 +82,14 @@ class BlockSpec:
 
 def block_sum(spec: BlockSpec, t, x=0) -> complex:
     """sum_n w(n) e(theta*omega(n) + x*n) over the block, phased exactly in
-    192-bit turns and reduced by a fixed-shape tree.
+    192-bit turns and summed pairwise by ``np.sum``.
 
     ``t`` is a TimePoint (or raw turns value); ``x`` is a position in turns
     (x = 1 is a full period)."""
     ns = spec.modes()
     _, coeffs = line_spectrum(spec.relation, SliceSpec.horizontal(t), ns, spec.weights(ns))
     xfr = theta_omega_frac_array(LINEAR, x, ns)
-    return tree_sum(coeffs * np.exp(2j * np.pi * xfr))
+    return complex(np.sum(coeffs * np.exp(2j * np.pi * xfr)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +214,9 @@ def _sweep_cell(relation: DispersionRelation, slc: SliceSpec, N: int,
     G = min(next_pow2(16 * N), MAX_GRID)
     span = frequency_span(freqs)
     warnings: list[str] = []
-    if G < 16 * (span + 1):
-        warnings.append(f"N={N}: grid {G} below 16*(span+1)={16 * (span + 1)}; "
-                        "supremum may be under-resolved")
+    if wide_span(span, G):
+        warnings.append(f"N={N}: span {span} is wide against grid {G} (pi*span > G); "
+                        f"the sup is the best of the {TOP} refined grid peaks, a lower bound")
 
     absvals = np.abs(grid_values(freqs, coeffs, G))
     l2 = float(np.sqrt(np.mean(absvals ** 2)))
@@ -234,8 +234,8 @@ def sup_norm_sweep(relation: DispersionRelation | str, at, scales: Iterable[int]
     Each block is sampled on a grid of 16*N points capped at 2^20, and its
     supremum is refined by golden-section search around every grid point
     that can lie nearest the maximiser (narrow span) or the top grid peaks
-    (wide span; see ``_fftsum.refine_supremum``).  Scales run in the given
-    order."""
+    (wide span; see ``_fftsum.refine_supremum``).  A wide-span row warns
+    that its sup is a lower bound.  Scales run in the given order."""
     rel = parse_relation(relation) if isinstance(relation, str) else relation
     slc = at if isinstance(at, SliceSpec) else SliceSpec.horizontal(at)
     if slc.kind == "vertical":
@@ -368,12 +368,7 @@ def bprocess_dual_compare(r: int, t, x, N: int) -> BProcessComparison:
         raise ValueError("the dual sum needs t > 0")
     xf = FixedReal.convert(x)
 
-    from .dispersion import FractionalPower
-    rel = FractionalPower(alpha)
-    ns = np.arange(N, 2 * N)
-    tfr = theta_omega_frac_array(rel, tf, ns)
-    xfr = theta_omega_frac_array(LINEAR, xf, ns)
-    direct = tree_sum(np.exp(2j * np.pi * (tfr + xfr)))
+    direct = block_sum(BlockSpec(FractionalPower(alpha), N), tf, xf)
 
     # dual range: f'(u) = t*alpha*u^(alpha-1) + x over u in [N, 2N-1]
     t_float, x_float = float(tf), float(xf)
@@ -403,7 +398,7 @@ def bprocess_dual_compare(r: int, t, x, N: int) -> BProcessComparison:
         turns = ((-phase_val.m) % ONE) / ONE + 0.125
         terms.append(amp * np.exp(2j * np.pi * turns))
 
-    dual = tree_sum(np.array(terms, dtype=np.complex128))
+    dual = complex(np.sum(np.array(terms, dtype=np.complex128)))
     return BProcessComparison(
         direct=direct, dual=dual, discrepancy=abs(direct - dual),
         dual_terms=len(terms), out_of_range=out_of_range, N=N, r=r,

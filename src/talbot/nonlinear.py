@@ -27,8 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._fftsum import grid_values, is_pow2, next_pow2, next_smooth
-from .dispersion import FixedReal, parse_relation, two_pi
+from ._fftsum import check_grid, grid_values, is_pow2, next_pow2, next_smooth
+from .dispersion import FixedReal, oblique_frequencies, parse_relation, two_pi
 from .evolution import SampleGrid, SliceSpec, _datum_coefficients, line_spectrum
 
 MAX_MODES = 1 << 11
@@ -131,6 +131,19 @@ class Trajectory:
         }
 
 
+def _half_step(relation: str, ns: np.ndarray, dt: float) -> np.ndarray:
+    """e^{i·(dt/2)·ω(n)} for the modes ns, ω from the relation the run records:
+    the stepped linear flow cannot disagree with ``linear_flow_modes``."""
+    return np.exp(1j * (dt / 2.0) * oblique_frequencies(parse_relation(relation), -1, 0, ns))
+
+
+def check_residual_length(length: int, M: int) -> None:
+    """ValueError unless a residual ``length`` is a power of two in [2M+1, GRID_CAP]."""
+    if not is_pow2(length) or length < 2 * M + 1:
+        raise ValueError("length must be a power of two >= 2M+1")
+    check_grid(length)
+
+
 def _solver_checks(M: int, dt: float, t_max: float, snapshot_times) -> tuple[int, set[int]]:
     """The step count and the snapshot steps, the final step among them."""
     if not 1 <= M <= MAX_MODES:
@@ -199,7 +212,7 @@ def nls_wick_solve(g, sign: int = 1, M: int = 1 << 10, dt: float = 1e-4,
 
     datum = _datum_coefficients(g, M).astype(np.complex128)
     P = wick_constant(datum)
-    half = np.exp(-1j * dt / 2.0 * np.arange(-M, M + 1, dtype=np.float64) ** 2)
+    half = _half_step(NLS_RELATION, np.arange(-M, M + 1), dt)
     G = next_smooth(4 * M + 1)
     spec = np.zeros(G, dtype=np.complex128)   # modes 0..M, then -M..-1 at the top
     # reused every step: a fresh FFT output this size costs page faults each call
@@ -252,9 +265,9 @@ def kdv_solve(g, M: int = 1 << 10, dt: float = 1e-4, t_max: float = 0.5,
         raise ValueError("KdV datum must be mean-zero")
     datum[M] = 0.0
 
-    ns = np.arange(M + 1, dtype=np.float64)
+    ns = np.arange(M + 1)
     G = max(next_smooth(3 * M + 1), 16)
-    E = np.exp(1j * (dt / 2.0) * ns ** 3)
+    E = _half_step(KDV_RELATION, ns, dt)
     E2 = E * E
     halfin = -0.5j * ns
     mean_drift = 0.0
@@ -303,8 +316,7 @@ def smoothing_residual(traj: Trajectory, length: int = 1 << 12) -> SampleGrid:
     zero and at later times it isolates the nonlinear (Duhamel) part, whose
     regularity exceeds that of the solution itself.
     """
-    if not is_pow2(length) or length < 2 * traj.M + 1:
-        raise ValueError("length must be a power of two >= 2M+1")
+    check_residual_length(length, traj.M)
     f = traj.final
     res = f.modes - linear_flow_modes(traj)
     vals = grid_values(np.arange(-traj.M, traj.M + 1), res, length)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from talbot import __version__, cli, expsum
+from talbot import __version__, _fftsum, cli, evolution, expsum
 from talbot.cli import ConfigError, main
 
 
@@ -323,6 +323,40 @@ def test_solver_snapshot_between_steps_is_a_config_error(capsys, kind):
     assert code == 2
     assert out == ""
     assert "config error: snapshot time 0.00015 must be an integer multiple of dt" in err
+
+
+@pytest.mark.parametrize("kind, solver", [("nls", "nls_wick_solve"), ("kdv", "kdv_solve")])
+@pytest.mark.parametrize("length", ["1000", "1024"])  # not a power of two; below 2M+1 = 2049
+def test_bad_residual_length_exits_2_before_the_solve(capsys, monkeypatch, kind, solver, length):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran before the residual length was checked")
+    monkeypatch.setattr(cli, solver, no_solve)
+    code, out, err = run(capsys, kind, "--residual-length", length)
+    assert code == 2
+    assert out == ""
+    assert "config error: length must be a power of two >= 2M+1" in err
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a series was evolved or a step taken past the grid cap")
+
+
+@pytest.mark.parametrize("argv, module, guarded", [
+    (("dimension", "--rel", "poly:-1,0,0", "--slice", "horiz:rat:1/3"), evolution, "line_spectrum"),
+    (("quantize", "--rel", "poly:-1,0,0", "--a", "1", "--q", "3"), evolution, "quantize_coefficients"),
+    (("nls", "--residual-length"), cli, "nls_wick_solve"),
+    (("kdv", "--residual-length"), cli, "kdv_solve"),
+])
+def test_grid_above_the_cap_exits_2_before_any_series_or_step(capsys, monkeypatch, argv,
+                                                              module, guarded):
+    # 2^23 complex samples are 128 MiB; the one cap, GRID_CAP = 2^22, refuses them
+    monkeypatch.setattr(module, guarded, _unreachable)
+    length = str(2 * _fftsum.GRID_CAP)
+    flag = () if argv[-1] == "--residual-length" else ("--length",)
+    code, out, err = run(capsys, *argv, *flag, length)
+    assert code == 2
+    assert out == ""
+    assert f"grid of {length} points too large" in err
 
 
 # -- dimension ------------------------------------------------------------------------

@@ -347,6 +347,54 @@ def test_phase_path_matches_exact_fractions(rel, theta, ns):
         assert np.max(np.minimum(d, 1.0 - d)) <= 1e-15
 
 
+# -- the rational path against the int64 Horner residues and exact Fractions --
+
+def _horner_residues(rel: IntPolynomial, a: int, q: int, ns: np.ndarray) -> np.ndarray:
+    """(a*omega(n) mod q)/q by Horner's rule on n mod q in int64, the path
+    polynomials once took for q < 2^31: every partial result is below
+    q^2 < 2^62."""
+    nm = ns % q
+    acc = np.full(ns.shape, (a * rel.coeffs[0]) % q, dtype=np.int64)
+    for c in rel.coeffs[1:]:
+        acc = (acc * nm + (a * c) % q) % q
+    return acc / float(q)
+
+
+_RESIDUE_RELATIONS = st.one_of(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda d: st.tuples(st.integers(min_value=-9, max_value=9).filter(bool),
+                            st.lists(st.integers(min_value=-9, max_value=9), min_size=d, max_size=d))
+    ).map(lambda lead_rest: IntPolynomial((lead_rest[0], *lead_rest[1]))),
+    st.sampled_from(("bo", "frac:2", "frac:3")).map(parse_relation),
+    st.just(LINEAR),
+)
+# both sides of 2^31, where the residues leave int64 for Python integers
+_RESIDUE_DENOMINATORS = st.one_of(st.integers(min_value=1, max_value=1000),
+                                  st.sampled_from([(1 << 31) - 1, 1 << 31, (1 << 31) + 11]),
+                                  st.integers(min_value=1 << 31, max_value=10**12 + 39))
+# up to +-2^20: a quintic there passes _fits_int64, so its omega is an object array
+_RESIDUE_MODES = st.lists(st.one_of(st.integers(min_value=-(1 << 20), max_value=1 << 20),
+                                    st.sampled_from([-(1 << 20), -1, 0, 1, 1 << 20])),
+                          min_size=1, max_size=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RESIDUE_RELATIONS, st.integers(min_value=-(1 << 40), max_value=1 << 40),
+       _RESIDUE_DENOMINATORS, _RESIDUE_MODES)
+@example(LINEAR, -(1 << 40) + 1, (1 << 31) - 1, [-(1 << 20), 3, 1 << 20])
+@example(IntPolynomial((-9, 9, -9, 9, -9, 9)), (1 << 40) - 3, (1 << 31) + 11, [-(1 << 20), 1 << 20])
+@example(IntPolynomial((7, -3, 0, 0, 0, 1)), -(1 << 39) - 1, 997, [-(1 << 20), -5, 0, 1 << 20])
+def test_rational_path_is_the_horner_residue_and_the_exact_fraction(rel, a, q, ns):
+    theta = Fraction(a, q)
+    ns = np.array(ns, dtype=np.int64)
+    got = theta_omega_frac_array(rel, theta, ns)
+    want = np.array([float((theta * rel.omega_int(n)) % 1) for n in ns.tolist()])
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    if isinstance(rel, IntPolynomial) and theta.denominator < 1 << 31:
+        horner = _horner_residues(rel, theta.numerator, theta.denominator, ns)
+        assert got.tobytes() == horner.tobytes()
+
+
 # -- the double-double kernel against the big-integer reduction, bit for bit --
 
 #: fixed-point thetas: in (0, 1), negative with |theta| > 1, and above 1

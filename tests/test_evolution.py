@@ -11,7 +11,7 @@ from talbot import (IntPolynomial, SampleGrid, SliceSpec, StepFunction,
                     TimePoint, evolve_slice, kl_theta, parse_datum,
                     parse_relation, parse_slice, quantize_coefficients,
                     quantize_verify)
-from talbot import evolution
+from talbot import _fftsum, evolution
 from talbot.fixedpoint import sqrt2
 
 SCHRODINGER = parse_relation("poly:-1,0,0")
@@ -195,7 +195,7 @@ def test_vertical_slice_matches_direct_evaluation(spec):
 def test_vertical_slice_size_guard():
     # the window 1/997 folds length samples onto a 997*length-point grid
     window = SliceSpec.vertical(Fraction(0), Fraction(0), Fraction(1, 997))
-    assert 997 << 12 <= evolution.MAX_FOLDED_GRID < 997 << 13
+    assert 997 << 12 <= _fftsum.GRID_CAP < 997 << 13
     assert len(evolve_slice(SCHRODINGER, step_datum(), window, M=8, length=1 << 12)) == 1 << 12
     with pytest.raises(ValueError, match="too large"):
         evolve_slice(SCHRODINGER, step_datum(), window, M=8, length=1 << 13)

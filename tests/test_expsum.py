@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from talbot import (BlockSpec, IntPolynomial, SliceSpec, TimePoint,
                     airy_l4_identity_check, block_sum, bprocess_dual_compare,
                     fit_exponent, kl_theta, l4_quadruple_oracle,
-                    parse_relation, seeded_theta, sup_norm_sweep)
+                    parse_relation, seeded_theta, sup_norm_sweep,
+                    theta_omega_frac_array)
 from talbot._fftsum import grid_values
+from talbot.dispersion import LINEAR
 from talbot.evolution import line_spectrum
 from talbot.fixedpoint import sqrt2
 
@@ -34,6 +36,20 @@ def test_block_sum_matches_direct_evaluation():
 def test_block_sum_at_zero_time_is_block_length():
     spec = BlockSpec(parse_relation(SCHRODINGER), 32)
     assert block_sum(spec, TimePoint.rational(0, 1)) == pytest.approx(32, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", [SCHRODINGER, "frac:3/2", "gravcap"])
+def test_block_sum_is_its_terms_summed_to_rounding(spec):
+    x = Fraction(3, 7)
+    for N in (1 << k for k in range(6, 14)):
+        block = BlockSpec(parse_relation(spec), N)
+        ns = block.modes()
+        t = seeded_theta(N)
+        _, coeffs = line_spectrum(block.relation, SliceSpec.horizontal(t), ns, block.weights(ns))
+        terms = coeffs * np.exp(2j * np.pi * theta_omega_frac_array(LINEAR, x, ns))
+        got = block_sum(block, t, x)
+        assert abs(got.real - math.fsum(terms.real)) <= 1e-15 * N
+        assert abs(got.imag - math.fsum(terms.imag)) <= 1e-15 * N
 
 
 def test_block_spec_validation():

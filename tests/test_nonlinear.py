@@ -9,7 +9,7 @@ from talbot import (BlowUpError, SpectralField, StepFunction, kdv_solve,
                     linear_flow_modes, nls_wick_solve, smoothing_residual,
                     wick_constant, write_snapshot_csv)
 from talbot._fftsum import next_pow2, next_smooth
-from talbot.nonlinear import BLOWUP_LINF
+from talbot.nonlinear import BLOWUP_LINF, KDV_RELATION, NLS_RELATION, _half_step
 
 
 def mode_array(M: int, **modes: complex) -> np.ndarray:
@@ -437,6 +437,17 @@ def test_linear_flow_uses_exact_phases():
     assert abs(abs(complex(flow[M + 1])) - 0.1) < 1e-14
     res = smoothing_residual(traj, length=64)
     assert res.provenance["kind"] == "nls-residual"
+
+
+@pytest.mark.parametrize("M", [8, 64, 1024])
+@pytest.mark.parametrize("dt", [1e-5, 2e-5, 1e-3])
+def test_half_steps_are_the_literal_linear_factors(M, dt):
+    # the factors the solvers wrote out as -n^2 and n^3, byte for byte
+    # (signed zeros included), now read from the relations they record
+    nls = np.exp(-1j * dt / 2.0 * np.arange(-M, M + 1, dtype=np.float64) ** 2)
+    kdv = np.exp(1j * (dt / 2.0) * np.arange(M + 1, dtype=np.float64) ** 3)
+    assert _half_step(NLS_RELATION, np.arange(-M, M + 1), dt).tobytes() == nls.tobytes()
+    assert _half_step(KDV_RELATION, np.arange(M + 1), dt).tobytes() == kdv.tobytes()
 
 
 def test_residual_length_validation():

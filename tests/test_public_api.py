@@ -3,10 +3,12 @@ in the package or the benchmark, and every constant a reader.
 
 The scan walks the syntax trees of ``src/talbot/*.py`` (without
 ``__init__.py``) and ``perfbench/*.py``.  Imports and re-exports are not
-uses, and neither are the tests.  It checks four things:
+uses, and neither are the tests.  It checks five things:
 
 * every exported name appears as a ``Name`` or an ``Attribute`` outside its
   own definition;
+* so does every module-level function and class of the package, private
+  ones included;
 * so does every public method (or property) of an exported class;
 * every defaulted parameter of a function or method of the package, private
   ones included, is set by some call of that name: by keyword, by position,
@@ -123,6 +125,14 @@ def _constants() -> dict[str, str]:
     return out
 
 
+def _module_level() -> dict[str, str]:
+    """Name -> its module, for every module-level function and class of the
+    package."""
+    return {node.name: path.stem for path in _sources() if path.parent.name == "talbot"
+            for node in _tree(path).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
 def _public_methods() -> dict[str, str]:
     """Qualified name -> method name, for the public methods."""
     return {qual: fn.name for qual, fn, _, public in _definitions() if public and "." in qual}
@@ -201,6 +211,13 @@ def _unset_parameters() -> set[str]:
 def test_every_export_has_a_caller():
     dead = _exported() - _used_names() - set(KEEP)
     assert not dead, f"exported but never used by the package or perfbench: {sorted(dead)}"
+
+
+def test_every_module_level_function_and_class_has_a_caller():
+    defined = _module_level()
+    dead = set(defined) - _used_names() - set(KEEP)
+    assert not dead, ("module-level functions and classes never used by the package or "
+                      f"perfbench: {sorted(f'{defined[name]}.{name}' for name in dead)}")
 
 
 def test_keep_list_is_current():
