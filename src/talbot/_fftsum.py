@@ -114,10 +114,22 @@ def check_offsets(freqs: np.ndarray, row: str) -> None:
                          "2^53 bound of refinement offsets")
 
 
-def anchored_coefficients(coeffs: np.ndarray, fmod: np.ndarray, G: int, j: int) -> np.ndarray:
-    """A_n = b_n e((f_n j mod G)/G): the coefficients as seen from grid point j."""
-    base = (fmod * (j % G)) % G
-    return coeffs * np.exp(1j * ((2.0 * np.pi / G) * base))
+class AnchoredCoefficients:
+    """j -> A_n = b_n e((f_n j mod G)/G), in buffers reused across calls; the last j is cached."""
+
+    def __init__(self, freqs: np.ndarray, coeffs: np.ndarray, G: int):
+        self.G, self.fmod, self.j = G, fold_frequencies(freqs, G), None
+        self.coeffs = np.asarray(coeffs, dtype=np.complex128)
+        self._base, self._A = np.empty_like(self.fmod), np.empty_like(self.coeffs)
+
+    def __call__(self, j: int) -> np.ndarray:
+        if j != self.j:
+            self.j, base, A = j, np.multiply(self.fmod, j % self.G, out=self._base), self._A
+            base %= self.G
+            A.real = 0.0  # A = i*(2*pi/G)*base, then its exponential, then b_n times that
+            np.multiply(2.0 * np.pi / self.G, base, out=A.imag)
+            np.multiply(self.coeffs, np.exp(A, out=A), out=A)
+        return self._A
 
 
 TAYLOR_TAIL = 2.0 ** -60
@@ -181,12 +193,10 @@ class TaylorEvaluator:
     ``_moments`` product per cell against the powers of u built once."""
 
     def __init__(self, freqs: np.ndarray, coeffs: np.ndarray, G: int, span: int):
-        self.G = G
-        self.fmod = fold_frequencies(freqs, G)
+        self.anchored = AnchoredCoefficients(freqs, coeffs, G)
         # 2*f - 2*c is an exact integer, |.| <= span: no large frequency enters a double
         centred = 2 * (freqs - freqs.min()) - span
         self.u = (np.pi / G) * centred.astype(np.float64)
-        self.coeffs = np.asarray(coeffs, dtype=np.complex128)
         order = taylor_order(math.pi * span / G)
         self.powers = np.ones((order, self.u.size))
         self.powers[1:2] = self.u  # empty when order is 1 (a single frequency)
@@ -195,7 +205,7 @@ class TaylorEvaluator:
 
     def local(self, j: int) -> Callable[[float], float]:
         """delta -> |S((2*pi/G)*(j + delta))| from the order-K polynomial."""
-        moments = _moments(anchored_coefficients(self.coeffs, self.fmod, self.G, j), self.powers)
+        moments = _moments(self.anchored(j), self.powers)
         poly = (moments * self.series)[::-1].tolist()  # M_k i^k / k!, highest order first
 
         def abs_at(delta: float) -> float:
@@ -225,12 +235,10 @@ class AnchoredEvaluator:
     table gather and one ``_moments`` product (module docstring)."""
 
     def __init__(self, freqs: np.ndarray, coeffs: np.ndarray, G: int):
-        self.G = G
-        self.fmod = fold_frequencies(freqs, G)
         check_offsets(freqs, f"G={G}")
+        self.anchored = AnchoredCoefficients(freqs, coeffs, G)
         self.turns = freqs.astype(np.float64) / G  # offset turns per unit delta
-        self.coeffs = np.asarray(coeffs, dtype=np.complex128)
-        self._anchor: tuple[int, np.ndarray] | None = None
+        self.coeffs = self.anchored.coeffs
         # per-probe buffers, reused so that no probe allocates an N-term array
         n = self.coeffs.size
         self._offsets = np.empty(n)
@@ -239,12 +247,6 @@ class AnchoredEvaluator:
         self._powers = np.empty((_PHASOR_SERIES.size, n))
         self._powers[0] = 1.0
 
-    def _anchored(self, j: int) -> np.ndarray:
-        """A_n, cached for the last j."""
-        if self._anchor is None or self._anchor[0] != j:
-            self._anchor = (j, anchored_coefficients(self.coeffs, self.fmod, self.G, j))
-        return self._anchor[1]
-
     def __call__(self, j: int, delta: float) -> complex:
         u = np.multiply(self.turns, delta * PHASOR_TABLE, out=self._offsets)
         k = np.rint(u, out=self._index, casting="unsafe")
@@ -252,7 +254,7 @@ class AnchoredEvaluator:
         k &= PHASOR_TABLE - 1
         # k is in range, so "clip" changes nothing; "raise" would buffer out
         B = _PHASOR.take(k, out=self._terms, mode="clip")
-        B *= self._anchored(j)
+        B *= self.anchored(j)
         return complex(_PHASOR_SERIES @ _moments(B, _powers(self._powers)))
 
     def local(self, j: int) -> Callable[[float], float]:
@@ -323,7 +325,7 @@ def refine_supremum(freqs: np.ndarray, coeffs: np.ndarray, G: int,
         return best
     ev = TaylorEvaluator(freqs, coeffs, G, span)
     cos = math.cos(math.pi * span / (2 * G))
-    slack = CUT_SLACK * float(np.sum(np.abs(ev.coeffs)))
+    slack = CUT_SLACK * float(np.sum(np.abs(coeffs)))
     admitted = np.flatnonzero(absvals >= best * cos - slack)
     for j in admitted[np.argsort(absvals[admitted])[::-1]]:
         if absvals[j] < best * cos - slack:

@@ -125,7 +125,9 @@ def least_squares_line(xs: np.ndarray, ys: np.ndarray,
                          "if all x values are identical")
     n = len(xs)
     ssxm, ssxym, _, ssym = np.cov(xs, ys, bias=1).flat
-    if ssxm == 0.0 or ssym == 0.0:
+    if ssxm == 0.0:
+        raise ValueError("Cannot calculate a linear regression if the x values have zero variance")
+    if ssym == 0.0:
         r = math.nan if ssxym == 0 else 0.0
     else:
         r = min(1.0, max(-1.0, ssxym / np.sqrt(ssxm * ssym)))

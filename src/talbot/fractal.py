@@ -4,10 +4,10 @@ Box-counting dimension via column oscillation counts, Hölder exponents via
 the grid modulus of continuity, hard-cutoff dyadic-block (Littlewood-Paley)
 Besov profiles.  Column extrema are taken at the finest scale and merged
 pairwise for each coarser one.  Each Besov block is evaluated band-limited,
-as one batched call of 4N-point inverse FFTs with exact integer twiddles
-(half-length real ones of the positive frequencies for real samples); its
-L^2 norm comes from the spectrum by Parseval.  Block norms agree with a
-full-length masked inverse FFT per block to 1e-12 relative.
+by 4N-point inverse FFTs with exact integer twiddles (half-length real ones
+for real samples), in cache-sized row chunks into one L-sample modulus
+buffer; its L^2 norm comes from the spectrum by Parseval.  Block norms agree
+with a full-length masked inverse FFT per block to 1e-12 relative.
 
 The Weierstrass family W(x) = sum 2^{-j gamma} cos(2^j x) serves as the
 calibration oracle: its graph has box dimension 2 - gamma, Hölder exponent
@@ -30,6 +30,8 @@ FIT_MIN_BLOCK = 4
 #: A part (re or im) whose sup is below this fraction of the field's sup is
 #: rounding noise (Im of an odd omega's real field) and is not measured.
 NOISE_FLOOR = 2.0**-40
+#: Samples per row chunk of a Besov block, so that a chunk's buffers stay in L2.
+_CHUNK = 1 << 15
 
 
 def measured_parts(field: np.ndarray) -> tuple[dict[str, np.ndarray], dict[str, str]]:
@@ -190,25 +192,32 @@ class BesovProfile:
         return None if fit is None else -fit.slope
 
 
-def _block_samples(spec: np.ndarray, table: np.ndarray, N: int, real: bool) -> np.ndarray:
-    """All L samples of P_N f from one batched B-point inverse FFT, B = 4N.
+def _block_moduli(spec: np.ndarray, table: np.ndarray, N: int, real: bool, out: np.ndarray) -> None:
+    """|P_N f| at all L samples into ``out``, by B-point inverse FFTs, B = 4N.
 
     The 2N block frequencies are distinct mod B, so with sample j = r + R s
     (R = L/B), P_N f(j/L) = sum_n [c_n e(n r/L)] e(n s/B): row r of the
     (R, B) array holds the coefficients times exact twiddles e(n r/L), read
     from ``table`` (e(k/L) for 0 <= k < L/2) at the integer product |n| r.
     For ``real`` f, c_-n is conj(c_n): only the bins N..2N-1 are filled and
-    a half-length real inverse FFT returns the real samples.  Samples come
-    back in (r, s) order, which grid-measure norms ignore."""
-    L = len(spec)
-    B = 4 * N
-    tw = table[np.outer(np.arange(L // B), np.arange(N, 2 * N))]
-    X = np.zeros((L // B, 2 * N + 1 if real else B), dtype=np.complex128)
-    np.multiply(tw, spec[N:2 * N], out=X[:, N:2 * N])
-    if real:
-        return np.fft.irfft(X, B, axis=1, norm="forward")
-    np.multiply(np.conjugate(tw, out=tw), spec[L - N:L - 2 * N:-1], out=X[:, 3 * N:2 * N:-1])
-    return np.fft.ifft(X, axis=1, norm="forward")
+    a half-length real inverse FFT gives the samples.  Row chunks of _CHUNK
+    samples reuse one set of buffers; moduli land in (r, s) order, which
+    grid-measure norms ignore."""
+    L, B, ns = len(spec), 4 * N, np.arange(N, 2 * N)
+    rows = min(L // B, max(1, _CHUNK // B))
+    idx, tw = np.empty((rows, N), dtype=np.int64), np.empty((rows, N), dtype=np.complex128)
+    X = np.zeros((rows, 2 * N + 1 if real else B), dtype=np.complex128)
+    Y = np.empty((rows, B), dtype=np.float64 if real else np.complex128)
+    for r in range(0, L // B, rows):
+        np.multiply.outer(np.arange(r, r + rows), ns, out=idx)
+        table.take(idx, out=tw, mode="clip")  # idx < L/2, so "clip" changes nothing
+        np.multiply(tw, spec[N:2 * N], out=X[:, N:2 * N])
+        if real:
+            np.fft.irfft(X, B, axis=1, norm="forward", out=Y)
+        else:
+            np.multiply(np.conjugate(tw, out=tw), spec[-N:-2 * N:-1], out=X[:, 3 * N:2 * N:-1])
+            np.fft.ifft(X, axis=1, norm="forward", out=Y)
+        np.abs(Y, out=out.reshape(-1, B)[r:r + rows])
 
 
 def besov_profile(samples, ps: Sequence = (1, 2, math.inf)) -> BesovProfile:
@@ -219,9 +228,9 @@ def besov_profile(samples, ps: Sequence = (1, 2, math.inf)) -> BesovProfile:
     block.  Hard cutoffs (not smooth ones) are the operative surrogate here;
     fits use blocks from FIT_MIN_BLOCK up to len/8 whose norm exceeds
     1e-13.  ||P_N f||_2 comes from the spectrum by Parseval; the other norms
-    reduce samples of each block evaluated as 4N-point batched transforms
-    (``_block_samples``), never as a full-length inverse FFT; real input
-    takes half-length real transforms."""
+    reduce one L-sample buffer of block moduli, filled by 4N-point inverse
+    FFTs in cache-sized row chunks (``_block_moduli``), never by a
+    full-length one; real input takes half-length real transforms."""
     arr = samples.samples if hasattr(samples, "samples") else samples
     real = not np.iscomplexobj(arr)
     arr = np.asarray(arr, dtype=np.complex128)
@@ -233,11 +242,13 @@ def besov_profile(samples, ps: Sequence = (1, 2, math.inf)) -> BesovProfile:
     spec = np.fft.fft(arr, norm="forward")
     need_samples = any(p != 2 for p in ps)
     table = np.exp(2j * np.pi / L * np.arange(L // 2)) if need_samples else None
+    a = np.empty(L) if need_samples else None  # each block's moduli in turn
 
     Ns, by_p = [], {p: [] for p in ps}
     N = 1
     while 2 * N <= L // 8:
-        a = np.abs(_block_samples(spec, table, N, real)) if need_samples else None
+        if need_samples:
+            _block_moduli(spec, table, N, real, a)
         for p in ps:
             if p == 1:
                 by_p[p].append(float(np.mean(a)))

@@ -19,8 +19,8 @@ import talbot
 from talbot import _fftsum
 from talbot import (BlockSpec, SliceSpec, fit_exponent, parse_relation,
                     seeded_theta, sup_norm_sweep, theta_omega_frac_array)
-from talbot._fftsum import (PHASOR_TABLE, TOP, AnchoredEvaluator, TaylorEvaluator,
-                            fold_frequencies, frequency_span, golden_section_peak,
+from talbot._fftsum import (PHASOR_TABLE, TOP, AnchoredCoefficients, AnchoredEvaluator,
+                            TaylorEvaluator, fold_frequencies, frequency_span, golden_section_peak,
                             grid_values, local_maxima, next_pow2, next_smooth,
                             refine_supremum, taylor_order, wide_span)
 from talbot.evolution import line_spectrum
@@ -273,6 +273,23 @@ def test_int64_frequencies_fold_like_unbounded_integers(sign):
                     == refine_supremum(unbounded, coeffs, G, absvals))
 
 
+@pytest.mark.parametrize("rel", [SCHRODINGER, "poly:1,0,0,0"])
+def test_anchored_coefficients_are_the_fresh_array_formula_bit_for_bit(rel):
+    # A_n formed in reused buffers against b_n * exp(i*(2*pi/G)*(f_n j mod G)),
+    # the formula that made fresh arrays, over anchors that revisit a j: every
+    # call returns the one buffer, overwritten for a new j, cached for the same
+    # j.  The row has 2^10 terms: from 2^14 complex terms numpy's temporary
+    # elision evaluated the old product as exp(...) * b_n, and complex products
+    # are not bitwise commutative, so there the two differ by an ulp
+    freqs, coeffs, G = _oblique_cell(rel, seeded_theta(7), 1 << 9, "both", "reciprocal")
+    anchored, fmod = AnchoredCoefficients(freqs, coeffs, G), fold_frequencies(freqs, G)
+    buffer = anchored(3)
+    for j in (3, -5, G + 3, 3, 3, 1 << 40, -(1 << 40), 0, G - 1):
+        want = coeffs * np.exp(1j * ((2.0 * np.pi / G) * ((fmod * (j % G)) % G)))
+        got = anchored(j)
+        assert got is buffer and got.tobytes() == want.tobytes()
+
+
 def _one_mode_phasor(t):
     """e(t) for each turn count t, probed through an AnchoredEvaluator of the
     single mode f = 1 on a G = 1 grid, where the offset of delta = t is t."""
@@ -397,13 +414,24 @@ def test_least_squares_line_rejects_identical_x():
         least_squares_line(np.array([3.0, 3.0, 3.0]), np.array([1.0, 2.0, 3.0]), [1, 1, 1])
 
 
+def test_least_squares_line_rejects_zero_x_variance():
+    # distinct xs whose deviations square to 0: linregress divides by zero here
+    xs = np.array([0.0, 5e-324, 0.0])
+    assert np.amax(xs) != np.amin(xs) and np.cov(xs, bias=1) == 0.0
+    with pytest.raises(ValueError, match="x values have zero variance"):
+        least_squares_line(xs, np.array([1.0, 2.0, 3.0]), [1, 1, 1])
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.floats(-20, 20), st.floats(-20, 20)), min_size=2, max_size=12))
+@example([(0.0, 1.0), (5e-324, 2.0)])
 def test_least_squares_line_is_bit_identical_to_linregress(points):
     stats = pytest.importorskip("scipy.stats")
     xs = np.array([p[0] for p in points])
     ys = np.array([p[1] for p in points])
-    if np.amax(xs) == np.amin(xs):
+    # identical xs, or a zero x-variance (xs apart by subnormals only), where
+    # linregress divides by zero, are refused
+    if np.amax(xs) == np.amin(xs) or np.cov(xs, ys, bias=1)[0, 0] == 0.0:
         with pytest.raises(ValueError):
             least_squares_line(xs, ys, [1] * len(xs))
         return

@@ -1,5 +1,6 @@
 """Box counting, Hölder and Besov estimators, and the calibration family."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,6 +298,79 @@ def test_besov_real_input_matches_its_complex_copy(kind):
     for p in (1, 3, math.inf):
         np.testing.assert_allclose(real.norms[p], cplx.norms[p], rtol=1e-13, atol=0.0)
         assert real.gamma(p) == pytest.approx(cplx.gamma(p), rel=0.0, abs=1e-12)
+
+
+def _block_samples_one_shot(spec, table, N, real):
+    """Test oracle: all L samples of P_N f from one batched B-point inverse
+    FFT over every row at once, B = 4N, with the twiddles gathered in one
+    (L/B, N) array (the block evaluation before row chunks)."""
+    L = len(spec)
+    B = 4 * N
+    tw = table[np.outer(np.arange(L // B), np.arange(N, 2 * N))]
+    X = np.zeros((L // B, 2 * N + 1 if real else B), dtype=np.complex128)
+    np.multiply(tw, spec[N:2 * N], out=X[:, N:2 * N])
+    if real:
+        return np.fft.irfft(X, B, axis=1, norm="forward")
+    np.multiply(np.conjugate(tw, out=tw), spec[L - N:L - 2 * N:-1], out=X[:, 3 * N:2 * N:-1])
+    return np.fft.ifft(X, axis=1, norm="forward")
+
+
+def _besov_norms_one_shot(samples, ps):
+    """Test oracle: besov_profile's block norms, each block's moduli taken
+    from ``_block_samples_one_shot`` as a fresh array."""
+    real = not np.iscomplexobj(samples)
+    L = len(samples)
+    spec = np.fft.fft(np.asarray(samples, dtype=np.complex128), norm="forward")
+    table = np.exp(2j * np.pi / L * np.arange(L // 2))
+    norms = {p: [] for p in ps}
+    N = 1
+    while 2 * N <= L // 8:
+        a = np.abs(_block_samples_one_shot(spec, table, N, real))
+        for p in ps:
+            if p == 1:
+                norms[p].append(float(np.mean(a)))
+            elif p == 2:
+                band = np.concatenate((spec[N:2 * N], spec[L - 2 * N + 1:L - N + 1]))
+                norms[p].append(float(np.sqrt(np.sum(band.real ** 2 + band.imag ** 2))))
+            elif p == math.inf:
+                norms[p].append(float(np.max(a)))
+            else:
+                norms[p].append(float(np.mean(a ** p) ** (1.0 / p)))
+        N *= 2
+    return norms
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "weierstrass"])
+@pytest.mark.parametrize("log2n", range(12, 19))
+def test_besov_row_chunks_are_bit_identical_to_one_shot_blocks(kind, log2n):
+    # 2^12 samples are fewer than one chunk; at 2^18 the widest block,
+    # B = 2^16, is wider than one chunk and takes one row per chunk
+    assert (1 << 12) < fractal._CHUNK < (1 << 18) // 4
+    ys = _oracle_input(kind, 1 << log2n)
+    prof = besov_profile(ys, ps=ORACLE_PS)
+    assert prof.norms == {p: tuple(v) for p, v in _besov_norms_one_shot(ys, ORACLE_PS).items()}
+
+
+def _peak_bytes(ys, ps):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        besov_profile(ys, ps=ps)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_besov_samples_cost_at_most_one_and_a_half_spectra(kind):
+    # the p != 2 norms read one L-sample modulus buffer filled chunk by
+    # chunk: over the L^2-only call they add the twiddle table, the buffer and
+    # one block's chunk buffers, not L-sized temporaries per block
+    n = 1 << 18
+    ys = _oracle_input(kind, n)
+    besov_profile(ys)
+    extra = _peak_bytes(ys, (1, 2, math.inf)) - _peak_bytes(ys, (2,))
+    assert extra <= 1.5 * 16 * n
 
 
 # -- re/im parts -------------------------------------------------------------------
