@@ -98,11 +98,15 @@ def check_grid(G: int) -> None:
 
 
 def grid_values(freqs: np.ndarray, coeffs: np.ndarray, G: int) -> np.ndarray:
-    """S(2*pi*j/G) for j = 0..G-1, exactly (single inverse FFT)."""
+    """S(2*pi*j/G) for j = 0..G-1, exactly (single inverse FFT).
+
+    The folded spectrum is transformed in place, so the call holds one
+    G-point complex array (16*G bytes under tracemalloc, besides pocketfft's
+    own scratch); ``freqs`` and ``coeffs`` are only read."""
     check_grid(G)
     spectrum = np.zeros(G, dtype=np.complex128)
     np.add.at(spectrum, fold_frequencies(freqs, G), np.asarray(coeffs, dtype=np.complex128))
-    return np.fft.ifft(spectrum, norm="forward")
+    return np.fft.ifft(spectrum, norm="forward", out=spectrum)
 
 
 def check_offsets(freqs: np.ndarray, row: str) -> None:
@@ -264,17 +268,25 @@ class AnchoredEvaluator:
 
 def local_maxima(absvals: np.ndarray, top: int) -> list[int]:
     """Indices of the ``top`` largest circular local maxima of |S| on the
-    grid (falling back to the plain largest values if the signal is flat).
+    grid, largest first (falling back to the plain largest values if the
+    signal is flat).
 
-    Only wide-span rows refine at these peaks; a narrow-span row refines
-    the cells its Bernstein cut admits, local maxima or not."""
+    The peaks are narrowed to the ``top`` largest by ``np.argpartition``
+    and only those are sorted, not all of them (about G/3 on an oblique
+    row).  Where the top-th and the next largest peak values tie exactly,
+    which of the tied peaks is kept is unspecified, and so is the order of
+    equal values; otherwise the list is the one a full descending sort
+    gives.  Only wide-span rows refine at these peaks; a narrow-span row
+    refines the cells its Bernstein cut admits, local maxima or not."""
     left = np.roll(absvals, 1)
     right = np.roll(absvals, -1)
     peaks = np.flatnonzero((absvals >= left) & (absvals > right))
     if peaks.size == 0:
-        peaks = np.argsort(absvals)[::-1][:top]
+        peaks = np.arange(absvals.size)
+    if peaks.size > top:
+        peaks = peaks[np.argpartition(absvals[peaks], peaks.size - top)[peaks.size - top:]]
     order = peaks[np.argsort(absvals[peaks])[::-1]]
-    return [int(i) for i in order[:top]]
+    return [int(i) for i in order]
 
 
 def golden_section_peak(f: Callable[[float], float], lo: float,

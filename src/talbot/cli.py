@@ -12,10 +12,11 @@ acceptance  the numbered acceptance experiments
 
 Every run emits a JSON report whose ``config`` block echoes the resolved
 configuration (flags merged over an optional ``--config`` JSON file), the
-library version, and any seeds; wall-clock timestamps appear only in that
-report, never in CSV artifacts, so identical configurations produce
-byte-identical CSV.  Threshold flags (``--max-slope``, ``--min-holder``,
-...) turn measurements into pass/fail checks.
+library version, and any seeds; the wall-clock timestamp and the run's wall
+seconds (``elapsed_s``) appear only in that report, never in CSV artifacts,
+so identical configurations produce byte-identical CSV.  Threshold flags
+(``--max-slope``, ``--min-holder``, ...) turn measurements into pass/fail
+checks.
 
 Exit codes: 0 -- all requested thresholds met; 1 -- a threshold failed
 (reports are still written); 2 -- configuration error.
@@ -57,7 +58,7 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 #: Namespace entries that are not options of a run.
-_NOT_OPTIONS = ("handler", "subcommand", "config")
+_NOT_OPTIONS = ("handler", "subcommand", "config", "started")
 
 
 def _options(args: argparse.Namespace) -> dict:
@@ -147,6 +148,7 @@ def _report(args: argparse.Namespace, body: dict, failures: list[str]) -> dict:
         "subcommand": args.subcommand,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "elapsed_s": round(time.perf_counter() - args.started, 3),
         "config": {"subcommand": args.subcommand, "options": _options(args)},
         **body,
         "failures": failures,
@@ -586,9 +588,11 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    started = time.perf_counter()
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _parse_args(argv)
+        args.started = started  # the report's elapsed_s counts from here
         return args.handler(args)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

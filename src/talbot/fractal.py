@@ -7,7 +7,11 @@ pairwise for each coarser one.  Each Besov block is evaluated band-limited,
 by 4N-point inverse FFTs with exact integer twiddles (half-length real ones
 for real samples), in cache-sized row chunks into one L-sample modulus
 buffer; its L^2 norm comes from the spectrum by Parseval.  Block norms agree
-with a full-length masked inverse FFT per block to 1e-12 relative.
+with a full-length masked inverse FFT per block to 1e-12 relative.  Past the
+forward FFT (in place into the complex copy of real input) only the L/4 bins
+the blocks read are kept, and the twiddle table is built in place, so a
+default Besov profile peaks at about 1.7 (real) and 1.9 (complex) times the
+16*L bytes of one spectrum under tracemalloc.
 
 The Weierstrass family W(x) = sum 2^{-j gamma} cos(2^j x) serves as the
 calibration oracle: its graph has box dimension 2 - gamma, Hölder exponent
@@ -193,17 +197,19 @@ class BesovProfile:
 
 
 def _block_moduli(spec: np.ndarray, table: np.ndarray, N: int, real: bool, out: np.ndarray) -> None:
-    """|P_N f| at all L samples into ``out``, by B-point inverse FFTs, B = 4N.
+    """|P_N f| at all L = len(out) samples into ``out``, by B-point inverse
+    FFTs, B = 4N.
 
-    The 2N block frequencies are distinct mod B, so with sample j = r + R s
-    (R = L/B), P_N f(j/L) = sum_n [c_n e(n r/L)] e(n s/B): row r of the
-    (R, B) array holds the coefficients times exact twiddles e(n r/L), read
-    from ``table`` (e(k/L) for 0 <= k < L/2) at the integer product |n| r.
-    For ``real`` f, c_-n is conj(c_n): only the bins N..2N-1 are filled and
-    a half-length real inverse FFT gives the samples.  Row chunks of _CHUNK
-    samples reuse one set of buffers; moduli land in (r, s) order, which
-    grid-measure norms ignore."""
-    L, B, ns = len(spec), 4 * N, np.arange(N, 2 * N)
+    ``spec`` holds the DFT bins with |n| < len(spec)/2, the negative ones
+    at the negative indices.  The 2N block frequencies are distinct mod B,
+    so with sample j = r + R s (R = L/B), P_N f(j/L) = sum_n [c_n e(n r/L)]
+    e(n s/B): row r of the (R, B) array holds the coefficients times exact
+    twiddles e(n r/L), read from ``table`` (e(k/L) for 0 <= k < L/2) at the
+    integer product |n| r.  For ``real`` f, c_-n is conj(c_n): only the bins
+    N..2N-1 are filled and a half-length real inverse FFT gives the samples.
+    Row chunks of _CHUNK samples reuse one set of buffers; moduli land in
+    (r, s) order, which grid-measure norms ignore."""
+    L, B, ns = out.size, 4 * N, np.arange(N, 2 * N)
     rows = min(L // B, max(1, _CHUNK // B))
     idx, tw = np.empty((rows, N), dtype=np.int64), np.empty((rows, N), dtype=np.complex128)
     X = np.zeros((rows, 2 * N + 1 if real else B), dtype=np.complex128)
@@ -230,19 +236,31 @@ def besov_profile(samples, ps: Sequence = (1, 2, math.inf)) -> BesovProfile:
     1e-13.  ||P_N f||_2 comes from the spectrum by Parseval; the other norms
     reduce one L-sample buffer of block moduli, filled by 4N-point inverse
     FFTs in cache-sized row chunks (``_block_moduli``), never by a
-    full-length one; real input takes half-length real transforms."""
-    arr = samples.samples if hasattr(samples, "samples") else samples
-    real = not np.iscomplexobj(arr)
-    arr = np.asarray(arr, dtype=np.complex128)
+    full-length one; real input takes half-length real transforms.
+
+    Blocks stop at 2N <= L/8, so only the L/4 bins with |n| < L/8 outlive
+    the forward FFT, which runs in place into the complex copy that real or
+    non-complex128 input needs (a caller's array is never written), and the
+    e(k/L) twiddle table is built in place.  Under tracemalloc the default
+    ps peak at about 1.7 * 16 * L bytes over real input and 1.9 * 16 * L
+    over complex128 input, besides pocketfft's own scratch."""
+    given = np.asarray(samples.samples if hasattr(samples, "samples") else samples)
+    real, arr = not np.iscomplexobj(given), given.astype(np.complex128, copy=False)
     if arr.ndim != 1 or len(arr) < MIN_SAMPLES or not is_pow2(len(arr)):
         raise ValueError(f"need a 1-d power-of-two sample array of length >= {MIN_SAMPLES}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("samples must be finite")
     L = len(arr)
-    spec = np.fft.fft(arr, norm="forward")
+    full = np.fft.fft(arr, norm="forward", out=None if arr is given else arr)
+    spec = np.concatenate((full[:L // 8], full[L - L // 8:]))  # the bins |n| < L/8
+    M = len(spec)  # bin -m is spec[M - m]
+    del given, arr, full  # only spec outlives the forward FFT
     need_samples = any(p != 2 for p in ps)
-    table = np.exp(2j * np.pi / L * np.arange(L // 2)) if need_samples else None
-    a = np.empty(L) if need_samples else None  # each block's moduli in turn
+    table, a = None, None
+    if need_samples:
+        table = np.multiply(2j * np.pi / L, np.arange(L // 2))
+        np.exp(table, out=table)
+        a = np.empty(L)  # each block's moduli in turn
 
     Ns, by_p = [], {p: [] for p in ps}
     N = 1
@@ -253,7 +271,7 @@ def besov_profile(samples, ps: Sequence = (1, 2, math.inf)) -> BesovProfile:
             if p == 1:
                 by_p[p].append(float(np.mean(a)))
             elif p == 2:
-                band = np.concatenate((spec[N:2 * N], spec[L - 2 * N + 1:L - N + 1]))
+                band = np.concatenate((spec[N:2 * N], spec[M - 2 * N + 1:M - N + 1]))
                 by_p[p].append(float(np.sqrt(np.sum(band.real ** 2 + band.imag ** 2))))
             elif p in (math.inf, "inf"):
                 by_p[p].append(float(np.max(a)))

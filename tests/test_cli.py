@@ -1,6 +1,7 @@
 """End-to-end command-line runs, in process via talbot.cli.main()."""
 import argparse
 import json
+import time
 
 import pytest
 
@@ -553,10 +554,27 @@ def test_report_envelope_fields(capsys):
                        "--at", "rat:0/1", "--scales", "6..9")
     assert code == 0
     report = json.loads(out)
-    for key in ("subcommand", "version", "timestamp", "config", "results",
+    for key in ("subcommand", "version", "timestamp", "elapsed_s", "config", "results",
                 "failures", "passed"):
         assert key in report
     assert report["version"] == __version__
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--rel", "poly:-1,0,0", "--at", "rat:0/1", "--scales", "6..9"),
+    ("dimension", "--rel", "poly:-1,0,0", "--slice", "horiz:kl:sqrt2",
+     "--truncation", "2048", "--length", "16384"),
+    ("nls", "--M", "128", "--dt", "1e-3", "--t-max", "0.02", "--residual-length", "4096"),
+], ids=lambda argv: argv[0])
+def test_report_states_its_wall_seconds_outside_the_options(capsys, argv):
+    before = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    took = time.perf_counter() - before
+    assert code == 0
+    report = json.loads(out)
+    assert 0.0 <= report["elapsed_s"] <= took + 1e-3
+    assert "started" not in report["config"]["options"]
+    assert "elapsed_s" not in report["config"]["options"]
 
 
 def test_help_shows_the_defaults(capsys):

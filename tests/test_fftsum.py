@@ -25,6 +25,7 @@ from talbot._fftsum import (PHASOR_TABLE, TOP, AnchoredCoefficients, AnchoredEva
                             refine_supremum, taylor_order, wide_span)
 from talbot.evolution import line_spectrum
 from talbot.expsum import MAX_GRID, least_squares_line
+from test_fractal import _traced_peak
 
 SCHRODINGER = "poly:-1,0,0"
 RELATIONS = ("frac:1/2", "frac:3/2", "frac:9/5", "gravity", "gravcap", "poly:1,0,0,0")
@@ -288,6 +289,72 @@ def test_anchored_coefficients_are_the_fresh_array_formula_bit_for_bit(rel):
         want = coeffs * np.exp(1j * ((2.0 * np.pi / G) * ((fmod * (j % G)) % G)))
         got = anchored(j)
         assert got is buffer and got.tobytes() == want.tobytes()
+
+
+def _folded_spectrum(freqs, coeffs, G):
+    spectrum = np.zeros(G, dtype=np.complex128)
+    np.add.at(spectrum, fold_frequencies(freqs, G), np.asarray(coeffs, dtype=np.complex128))
+    return spectrum
+
+
+@pytest.mark.parametrize("kind", ["int64", "object", "collisions"])
+def test_grid_values_is_the_out_of_place_inverse_fft_bit_for_bit(kind):
+    # up to 2^20 points, far past the 256 KiB at which numpy starts to elide
+    # temporaries, so an in-place transform that rounded otherwise would show
+    rng = np.random.default_rng(11)
+    for log2G in range(12, 21):
+        G = 1 << log2G
+        freqs = rng.integers(-8 * G, 8 * G, G // 16)
+        if kind == "object":
+            freqs = np.array([int(f) << 64 | 5 for f in freqs], dtype=object)
+        elif kind == "collisions":  # three terms on each folded bin
+            freqs = np.concatenate((freqs, freqs + G, freqs - 5 * G))
+        coeffs = rng.standard_normal(freqs.size) + 1j * rng.standard_normal(freqs.size)
+        kept = freqs.copy(), coeffs.copy()
+        want = np.fft.ifft(_folded_spectrum(freqs, coeffs, G), norm="forward")
+        assert grid_values(freqs, coeffs, G).tobytes() == want.tobytes()
+        assert np.array_equal(freqs, kept[0]) and coeffs.tobytes() == kept[1].tobytes()
+
+
+def test_grid_values_holds_one_grid():
+    # the folded spectrum is transformed in place: at G = 2^18 with G/16
+    # terms the call holds the one G-point array (and the folded indices),
+    # where a transform into a second array held two
+    G = 1 << 18
+    freqs, coeffs, _ = _oblique_cell(SCHRODINGER, seeded_theta(3), G // 16)
+    grid_values(freqs, coeffs, G)
+    assert _traced_peak(lambda: grid_values(freqs, coeffs, G)) <= 1.1 * 16 * G
+
+
+def _local_maxima_sorting_all(absvals, top):
+    """Test oracle: every circular local maximum sorted, the ``top`` largest
+    kept (the selection before the argpartition narrowing)."""
+    left, right = np.roll(absvals, 1), np.roll(absvals, -1)
+    peaks = np.flatnonzero((absvals >= left) & (absvals > right))
+    order = peaks[np.argsort(absvals[peaks])[::-1]]
+    return [int(i) for i in order[:top]]
+
+
+def test_local_maxima_match_sorting_every_peak_on_oblique_rows():
+    for log2N in range(8, 16):
+        for intercept in (2, 9):
+            freqs, coeffs, G = _oblique_cell(SCHRODINGER, seeded_theta(intercept), 1 << log2N)
+            absvals = np.abs(grid_values(freqs, coeffs, G))
+            assert local_maxima(absvals, TOP) == _local_maxima_sorting_all(absvals, TOP)
+
+
+def test_local_maxima_keep_the_top_values_when_peaks_tie():
+    # eight equal peaks compete for the last three places: which of them
+    # are kept is unspecified, their values are not
+    absvals = np.zeros(64)
+    absvals[2:16:2] = [9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0]
+    absvals[20:52:4] = 1.0
+    got = local_maxima(absvals, TOP)
+    assert len(set(got)) == TOP and got[:7] == list(range(2, 16, 2))
+    assert absvals[got].tolist() == absvals[_local_maxima_sorting_all(absvals, TOP)].tolist()
+    assert local_maxima(absvals, 20) == _local_maxima_sorting_all(absvals, 20)
+    flat = local_maxima(np.ones(16), 3)  # no local maximum: any three samples
+    assert len(set(flat)) == 3 and all(0 <= j < 16 for j in flat)
 
 
 def _one_mode_phasor(t):

@@ -7,6 +7,7 @@ import pytest
 
 from talbot import besov_profile, box_dimension, holder_exponent, weierstrass
 from talbot import fractal
+from talbot.evolution import SampleGrid
 from talbot.fractal import NOISE_FLOOR, measured_parts
 
 L = 1 << 14
@@ -351,14 +352,19 @@ def test_besov_row_chunks_are_bit_identical_to_one_shot_blocks(kind, log2n):
     assert prof.norms == {p: tuple(v) for p, v in _besov_norms_one_shot(ys, ORACLE_PS).items()}
 
 
-def _peak_bytes(ys, ps):
+def _traced_peak(call):
+    """Bytes that call() holds at its peak over those live before it, by tracemalloc."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        besov_profile(ys, ps=ps)
+        call()
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def _peak_bytes(ys, ps):
+    return _traced_peak(lambda: besov_profile(ys, ps=ps))
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -371,6 +377,41 @@ def test_besov_samples_cost_at_most_one_and_a_half_spectra(kind):
     besov_profile(ys)
     extra = _peak_bytes(ys, (1, 2, math.inf)) - _peak_bytes(ys, (2,))
     assert extra <= 1.5 * 16 * n
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_besov_default_profile_peaks_below_two_spectra(kind):
+    # only the L/4 bins the blocks read outlive the forward FFT, which runs
+    # in place into the complex copy of real input, and the twiddle table is
+    # built in place: at L = 2^18 the call peaks near 1.7 spectra over real
+    # input and 1.9 over complex input (the widest block's one-row chunk
+    # buffers over the kept bins, the table and the modulus buffer), where
+    # the full spectrum and out-of-place transforms held 3.4 and 2.7
+    n = 1 << 18
+    ys = _oracle_input(kind, n)
+    besov_profile(ys)
+    assert _peak_bytes(ys, (1, 2, math.inf)) <= 2.0 * 16 * n
+
+
+def test_besov_profile_leaves_its_input_unchanged():
+    # a copy made from real or complex64 input is transformed in place; a
+    # caller's complex128 array, a SampleGrid's samples and a real array are
+    # only read, and every input gives the norms of its complex128 values
+    real = _oracle_input("real", L)
+    cplx = _oracle_input("complex", L)
+    grid = SampleGrid(samples=cplx.copy(), period=1.0, truncation=L // 4)
+    want_real = besov_profile(real.copy(), ps=ORACLE_PS).norms
+    want_cplx = besov_profile(cplx.copy(), ps=ORACLE_PS).norms
+    for given, want in ((real, want_real), (cplx, want_cplx), (grid, want_cplx),
+                        (real.tolist(), want_real)):
+        before = np.array(given.samples if isinstance(given, SampleGrid) else given)
+        assert besov_profile(given, ps=ORACLE_PS).norms == want
+        after = given.samples if isinstance(given, SampleGrid) else np.asarray(given)
+        assert after.tobytes() == before.tobytes()
+    single = cplx.astype(np.complex64)
+    before = single.copy()
+    besov_profile(single, ps=ORACLE_PS)
+    assert single.tobytes() == before.tobytes()
 
 
 # -- re/im parts -------------------------------------------------------------------
