@@ -133,15 +133,21 @@ def line_spectrum(rel: DispersionRelation, slc: SliceSpec, ns: np.ndarray,
     w(n) e(c*omega(n)).  Vertical (x, t) = (x0, t0 + z): frequency omega(n),
     the oblique one with (k, ell) = (-1, 0), coefficient
     w(n) e(t0*omega(n) + x0*n).  Oblique and vertical lines need an
-    integer-valued omega (ValueError otherwise)."""
+    integer-valued omega (ValueError otherwise).  Each coefficient is
+    ``np.multiply(w, e)``, the same bits at every array size: a product
+    ``w * <temporary>`` is evaluated as ``e * w`` once numpy elides the
+    temporary (from 2^14 terms), and a complex product under FMA is not
+    bitwise commutative."""
     if slc.kind == "horizontal":
         freqs, theta = ns, slc.t.theta
     elif slc.kind == "oblique":
         freqs, theta = oblique_frequencies(rel, slc.k, slc.ell, ns), slc.c.theta
     else:
         freqs, theta = oblique_frequencies(rel, -1, 0, ns), slc.t0.theta
-        weights = weights * np.exp(2j * np.pi * theta_omega_frac_array(LINEAR, slc.x0, ns))
-    return freqs, weights * np.exp(2j * np.pi * theta_omega_frac_array(rel, theta, ns))
+        e = np.exp(2j * np.pi * theta_omega_frac_array(LINEAR, slc.x0, ns))
+        weights = np.multiply(weights, e, out=e)
+    e = np.exp(2j * np.pi * theta_omega_frac_array(rel, theta, ns))
+    return freqs, np.multiply(weights, e, out=e)
 
 
 # ---------------------------------------------------------------------------

@@ -88,8 +88,8 @@ def block_sum(spec: BlockSpec, t, x=0) -> complex:
     (x = 1 is a full period)."""
     ns = spec.modes()
     _, coeffs = line_spectrum(spec.relation, SliceSpec.horizontal(t), ns, spec.weights(ns))
-    xfr = theta_omega_frac_array(LINEAR, x, ns)
-    return complex(np.sum(coeffs * np.exp(2j * np.pi * xfr)))
+    e = np.exp(2j * np.pi * theta_omega_frac_array(LINEAR, x, ns))
+    return complex(np.sum(np.multiply(coeffs, e, out=e)))   # one operand order at every size
 
 
 # ---------------------------------------------------------------------------

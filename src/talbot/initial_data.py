@@ -119,8 +119,9 @@ class StepFunction:
         ns = np.arange(-M, M + 1, dtype=np.int64)
         out = np.zeros(2 * M + 1, dtype=np.complex128)
         for b, jump in self.jumps():
-            if jump != 0:
-                out += jump * np.exp(2j * np.pi * theta_omega_frac_array(LINEAR, -b, ns))
+            if jump != 0:   # jump·e in that order at every size, as in ``line_spectrum``
+                e = np.exp(2j * np.pi * theta_omega_frac_array(LINEAR, -b, ns))
+                out += np.multiply(jump, e, out=e)
         nz = ns != 0
         out[nz] /= 2j * np.pi * ns[nz]
         out[M] = complex(self.mean())

@@ -201,6 +201,22 @@ def test_vertical_slice_size_guard():
         evolve_slice(SCHRODINGER, step_datum(), window, M=8, length=1 << 13)
 
 
+
+# 2^16 terms sit past numpy's temporary elision (2^14 complex terms), 2^12 below it
+@pytest.mark.parametrize("slc", [SliceSpec.horizontal(kl_theta("sqrt2")),
+                                 SliceSpec.oblique(kl_theta("sqrt2"), 1, 1),
+                                 SliceSpec.vertical(Fraction(1, 7), Fraction(1, 5), Fraction(2, 5))])
+def test_line_spectrum_bits_do_not_depend_on_the_array_size(slc):
+    ns = np.arange(-(1 << 15), 1 << 15, dtype=np.int64)
+    rng = np.random.default_rng(11)
+    weights = rng.standard_normal(ns.size) + 1j * rng.standard_normal(ns.size)
+    freqs, coeffs = evolution.line_spectrum(SCHRODINGER, slc, ns, weights)
+    chunks = [evolution.line_spectrum(SCHRODINGER, slc, ns[i:i + (1 << 12)], weights[i:i + (1 << 12)])
+              for i in range(0, ns.size, 1 << 12)]
+    assert np.array_equal(freqs, np.concatenate([f for f, _ in chunks]))
+    assert coeffs.tobytes() == np.concatenate([c for _, c in chunks]).tobytes()
+
+
 # -- datum handling -----------------------------------------------------------------
 
 def test_coefficient_array_datum():

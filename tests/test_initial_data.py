@@ -113,6 +113,13 @@ def test_coefficients_array_takes_exact_phases_at_large_denominators():
     np.testing.assert_allclose(g.coefficients_array(M), ref, rtol=1e-14, atol=0)
 
 
+
+def test_coefficients_array_bits_do_not_depend_on_M():
+    # M = 2^15 forms its 2^16 + 1 phase products past numpy's temporary elision
+    g = StepFunction((Fraction(0), Fraction(1, 3), Fraction(3, 4)), (1 + 0.5j, -0.5, 0.25j))
+    big, small, M = g.coefficients_array(1 << 15), g.coefficients_array(1 << 11), 1 << 15
+    assert big[M - (1 << 11):M + (1 << 11) + 1].tobytes() == small.tobytes()
+
 def test_coefficient_quadrature_agreement():
     # closed form vs trapezoidal quadrature on a dense grid
     g = StepFunction((Fraction(0), Fraction(1, 3), Fraction(3, 4)), (1.0, 2j, -0.5))

@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from talbot import (BlowUpError, SpectralField, StepFunction, kdv_solve,
                     linear_flow_modes, nls_wick_solve, smoothing_residual,
                     wick_constant, write_snapshot_csv)
 from talbot._fftsum import next_pow2, next_smooth
-from talbot.nonlinear import BLOWUP_LINF, KDV_RELATION, NLS_RELATION, _half_step
+from talbot.acceptance import _step_datum
+from talbot.nonlinear import (BLOWUP_LINF, KDV_RELATION, NLS_RELATION, ROTATION_TAYLOR_MAX,
+                              _half_step, _rotation)
 
 
 def mode_array(M: int, **modes: complex) -> np.ndarray:
@@ -497,3 +501,91 @@ def test_write_snapshot_csv_of_residual(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,re,im"
     assert len(lines) == 1 + 32
+
+
+# -- the nonlinear rotation -------------------------------------------------------------
+
+def rotate(angle: np.ndarray, theta_max: float) -> np.ndarray:
+    x, h = np.empty_like(angle), np.empty_like(angle)
+    return _rotation(angle, theta_max, x, h, np.empty(angle.size, dtype=np.complex128))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, max_value=64.0),
+       st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=64))
+def test_taylor_rotation_is_within_one_ulp_of_libm(octaves, fractions):
+    # theta_max log-uniform down to 2^-65, so every order 1..17 is in range;
+    # cos θ ≥ 0.87 has ulp 2^-53, and sin θ is within one ulp relative to itself
+    theta_max = ROTATION_TAYLOR_MAX * 2.0 ** -octaves
+    angle = np.array(fractions) * theta_max
+    rot = rotate(angle, theta_max)
+    assert np.all(np.abs(rot.real - np.cos(angle)) <= 2.0 ** -53)
+    assert np.all(np.abs(rot.imag - np.sin(angle)) <= 2.0 ** -52 * np.abs(np.sin(angle)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=ROTATION_TAYLOR_MAX, max_value=64.0, exclude_min=True),
+       st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=64))
+def test_rotation_beyond_the_threshold_is_libm(theta_max, fractions):
+    angle = np.array(fractions) * theta_max
+    rot = rotate(angle, theta_max)
+    assert rot.real.tobytes() == np.cos(angle).tobytes()
+    assert rot.imag.tobytes() == np.sin(angle).tobytes()
+
+
+def test_criterion_sized_nls_run_calls_no_libm_trig(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("libm trig on the Taylor path")
+
+    monkeypatch.setattr(np, "cos", refuse)
+    monkeypatch.setattr(np, "sin", refuse)
+    traj = nls_wick_solve(_step_datum(), sign=1, M=1 << 10, dt=1e-4, t_max=50 * 1e-4)
+    assert traj.final.step == 50
+
+
+# -- reused buffers ----------------------------------------------------------------------
+
+def kdv_allocating_final(traj) -> np.ndarray:
+    """kdv_solve's stepping before it reused its FFT buffers: a fresh irfft output,
+    square and rfft output in every stage.  Returns the final centred modes."""
+    M, dt = traj.M, traj.dt
+    ns = np.arange(M + 1)
+    G = max(next_smooth(3 * M + 1), 16)
+    E = _half_step(KDV_RELATION, ns, dt)
+    E2 = E * E
+    halfin = -0.5j * ns
+
+    def rhs(a):
+        vals = np.fft.irfft(a, G, norm="forward")
+        return halfin * np.fft.rfft(vals * vals, norm="forward")[:M + 1], vals
+
+    a = traj.datum_modes[M:].copy()
+    for _ in range(traj.final.step):
+        k1, _ = rhs(a)
+        Ea, E2a = E * a, E2 * a
+        k2 = rhs(E * (a + (dt / 2.0) * k1))[0]
+        k3 = rhs(Ea + (dt / 2.0) * k2)[0]
+        k4 = rhs(E2a + dt * (E * k3))[0]
+        a = E2a + (dt / 6.0) * (E2 * k1 + 2.0 * (E * (k2 + k3)) + k4)
+    return np.concatenate((np.conj(a[:0:-1]), a))
+
+
+@pytest.mark.parametrize("M", [8, 64, 1024])
+def test_kdv_reused_buffers_are_bit_identical_to_allocating_steps(M):
+    traj = kdv_solve(KDV_STEP, M=M, dt=KDV_DT, t_max=STEPS * KDV_DT)
+    assert traj.final.modes.tobytes() == kdv_allocating_final(traj).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["nls", "kdv"])
+def test_snapshots_at_consecutive_steps_are_independent_arrays(kind):
+    M, dt = 16, 1e-4
+    if kind == "nls":
+        traj = nls_wick_solve(NLS_STEP, M=M, dt=dt, t_max=4 * dt, snapshot_times=(dt, 2 * dt, 3 * dt))
+    else:
+        traj = kdv_solve(KDV_STEP, M=M, dt=dt, t_max=4 * dt, snapshot_times=(dt, 2 * dt, 3 * dt))
+    modes = [f.modes for f in traj.fields]
+    assert [f.step for f in traj.fields] == [1, 2, 3, 4]
+    for i, a in enumerate(modes):
+        for b in modes[i + 1:]:
+            assert not np.shares_memory(a, b)
+            assert not np.array_equal(a, b)
