@@ -6,6 +6,11 @@ into a length-G spectrum and applying one inverse FFT therefore yields the
 *exact* values {S(z_j)} (up to FFT rounding) even when G is far below the
 Nyquist rate of the largest frequency.
 
+A grid can also be computed in s coarse passes: with G = s*G_c, sample
+s*j + r of the G-point grid is sample j of the G_c-point grid of the
+coefficients b_n e((f_n r mod G)/G), by the same folding identity.  Only
+one G_c-point array is then held at a time.
+
 Off-grid values for refinement, z = (2*pi/G)*(j + delta) with |delta| <= 1,
 are evaluated against an anchor grid point j so no large products enter a
 double before reduction: A_n = b_n e((f_n j mod G)/G).  Both evaluators
@@ -13,13 +18,15 @@ take K moments sum_n B_n r_n^k, k < K, as one real matrix product of a
 (K, N) array of powers of r with the re/im parts of B (``_moments``), and
 share one golden-section search:
 
-* narrow span (rho = pi*(max f - min f)/G <= 1, horizontal rows to 2^18): a
-  Taylor polynomial in delta about the midpoint frequency.  r_n, the
-  centred frequency in radians per unit delta, is fixed for the row, so
-  its powers are built once per row, each refined cell takes one moment
-  product of its A_n, and each probe costs O(K).  K is the least order
-  whose tail bound rho^K/K! * e^rho is below 2^-60; the result matches the
-  direct sum to 1e-12 relative.
+* narrow span (rho = pi*(max f - min f)/G <= 1, every horizontal row on
+  its 16N grid): a Taylor polynomial in delta about the midpoint frequency.
+  r_n, the centred frequency in radians per unit delta, is fixed for the
+  row, so its powers are built once per row, each refined cell takes one
+  moment product of its A_n, and each probe costs O(K).  K is the least
+  order whose tail bound rho^K/K! * e^rho is below 2^-60; the result
+  matches the direct sum to 1e-12 relative.  ``narrow_row_norms`` samples
+  such a row in coarse passes of G_c points and builds the powers only
+  after the passes.
 * wide span (rho > 1, oblique rows): each probe splits u_n = f_n*delta*L/G,
   L = 2^11, into k_n = rint(u_n) and r_n = u_n - k_n, so that
   e(f_n*delta/G) = e(k_n/L) e(r_n/L).  With B_n = A_n e(k_n/L), A_n formed
@@ -39,8 +46,10 @@ exponential type) gives g(z) >= |S|_inf cos((D/2)|z - z*|), and the grid
 point nearest z* is at most pi/G away, so its sample is at least
 |S|_inf cos(pi*D/(2G)).  A grid point below best*cos(pi*D/(2G)), with best
 any value |S| attains, is therefore not the one nearest the maximiser, and
-its cell is not refined.  On a wide-span row cos(pi*D/(2G)) can be <= 0 and
-the bound admits every cell; those rows refine the TOP largest grid peaks.
+its cell is not refined.  A pass that keeps only the samples above its own
+running best*cos(pi*D/(2G)) therefore keeps that grid point.  On a
+wide-span row cos(pi*D/(2G)) can be <= 0 and the bound admits every cell;
+those rows refine the TOP largest grid peaks (``refine_supremum``).
 """
 from __future__ import annotations
 
@@ -124,14 +133,16 @@ class AnchoredCoefficients:
     def __init__(self, freqs: np.ndarray, coeffs: np.ndarray, G: int):
         self.G, self.fmod, self.j = G, fold_frequencies(freqs, G), None
         self.coeffs = np.asarray(coeffs, dtype=np.complex128)
-        self._base, self._A = np.empty_like(self.fmod), np.empty_like(self.coeffs)
+        self._A = np.empty_like(self.coeffs)
 
     def __call__(self, j: int) -> np.ndarray:
         if j != self.j:
-            self.j, base, A = j, np.multiply(self.fmod, j % self.G, out=self._base), self._A
+            # f*j mod G is formed as int64 in the real halves of A: no N-term int buffer is kept
+            self.j, A = j, self._A
+            base = np.multiply(self.fmod, j % self.G, out=A.view(np.int64)[::2])
             base %= self.G
-            A.real = 0.0  # A = i*(2*pi/G)*base, then its exponential, then b_n times that
             np.multiply(2.0 * np.pi / self.G, base, out=A.imag)
+            A.real = 0.0  # A = i*(2*pi/G)*base, then its exponential, then b_n times that
             np.multiply(self.coeffs, np.exp(A, out=A), out=A)
         return self._A
 
@@ -196,8 +207,8 @@ class TaylorEvaluator:
     sum_k M_k (i delta)^k / k! with moments M_k = sum_n A_n u_n^k, one
     ``_moments`` product per cell against the powers of u built once."""
 
-    def __init__(self, freqs: np.ndarray, coeffs: np.ndarray, G: int, span: int):
-        self.anchored = AnchoredCoefficients(freqs, coeffs, G)
+    def __init__(self, freqs: np.ndarray, anchored: AnchoredCoefficients, span: int):
+        self.anchored, G = anchored, anchored.G
         # 2*f - 2*c is an exact integer, |.| <= span: no large frequency enters a double
         centred = 2 * (freqs - freqs.min()) - span
         self.u = (np.pi / G) * centred.astype(np.float64)
@@ -317,30 +328,61 @@ def wide_span(span: int, G: int) -> bool:
 
 def refine_supremum(freqs: np.ndarray, coeffs: np.ndarray, G: int,
                     absvals: np.ndarray) -> float:
-    """Golden-section refinement of the grid supremum, one grid cell to each
-    side of a grid point.  Never below the grid sup.
-
-    Narrow span (pi*(max f - min f)/G <= 1): the grid points with
-    |S_j| >= best*cos(pi*span/(2G)), in descending |S_j|, each refined by
-    the Taylor evaluator, where best starts at the grid sup and rises with
-    each refined value; the first point below the current cut ends the
-    search.  The grid point nearest the maximiser is never below the cut
-    (module docstring), so it is refined, whether or not it is a local
-    maximum.  Wide span: the TOP largest local maxima, by the direct
-    evaluator."""
+    """Golden-section refinement of a wide-span row's grid supremum
+    (pi*span > G, oblique rows): the TOP largest local maxima of |S| on the
+    grid, each searched one grid cell to each side by the anchored
+    evaluator.  Never below the grid sup, and a lower bound of the sup, since
+    no Bernstein cut applies; narrow rows go through ``narrow_row_norms``."""
     best = float(np.max(absvals))
-    span = frequency_span(freqs)
-    if wide_span(span, G):
-        ev = AnchoredEvaluator(freqs, coeffs, G)
-        for j in local_maxima(absvals, TOP):
-            best = max(best, golden_section_peak(ev.local(j), -1.0, 1.0)[1])
-        return best
-    ev = TaylorEvaluator(freqs, coeffs, G, span)
-    cos = math.cos(math.pi * span / (2 * G))
-    slack = CUT_SLACK * float(np.sum(np.abs(coeffs)))
-    admitted = np.flatnonzero(absvals >= best * cos - slack)
-    for j in admitted[np.argsort(absvals[admitted])[::-1]]:
-        if absvals[j] < best * cos - slack:
-            break
-        best = max(best, golden_section_peak(ev.local(int(j)), -1.0, 1.0)[1])
+    ev = AnchoredEvaluator(freqs, coeffs, G)
+    for j in local_maxima(absvals, TOP):
+        best = max(best, golden_section_peak(ev.local(j), -1.0, 1.0)[1])
     return best
+
+
+def _coarse_passes(freqs: np.ndarray, anchored: AnchoredCoefficients, passes: int,
+                   cos: float, slack: float):
+    """The G-point grid of |S| in ``passes`` inverse FFTs of G/passes points:
+    pass r transforms the coefficients anchored at r, and its sample j is
+    fine point passes*j + r.  Returns the grid sup, the fine indices and
+    values of the samples the running cut best*cos - slack admitted, and
+    sum |S|^2 and sum |S|^4 over all G samples."""
+    moduli = np.empty(anchored.G // passes)
+    best, sum2, sum4, cells, values = 0.0, 0.0, 0.0, [], []
+    for r in range(passes):
+        A = anchored(r) if r else anchored.coeffs  # e(f*0/G) = 1: pass 0 skips the exponentials
+        np.abs(grid_values(freqs, A, moduli.size), out=moduli)
+        best = max(best, float(moduli.max()))
+        kept = np.flatnonzero(moduli >= best * cos - slack)
+        cells.append(passes * kept + r)
+        values.append(moduli[kept])
+        sum2 += float(np.sum(np.square(moduli, out=moduli)))
+        sum4 += float(np.sum(np.square(moduli, out=moduli)))
+    return best, np.concatenate(cells), np.concatenate(values), sum2, sum4
+
+
+def narrow_row_norms(freqs: np.ndarray, coeffs: np.ndarray, G: int,
+                     passes: int) -> tuple[float, float, float]:
+    """sup |S|, and the means of |S|^2 and |S|^4 over the G-point grid, of a
+    narrow-span row (pi*span <= G), with the grid computed in ``passes``
+    coarse passes (``passes`` divides G), so that no G-point array is held.
+
+    The sup is refined from every grid point with |S_j| >= best*cos(pi*span/(2G))
+    less the slack, in descending |S_j|, each by the Taylor evaluator, where
+    best starts at the grid sup and rises with each refined value; the first
+    point below the current cut ends the search.  The grid point nearest the
+    maximiser is never below the cut (module docstring), so it is refined,
+    whether or not it is a local maximum.  Each pass keeps only the samples
+    its running cut admits; a later pass can only raise best, so the points
+    refined are those a single G-point grid would give."""
+    span = frequency_span(freqs)
+    anchored = AnchoredCoefficients(freqs, coeffs, G)
+    cos = math.cos(math.pi * span / (2 * G))
+    slack = CUT_SLACK * float(np.sum(np.abs(anchored.coeffs)))
+    best, cells, values, sum2, sum4 = _coarse_passes(freqs, anchored, passes, cos, slack)
+    ev = TaylorEvaluator(freqs, anchored, span)  # its powers are built after the passes
+    for k in np.argsort(values)[::-1]:
+        if values[k] < best * cos - slack:
+            break
+        best = max(best, golden_section_peak(ev.local(int(cells[k])), -1.0, 1.0)[1])
+    return best, sum2 / G, sum4 / G

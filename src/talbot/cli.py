@@ -462,8 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = add("sweep", "block-sum norms across dyadic scales",
                 "CSV columns: at, N, sup_abs, l2, l4, grid, refined\n"
-                "Each block is sampled on a grid of 16*N points capped at 2^20, and\n"
-                "every supremum is refined, so the refined column is always 1.")
+                "Each block is sampled on a grid of 16*N points (oblique rows: capped\n"
+                "at 2^20), and every supremum is refined, so the refined column is\n"
+                "always 1.")
     sweep.add_argument("--rel", help="dispersion relation (poly:..., frac:a/b, "
                                      "boussinesq, bo, gravity, gravcap)")
     sweep.add_argument("--at", help="theta spec: rat:a/q, kl:name, rand:seed, or decimal")

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._fftsum import (TOP, check_offsets, frequency_span, grid_values, is_pow2,
-                      l4_quadrature, next_pow2, refine_supremum, wide_span)
+                      l4_quadrature, narrow_row_norms, refine_supremum, wide_span)
 from .dispersion import (LINEAR, DispersionRelation, FractionalPower, IntPolynomial,
                          oblique_frequencies, parse_relation, theta_omega_frac_array)
 from .diophantine import ctr_constant
@@ -206,6 +206,13 @@ def _sweep_label(slc: SliceSpec) -> str:
     return slc.t.describe()
 
 
+def fine_grid(N: int) -> int:
+    """The 16N-point grid a row of block size N is sampled on.  Every
+    horizontal row, |n| in [N, 2N) on one side or both, spans at most
+    4N - 2 < 16N/pi frequencies, so the grid's Bernstein cut covers it."""
+    return 16 * N
+
+
 def _sweep_cell(relation: DispersionRelation, slc: SliceSpec, N: int,
                 weight: str, sign: str) -> tuple[SweepRow, list[str]]:
     spec = BlockSpec(relation, N, sign=sign, weight=weight)
@@ -213,18 +220,19 @@ def _sweep_cell(relation: DispersionRelation, slc: SliceSpec, N: int,
     freqs, coeffs = line_spectrum(relation, slc, ns, spec.weights(ns))
     check_offsets(freqs, f"N={N}")
 
-    G = min(next_pow2(16 * N), MAX_GRID)
+    G = fine_grid(N)
     span = frequency_span(freqs)
     warnings: list[str] = []
     if wide_span(span, G):
+        G = min(G, MAX_GRID)
         warnings.append(f"N={N}: span {span} is wide against grid {G} (pi*span > G); "
                         f"the sup is the best of the {TOP} refined grid peaks, a lower bound")
-
-    absvals = np.abs(grid_values(freqs, coeffs, G))
-    l2 = float(np.sqrt(np.mean(absvals ** 2)))
-    l4 = float(np.mean(absvals ** 4) ** 0.25)
-    sup = refine_supremum(freqs, coeffs, G, absvals)
-    return SweepRow(N=N, sup_abs=sup, l2=l2, l4=l4, grid=G), warnings
+        absvals = np.abs(grid_values(freqs, coeffs, G))
+        mean2, mean4 = float(np.mean(absvals ** 2)), float(np.mean(absvals ** 4))
+        sup = refine_supremum(freqs, coeffs, G, absvals)
+    else:
+        sup, mean2, mean4 = narrow_row_norms(freqs, coeffs, G, G // min(G // 4, MAX_GRID))
+    return SweepRow(N=N, sup_abs=sup, l2=math.sqrt(mean2), l4=mean4 ** 0.25, grid=G), warnings
 
 
 def sup_norm_sweep(relation: DispersionRelation | str, at, scales: Iterable[int], *,
@@ -233,11 +241,15 @@ def sup_norm_sweep(relation: DispersionRelation | str, at, scales: Iterable[int]
 
     ``at`` is a horizontal or oblique SliceSpec, or a TimePoint or raw
     turns value, which stands for the horizontal slice at that time.
-    Each block is sampled on a grid of 16*N points capped at 2^20, and its
-    supremum is refined by golden-section search around every grid point
-    that can lie nearest the maximiser (narrow span) or the top grid peaks
-    (wide span; see ``_fftsum.refine_supremum``).  A wide-span row warns
-    that its sup is a lower bound.  Scales run in the given order."""
+    Each block is sampled on a grid of G = 16*N points.  A narrow-span
+    row (pi*span <= G: every horizontal row) computes that grid in coarse
+    passes of min(G/4, MAX_GRID) points, keeping only the samples that can
+    lie nearest the maximiser, and refines each of them by golden-section
+    search (``_fftsum.narrow_row_norms``); its L^2 and L^4 are means over
+    all G samples.  A wide-span row (oblique rows) is sampled on one grid of
+    min(G, MAX_GRID) points and refines its top grid peaks
+    (``_fftsum.refine_supremum``); it warns that its sup is a lower bound.
+    Scales run in the given order."""
     rel = parse_relation(relation) if isinstance(relation, str) else relation
     slc = at if isinstance(at, SliceSpec) else SliceSpec.horizontal(at)
     if slc.kind == "vertical":

@@ -1,7 +1,7 @@
 """Sup refinement: the Taylor and table-phasor paths against the direct-sum
 oracle, the path choice, the Bernstein cut of narrow-span rows against a
-fine-grid oracle, the wide-span warning, and the numpy least-squares
-fit."""
+fine-grid oracle, narrow rows in coarse passes against the single-grid
+oracle, the wide-span warning, and the numpy least-squares fit."""
 import math
 import os
 import subprocess
@@ -19,12 +19,14 @@ import talbot
 from talbot import _fftsum
 from talbot import (BlockSpec, SliceSpec, fit_exponent, parse_relation,
                     seeded_theta, sup_norm_sweep, theta_omega_frac_array)
-from talbot._fftsum import (PHASOR_TABLE, TOP, AnchoredCoefficients, AnchoredEvaluator,
-                            TaylorEvaluator, fold_frequencies, frequency_span, golden_section_peak,
-                            grid_values, local_maxima, next_pow2, next_smooth,
-                            refine_supremum, taylor_order, wide_span)
+from talbot._fftsum import (CUT_SLACK, PHASOR_TABLE, TOP, AnchoredCoefficients,
+                            AnchoredEvaluator, TaylorEvaluator, fold_frequencies,
+                            frequency_span, golden_section_peak, grid_values, local_maxima,
+                            narrow_row_norms, next_pow2, next_smooth, refine_supremum,
+                            taylor_order, wide_span)
+from talbot.dispersion import TimePoint
 from talbot.evolution import line_spectrum
-from talbot.expsum import MAX_GRID, least_squares_line
+from talbot.expsum import MAX_BLOCK, fine_grid, least_squares_line
 from test_fractal import _traced_peak
 
 SCHRODINGER = "poly:-1,0,0"
@@ -48,6 +50,26 @@ class DirectEvaluator:
 
     def local(self, j):
         return lambda delta: abs(self(j, delta))
+
+
+def _taylor(freqs, coeffs, G, span):
+    return TaylorEvaluator(freqs, AnchoredCoefficients(freqs, coeffs, G), span)
+
+
+def _single_grid_supremum(freqs, coeffs, G, absvals):
+    """Test oracle: the narrow-span refinement from one G-point grid, as
+    ``refine_supremum`` did it before narrow rows were sampled in passes."""
+    best = float(np.max(absvals))
+    span = frequency_span(freqs)
+    ev = _taylor(freqs, coeffs, G, span)
+    cos = math.cos(math.pi * span / (2 * G))
+    slack = CUT_SLACK * float(np.sum(np.abs(coeffs)))
+    admitted = np.flatnonzero(absvals >= best * cos - slack)
+    for j in admitted[np.argsort(absvals[admitted])[::-1]]:
+        if absvals[j] < best * cos - slack:
+            break
+        best = max(best, golden_section_peak(ev.local(int(j)), -1.0, 1.0)[1])
+    return best
 
 
 def _golden_sup(local, absvals, top=10):
@@ -122,7 +144,7 @@ def test_taylor_evaluator_matches_direct_sum_off_grid():
     coeffs = np.exp(2j * np.pi * rng.random(len(freqs)))
     G = 1024
     direct = DirectEvaluator(freqs, coeffs, G)
-    taylor = TaylorEvaluator(freqs, coeffs, G, frequency_span(freqs))
+    taylor = _taylor(freqs, coeffs, G, frequency_span(freqs))
     for j in (0, 3, 517, 1023):
         local = taylor.local(j)
         for delta in (-1.0, -0.37, 0.0, 0.5, 1.0):
@@ -146,14 +168,20 @@ def test_taylor_path_matches_direct_golden_section(rel, theta, log2N, oversample
     G = oversample * spec.N
     absvals = np.abs(grid_values(ns, coeffs, G))
     want = _direct_sup(ns, coeffs, G, absvals)
-    taylor = TaylorEvaluator(ns, coeffs, G, frequency_span(ns))
+    taylor = _taylor(ns, coeffs, G, frequency_span(ns))
     assert _golden_sup(taylor.local, absvals) == pytest.approx(want, rel=1e-12)
-    with pytest.MonkeyPatch.context() as mp:  # the cells refine_supremum picks, by the direct sum
-        mp.setattr(_fftsum, "TaylorEvaluator", lambda f, c, G, span: DirectEvaluator(f, c, G))
+
+    def sup():  # a narrow row in four passes, a wide one from its grid
+        if wide_span(frequency_span(ns), G):
+            return refine_supremum(ns, coeffs, G, absvals)
+        return narrow_row_norms(ns, coeffs, G, 4)[0]
+    with pytest.MonkeyPatch.context() as mp:  # the cells the sweep picks, by the direct sum
+        mp.setattr(_fftsum, "TaylorEvaluator",
+                   lambda f, anchored, span: DirectEvaluator(f, anchored.coeffs, anchored.G))
         mp.setattr(_fftsum, "AnchoredEvaluator", DirectEvaluator)
-        direct = refine_supremum(ns, coeffs, G, absvals)
+        direct = sup()
     assert direct >= want
-    assert refine_supremum(ns, coeffs, G, absvals) == pytest.approx(direct, rel=1e-12)
+    assert sup() == pytest.approx(direct, rel=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -180,7 +208,7 @@ def test_both_evaluators_match_the_direct_sum(data, G, wide, unbounded, seed, j,
     want = DirectEvaluator(freqs, coeffs, G)(j, delta)
     assert abs(AnchoredEvaluator(freqs, coeffs, G)(j, delta) - want) <= tol
     if not wide:
-        taylor = TaylorEvaluator(freqs, coeffs, G, frequency_span(freqs))
+        taylor = _taylor(freqs, coeffs, G, frequency_span(freqs))
         assert abs(taylor.local(j)(delta) - abs(want)) <= tol
 
 
@@ -211,15 +239,16 @@ def test_bernstein_upper_bound_covers_the_fine_grid_sup(rel, seed, rho_near_one)
     """max(best, max over the cells the cut leaves out of |S_j|/cos(pi*D/2G))
     bounds the supremum, so it is never below the sup of a 64 times finer
     grid (up to the FFTs' rounding), at the default 16N grid and at the
-    least grid with rho = pi*D/G <= 1."""
+    least grid with rho = pi*D/G <= 1 (1606 points, sampled in two passes;
+    16N in four)."""
     spec = BlockSpec(parse_relation(rel), 512)
     ns = spec.modes()
     freqs, coeffs = line_spectrum(spec.relation, SliceSpec.horizontal(seeded_theta(seed)),
                                   ns, spec.weights(ns))
     span = frequency_span(freqs)
-    G = math.ceil(math.pi * span) if rho_near_one else 16 * spec.N
+    G, passes = (math.ceil(math.pi * span), 2) if rho_near_one else (16 * spec.N, 4)
     absvals = np.abs(grid_values(freqs, coeffs, G))
-    best = refine_supremum(freqs, coeffs, G, absvals)
+    best = narrow_row_norms(freqs, coeffs, G, passes)[0]
     cos = math.cos(math.pi * span / (2 * G))
     left_out = absvals[absvals < best * cos]
     upper = max(best, float(np.max(left_out)) / cos)
@@ -241,16 +270,17 @@ def test_bernstein_cut_finds_a_maximum_beyond_the_tenth_grid_peak():
     absvals = np.abs(grid_values(freqs, coeffs, G))
     assert 937 not in local_maxima(absvals, 10) and 938 not in local_maxima(absvals, 10)
     fine = float(np.max(np.abs(grid_values(freqs, coeffs, 64 * G))))
-    top10 = _golden_sup(TaylorEvaluator(freqs, coeffs, G, D).local, absvals, top=10)
+    top10 = _golden_sup(_taylor(freqs, coeffs, G, D).local, absvals, top=10)
     assert top10 < fine * (1 - 1e-3)
-    assert refine_supremum(freqs, coeffs, G, absvals) >= fine * (1 - 1e-13)
+    assert narrow_row_norms(freqs, coeffs, G, 4)[0] >= fine * (1 - 1e-13)
 
 
 @pytest.mark.parametrize("sign", ["+", "-", "both"])
 def test_int64_frequencies_fold_like_unbounded_integers(sign):
     """An int64 frequency array and the same values as an object array of
     Python integers (the dtype past 2^62) give bit-identical folds, spans,
-    offsets, grids and refined sups, on a horizontal and an oblique row."""
+    offsets, grids and refined sups, on a horizontal and an oblique row; a
+    narrow row's sup and moments come from four coarse passes."""
     for rel, slc in (("frac:3/2", SliceSpec.horizontal(seeded_theta(4))),
                      (SCHRODINGER, SliceSpec.oblique(seeded_theta(4), 1, 1))):
         spec = BlockSpec(parse_relation(rel), 256, sign=sign)
@@ -263,15 +293,19 @@ def test_int64_frequencies_fold_like_unbounded_integers(sign):
             span = frequency_span(freqs)
             assert span == frequency_span(unbounded)
             if slc.kind == "horizontal":  # an oblique span is far too wide for the Taylor path
-                assert np.array_equal(TaylorEvaluator(freqs, coeffs, G, span).u,
-                                      TaylorEvaluator(unbounded, coeffs, G, span).u)
+                assert np.array_equal(_taylor(freqs, coeffs, G, span).u,
+                                      _taylor(unbounded, coeffs, G, span).u)
             assert np.array_equal(AnchoredEvaluator(freqs, coeffs, G).turns,
                                   AnchoredEvaluator(unbounded, coeffs, G).turns)
             vals = grid_values(freqs, coeffs, G)
             assert np.array_equal(vals, grid_values(unbounded, coeffs, G))
             absvals = np.abs(vals)
-            assert (refine_supremum(freqs, coeffs, G, absvals)
-                    == refine_supremum(unbounded, coeffs, G, absvals))
+            if wide_span(span, G):
+                assert (refine_supremum(freqs, coeffs, G, absvals)
+                        == refine_supremum(unbounded, coeffs, G, absvals))
+            else:
+                assert (narrow_row_norms(freqs, coeffs, G, 4)
+                        == narrow_row_norms(unbounded, coeffs, G, 4))
 
 
 @pytest.mark.parametrize("rel", [SCHRODINGER, "poly:1,0,0,0"])
@@ -441,15 +475,117 @@ def test_sign_both_rows_do_not_warn_at_the_default_grid():
     assert "warnings" not in both.fit_payload()
 
 
-def test_rows_turn_wide_only_past_the_sweep_grid_cap():
-    # the sweep grid is 16N capped at MAX_GRID = 2^20: one-sided horizontal
-    # rows (D = N - 1) go wide from N = 2^19, sign-both rows (D = 4N - 2)
-    # from N = 2^17; rows are not run, only their span and grid compared
-    def first_wide(span):
-        return min(N for N in (1 << k for k in range(4, 21))
-                   if wide_span(span(N), min(next_pow2(16 * N), MAX_GRID)))
-    assert first_wide(lambda N: N - 1) == 1 << 19
-    assert first_wide(lambda N: 4 * N - 2) == 1 << 17
+def test_horizontal_rows_are_narrow_on_the_uncapped_sweep_grid():
+    # every horizontal row up to MAX_BLOCK = 2^20, one-sided (D = N - 1) or
+    # sign-both (D = 4N - 2), has pi*D <= G on its 16N grid, which the
+    # coarse passes sample whatever its size: no horizontal row takes the
+    # wide top-10-peak branch.  Rows are not run, only spans and grids compared
+    for N in (1 << k for k in range(MAX_BLOCK.bit_length())):
+        assert fine_grid(N) == 16 * N
+        for sign in ("+", "-", "both"):
+            span = frequency_span(BlockSpec(parse_relation(SCHRODINGER), N, sign=sign).modes())
+            assert span == (4 * N - 2 if sign == "both" else N - 1)
+            assert not wide_span(span, fine_grid(N))
+
+
+def _single_grid_row(freqs, coeffs, G):
+    """Test oracle: sup, L^2 and L^4 of a narrow row from one G-point grid."""
+    absvals = np.abs(grid_values(freqs, coeffs, G))
+    return (_single_grid_supremum(freqs, coeffs, G, absvals),
+            float(np.sqrt(np.mean(absvals ** 2))), float(np.mean(absvals ** 4) ** 0.25))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rel=st.sampled_from(RELATIONS[:5]),
+       tp=st.one_of(st.just(TimePoint.from_time(1.0)), st.integers(0, 10_000).map(seeded_theta)),
+       log2N=st.integers(4, 13), sign=st.sampled_from(("+", "-", "both")),
+       weight=st.sampled_from(("unit", "reciprocal")))
+@example(rel="gravcap", tp=seeded_theta(1005), log2N=13, sign="both", weight="reciprocal")
+def test_coarse_passes_match_the_single_grid_oracle(rel, tp, log2N, sign, weight):
+    """A horizontal sweep row, its 16N grid computed in four passes of 4N
+    points, against one 16N-point grid refined by the cut: the same sup to
+    the bit, L^2 and L^4 to 1e-15 relative (the sums run in another order)."""
+    spec = BlockSpec(parse_relation(rel), 1 << log2N, sign=sign, weight=weight)
+    ns = spec.modes()
+    freqs, coeffs = line_spectrum(spec.relation, SliceSpec.horizontal(tp), ns, spec.weights(ns))
+    sup, l2, l4 = _single_grid_row(freqs, coeffs, 16 * spec.N)
+    row = sup_norm_sweep(rel, tp, [spec.N], sign=sign, weight=weight).rows[0]
+    assert row.grid == 16 * spec.N
+    assert row.sup_abs == sup
+    assert row.l2 == pytest.approx(l2, rel=1e-15)
+    assert row.l4 == pytest.approx(l4, rel=1e-15)
+
+
+def _hann_peaks(D, G, peaks):
+    """Frequencies 0..D and coefficients of a sum with a Hann-windowed peak
+    of each (position in fine grid cells, height)."""
+    freqs = np.arange(D + 1, dtype=np.int64)
+    window = np.sin(np.pi * (freqs + 0.5) / (D + 1)) ** 2
+    return freqs, window * sum(h * np.exp(-2j * np.pi * freqs * at / G) for at, h in peaks)
+
+
+@pytest.mark.parametrize("passes", [2, 4, 8])
+def test_maximiser_in_a_later_pass_is_refined(passes):
+    # the one peak sits 0.3 cell past fine point 517, which is sample 517 //
+    # passes of pass 517 % passes (1, 1 and 5): pass 0 never samples it, and
+    # a refinement started at the wrong fine point stays a cell or more away
+    G = 1024
+    freqs, coeffs = _hann_peaks(255, G, [(517.3, 1.0)])
+    absvals = np.abs(grid_values(freqs, coeffs, G))
+    assert int(np.argmax(absvals)) == 517 and 517 % passes != 0
+    sup, mean2, mean4 = narrow_row_norms(freqs, coeffs, G, passes)
+    assert sup == _single_grid_supremum(freqs, coeffs, G, absvals)
+    fine = float(np.max(np.abs(grid_values(freqs, coeffs, 64 * G))))
+    assert fine * (1 - 1e-13) <= sup and sup > float(np.max(absvals[::passes])) * (1 + 1e-3)
+    assert mean2 == pytest.approx(float(np.mean(absvals ** 2)), rel=1e-15)
+    assert mean4 == pytest.approx(float(np.mean(absvals ** 4)), rel=1e-15)
+
+
+def test_a_later_pass_drops_a_candidate_an_earlier_pass_admitted(monkeypatch):
+    """Peak A (0.98) on fine point 256, which pass 0 samples, and peak B
+    (1.0) on 770, which only pass 2 samples.  Pass 0's best is A's own
+    sample, so its cut admits A; after pass 2 best is B's, and A lies below
+    the cut.  A is not refined, B is, and the sup is the oracle's."""
+    G, passes = 1024, 4
+    freqs, coeffs = _hann_peaks(100, G, [(256, 0.98), (770, 1.0)])
+    moduli, refined = [], []
+    real_local = TaylorEvaluator.local
+
+    def recorded_grid(f, c, g):  # each pass's moduli
+        values = grid_values(f, c, g)
+        moduli.append(np.abs(values))
+        return values
+    monkeypatch.setattr(_fftsum, "grid_values", recorded_grid)
+    monkeypatch.setattr(TaylorEvaluator, "local",
+                        lambda self, j: refined.append(j) or real_local(self, j))
+    sup = narrow_row_norms(freqs, coeffs, G, passes)[0]
+    absvals = np.abs(grid_values(freqs, coeffs, G))
+    cos = math.cos(math.pi * 100 / (2 * G))
+    slack = CUT_SLACK * float(np.sum(np.abs(coeffs)))
+    assert len(moduli) == passes and float(np.max(moduli[0])) == moduli[0][256 // passes]
+    assert moduli[0][256 // passes] >= float(np.max(moduli[0])) * cos - slack
+    assert moduli[0][256 // passes] < float(np.max(absvals)) * cos - slack
+    assert 770 in refined and 256 not in refined
+    assert sup == _single_grid_supremum(freqs, coeffs, G, absvals)
+
+
+def test_a_narrow_row_holds_one_coarse_grid_besides_the_taylor_powers():
+    # N = 2^14, G = 16N = 2^18 in four passes of G_c = 2^16 points.  A pass
+    # holds its G_c complex samples, the G_c reused moduli and the N-term
+    # anchored buffers, 2.01 * 16 * G_c bytes; the (K, N) Taylor powers,
+    # 1.63 * 16 * G_c here, are built only after the passes, beside the
+    # anchored buffers.  The peak is 2.25 * 16 * G_c, within 16 * G_c of the
+    # powers; powers built before the passes, or a second G_c complex array
+    # per pass, would pass that bound.  One 16N grid with its moduli and their
+    # powers, as the sweep held it, peaked at 6.0 * 16 * G_c
+    N = 1 << 14
+    G, coarse = fine_grid(N), fine_grid(N) // 4
+    spec = BlockSpec(parse_relation("frac:3/2"), N)
+    freqs, coeffs = line_spectrum(spec.relation, SliceSpec.horizontal(seeded_theta(5)),
+                                  spec.modes(), spec.weights(spec.modes()))
+    powers = taylor_order(math.pi * frequency_span(freqs) / G) * N * 8
+    narrow_row_norms(freqs, coeffs, G, 4)
+    assert _traced_peak(lambda: narrow_row_norms(freqs, coeffs, G, 4)) <= 16 * coarse + powers
 
 
 # scipy.stats.linregress 1.17.1 on these inputs: slope, intercept, stderr
