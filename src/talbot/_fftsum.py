@@ -9,7 +9,9 @@ Nyquist rate of the largest frequency.
 A grid can also be computed in s coarse passes: with G = s*G_c, sample
 s*j + r of the G-point grid is sample j of the G_c-point grid of the
 coefficients b_n e((f_n r mod G)/G), by the same folding identity.  Only
-one G_c-point array is then held at a time.
+one G_c-point array is then held at a time.  ``row_norms`` is the one row
+primitive: every sweep row, narrow or wide, is sampled in passes, summed
+into its L^2 and L^4 means and refined by it.
 
 Off-grid values for refinement, z = (2*pi/G)*(j + delta) with |delta| <= 1,
 are evaluated against an anchor grid point j so no large products enter a
@@ -24,9 +26,8 @@ share one golden-section search:
   row, so its powers are built once per row, each refined cell takes one
   moment product of its A_n, and each probe costs O(K).  K is the least
   order whose tail bound rho^K/K! * e^rho is below 2^-60; the result
-  matches the direct sum to 1e-12 relative.  ``narrow_row_norms`` samples
-  such a row in coarse passes of G_c points and builds the powers only
-  after the passes.
+  matches the direct sum to 1e-12 relative.  ``row_norms`` builds the
+  powers only after a row's coarse passes.
 * wide span (rho > 1, oblique rows): each probe splits u_n = f_n*delta*L/G,
   L = 2^11, into k_n = rint(u_n) and r_n = u_n - k_n, so that
   e(f_n*delta/G) = e(k_n/L) e(r_n/L).  With B_n = A_n e(k_n/L), A_n formed
@@ -332,7 +333,7 @@ def refine_supremum(freqs: np.ndarray, coeffs: np.ndarray, G: int,
     (pi*span > G, oblique rows): the TOP largest local maxima of |S| on the
     grid, each searched one grid cell to each side by the anchored
     evaluator.  Never below the grid sup, and a lower bound of the sup, since
-    no Bernstein cut applies; narrow rows go through ``narrow_row_norms``."""
+    no Bernstein cut applies; ``row_norms`` refines narrow rows by the cut."""
     best = float(np.max(absvals))
     ev = AnchoredEvaluator(freqs, coeffs, G)
     for j in local_maxima(absvals, TOP):
@@ -340,49 +341,49 @@ def refine_supremum(freqs: np.ndarray, coeffs: np.ndarray, G: int,
     return best
 
 
-def _coarse_passes(freqs: np.ndarray, anchored: AnchoredCoefficients, passes: int,
-                   cos: float, slack: float):
-    """The G-point grid of |S| in ``passes`` inverse FFTs of G/passes points:
-    pass r transforms the coefficients anchored at r, and its sample j is
-    fine point passes*j + r.  Returns the grid sup, the fine indices and
-    values of the samples the running cut best*cos - slack admitted, and
-    sum |S|^2 and sum |S|^4 over all G samples."""
-    moduli = np.empty(anchored.G // passes)
+def row_norms(freqs: np.ndarray, coeffs: np.ndarray, G: int,
+              passes: int) -> tuple[float, float, float]:
+    """sup |S|, and the means of |S|^2 and |S|^4 over the G-point grid, of
+    one sweep row: the grid in ``passes`` coarse passes (``passes`` divides
+    G) into one reused modulus buffer, squared in place for the sums.
+
+    A wide-span row (pi*span > G) takes one pass, any other count is a
+    ValueError, and its sup is ``refine_supremum`` of that pass's moduli.
+    A narrow-span row's pass keeps the samples its running cut
+    best*cos(pi*span/(2G)) less the slack admits (a later pass only raises
+    best, so these are the points one G-point grid would keep).  With the
+    buffer freed, they are refined in descending |S_j| by the Taylor
+    evaluator, best rising with each refined value, until the first below
+    the cut.  The grid point nearest the maximiser is never below the cut
+    (module docstring), so it is refined, local maximum or not."""
+    span = frequency_span(freqs)
+    wide = wide_span(span, G)
+    if wide and passes != 1:
+        raise ValueError(f"a wide-span row is sampled in one pass, not {passes}")
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    anchored = None if wide else AnchoredCoefficients(freqs, coeffs, G)  # a wide row has only r = 0
+    cos = math.cos(math.pi * span / (2 * G))
+    slack = CUT_SLACK * float(np.sum(np.abs(coeffs)))
+    moduli = np.empty(G // passes)
     best, sum2, sum4, cells, values = 0.0, 0.0, 0.0, [], []
     for r in range(passes):
-        A = anchored(r) if r else anchored.coeffs  # e(f*0/G) = 1: pass 0 skips the exponentials
+        A = anchored(r) if r else coeffs  # e(f*0/G) = 1: pass 0 skips the exponentials
         np.abs(grid_values(freqs, A, moduli.size), out=moduli)
-        best = max(best, float(moduli.max()))
-        kept = np.flatnonzero(moduli >= best * cos - slack)
-        cells.append(passes * kept + r)
-        values.append(moduli[kept])
+        if wide:
+            best = refine_supremum(freqs, coeffs, G, moduli)
+        else:
+            best = max(best, float(moduli.max()))
+            kept = np.flatnonzero(moduli >= best * cos - slack)
+            cells.append(passes * kept + r)
+            values.append(moduli[kept])
         sum2 += float(np.sum(np.square(moduli, out=moduli)))
         sum4 += float(np.sum(np.square(moduli, out=moduli)))
-    return best, np.concatenate(cells), np.concatenate(values), sum2, sum4
-
-
-def narrow_row_norms(freqs: np.ndarray, coeffs: np.ndarray, G: int,
-                     passes: int) -> tuple[float, float, float]:
-    """sup |S|, and the means of |S|^2 and |S|^4 over the G-point grid, of a
-    narrow-span row (pi*span <= G), with the grid computed in ``passes``
-    coarse passes (``passes`` divides G), so that no G-point array is held.
-
-    The sup is refined from every grid point with |S_j| >= best*cos(pi*span/(2G))
-    less the slack, in descending |S_j|, each by the Taylor evaluator, where
-    best starts at the grid sup and rises with each refined value; the first
-    point below the current cut ends the search.  The grid point nearest the
-    maximiser is never below the cut (module docstring), so it is refined,
-    whether or not it is a local maximum.  Each pass keeps only the samples
-    its running cut admits; a later pass can only raise best, so the points
-    refined are those a single G-point grid would give."""
-    span = frequency_span(freqs)
-    anchored = AnchoredCoefficients(freqs, coeffs, G)
-    cos = math.cos(math.pi * span / (2 * G))
-    slack = CUT_SLACK * float(np.sum(np.abs(anchored.coeffs)))
-    best, cells, values, sum2, sum4 = _coarse_passes(freqs, anchored, passes, cos, slack)
-    ev = TaylorEvaluator(freqs, anchored, span)  # its powers are built after the passes
-    for k in np.argsort(values)[::-1]:
-        if values[k] < best * cos - slack:
-            break
-        best = max(best, golden_section_peak(ev.local(int(cells[k])), -1.0, 1.0)[1])
+    del moduli  # freed before the Taylor powers are built
+    if not wide:
+        cells, values = np.concatenate(cells), np.concatenate(values)
+        ev = TaylorEvaluator(freqs, anchored, span)
+        for k in np.argsort(values)[::-1]:
+            if values[k] < best * cos - slack:
+                break
+            best = max(best, golden_section_peak(ev.local(int(cells[k])), -1.0, 1.0)[1])
     return best, sum2 / G, sum4 / G

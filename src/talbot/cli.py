@@ -42,7 +42,7 @@ from .bounds import (bound_table, exponent_pair_bound, format_bound,
 from .acceptance import run_acceptance
 from .dispersion import TimePoint, oblique_frequencies, parse_relation, parse_theta
 from .evolution import SliceSpec, evolve_slice, parse_slice, quantize_verify
-from .expsum import l4_quadruple_oracle, least_squares_line, sup_norm_sweep
+from .expsum import MAX_BLOCK, l4_quadruple_oracle, least_squares_line, sup_norm_sweep
 from .fractal import besov_profile, box_dimension, holder_exponent, measured_parts
 from .initial_data import parse_datum
 from .nonlinear import (BlowUpError, check_residual_length, kdv_solve, nls_wick_solve,
@@ -94,8 +94,9 @@ def _parse_scales(text: str) -> list[int]:
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
         lo, hi = int(lo_text), int(hi_text)
-        if not 0 <= lo <= hi <= 20:
-            raise ConfigError(f"scale exponents must satisfy 0 <= lo <= hi <= 20, got {text!r}")
+        top = MAX_BLOCK.bit_length() - 1
+        if not 0 <= lo <= hi <= top:
+            raise ConfigError(f"scale exponents must satisfy 0 <= lo <= hi <= {top}, got {text!r}")
         return [1 << j for j in range(lo, hi + 1)]
     try:
         scales = [int(tok) for tok in text.split(",") if tok.strip()]
@@ -358,11 +359,8 @@ def _cmd_solver(args: argparse.Namespace) -> int:
         return _finish(args, body, [f"solution blew up at t={exc.time:.6f}"])
 
     residual = smoothing_residual(traj, length=args.residual_length)
-    if args.subcommand == "nls":
-        holder = min(holder_exponent(part).slope
-                     for part in measured_parts(residual.samples)[0].values())
-    else:
-        holder = holder_exponent(residual.samples).slope
+    holder = min(holder_exponent(part).slope
+                 for part in measured_parts(residual.samples)[0].values())
     body = {
         "run": traj.run_manifest(),
         "residual_holder": holder,

@@ -24,8 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._fftsum import (TOP, check_offsets, frequency_span, grid_values, is_pow2,
-                      l4_quadrature, narrow_row_norms, refine_supremum, wide_span)
+from ._fftsum import (TOP, check_offsets, frequency_span, is_pow2, l4_quadrature,
+                      row_norms, wide_span)
 from .dispersion import (LINEAR, DispersionRelation, FractionalPower, IntPolynomial,
                          oblique_frequencies, parse_relation, theta_omega_frac_array)
 from .diophantine import ctr_constant
@@ -224,14 +224,12 @@ def _sweep_cell(relation: DispersionRelation, slc: SliceSpec, N: int,
     span = frequency_span(freqs)
     warnings: list[str] = []
     if wide_span(span, G):
-        G = min(G, MAX_GRID)
+        G, passes = min(G, MAX_GRID), 1
         warnings.append(f"N={N}: span {span} is wide against grid {G} (pi*span > G); "
                         f"the sup is the best of the {TOP} refined grid peaks, a lower bound")
-        absvals = np.abs(grid_values(freqs, coeffs, G))
-        mean2, mean4 = float(np.mean(absvals ** 2)), float(np.mean(absvals ** 4))
-        sup = refine_supremum(freqs, coeffs, G, absvals)
-    else:
-        sup, mean2, mean4 = narrow_row_norms(freqs, coeffs, G, G // min(G // 4, MAX_GRID))
+    else:  # coarse passes of min(G/4, MAX_GRID) points
+        passes = G // min(G // 4, MAX_GRID)
+    sup, mean2, mean4 = row_norms(freqs, coeffs, G, passes)
     return SweepRow(N=N, sup_abs=sup, l2=math.sqrt(mean2), l4=mean4 ** 0.25, grid=G), warnings
 
 
@@ -241,15 +239,15 @@ def sup_norm_sweep(relation: DispersionRelation | str, at, scales: Iterable[int]
 
     ``at`` is a horizontal or oblique SliceSpec, or a TimePoint or raw
     turns value, which stands for the horizontal slice at that time.
-    Each block is sampled on a grid of G = 16*N points.  A narrow-span
-    row (pi*span <= G: every horizontal row) computes that grid in coarse
-    passes of min(G/4, MAX_GRID) points, keeping only the samples that can
-    lie nearest the maximiser, and refines each of them by golden-section
-    search (``_fftsum.narrow_row_norms``); its L^2 and L^4 are means over
-    all G samples.  A wide-span row (oblique rows) is sampled on one grid of
-    min(G, MAX_GRID) points and refines its top grid peaks
-    (``_fftsum.refine_supremum``); it warns that its sup is a lower bound.
-    Scales run in the given order."""
+    Each block is sampled on a grid of G = 16*N points, and every row goes
+    through the one row primitive ``_fftsum.row_norms``; L^2 and L^4 are
+    means over all G samples.  A narrow-span row (pi*span <= G: every
+    horizontal row) computes that grid in coarse passes of
+    min(G/4, MAX_GRID) points, keeping only the samples that can lie
+    nearest the maximiser, and refines each of them by golden-section
+    search.  A wide-span row (oblique rows) is sampled in one pass of
+    min(G, MAX_GRID) points and refines its top grid peaks; it warns that
+    its sup is a lower bound.  Scales run in the given order."""
     rel = parse_relation(relation) if isinstance(relation, str) else relation
     slc = at if isinstance(at, SliceSpec) else SliceSpec.horizontal(at)
     if slc.kind == "vertical":

@@ -216,7 +216,7 @@ def _march(kind: str, step, c: np.ndarray, modes, weight: float, dt: float, step
     squared L² norm.  rotation_modes = M warns once if dt·linf·M > π/4.
     """
     def l2(v: np.ndarray) -> float:
-        return float(np.sqrt(weight * np.sum(np.abs(v) ** 2)))
+        return float(np.sqrt(weight * np.vdot(v, v).real))  # no (2M+1)-point temporaries
 
     l2_ref, drift, warnings = l2(c), 0.0, []
     fields = [SpectralField(modes=modes(c), step=0, time=0.0)] if 0 in snaps else []

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from talbot import __version__, _fftsum, cli, evolution, expsum
+from talbot import __version__, _fftsum, cli, evolution
 from talbot.cli import ConfigError, main
 
 
@@ -151,7 +151,7 @@ def test_sweep_row_past_the_offset_bound_exits_2_before_its_grid(capsys, monkeyp
     # refinement offsets f*delta/G would no longer start from an exact double
     def no_grid(*args, **kwargs):
         raise AssertionError("grid_values ran before the offset bound was checked")
-    monkeypatch.setattr(expsum, "grid_values", no_grid)
+    monkeypatch.setattr(_fftsum, "grid_values", no_grid)
     code, out, err = run(capsys, "sweep", "--rel", "poly:1,0,0,0", "--at", "kl:sqrt2",
                          "--oblique", "1/1", "--scales", "17..20")
     assert code == 2

@@ -16,17 +16,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import talbot
-from talbot import _fftsum
+from talbot import _fftsum, expsum
 from talbot import (BlockSpec, SliceSpec, fit_exponent, parse_relation,
                     seeded_theta, sup_norm_sweep, theta_omega_frac_array)
 from talbot._fftsum import (CUT_SLACK, PHASOR_TABLE, TOP, AnchoredCoefficients,
                             AnchoredEvaluator, TaylorEvaluator, fold_frequencies,
                             frequency_span, golden_section_peak, grid_values, local_maxima,
-                            narrow_row_norms, next_pow2, next_smooth, refine_supremum,
+                            next_pow2, next_smooth, refine_supremum, row_norms,
                             taylor_order, wide_span)
 from talbot.dispersion import TimePoint
 from talbot.evolution import line_spectrum
-from talbot.expsum import MAX_BLOCK, fine_grid, least_squares_line
+from talbot.expsum import MAX_BLOCK, MAX_GRID, fine_grid, least_squares_line
 from test_fractal import _traced_peak
 
 SCHRODINGER = "poly:-1,0,0"
@@ -171,10 +171,8 @@ def test_taylor_path_matches_direct_golden_section(rel, theta, log2N, oversample
     taylor = _taylor(ns, coeffs, G, frequency_span(ns))
     assert _golden_sup(taylor.local, absvals) == pytest.approx(want, rel=1e-12)
 
-    def sup():  # a narrow row in four passes, a wide one from its grid
-        if wide_span(frequency_span(ns), G):
-            return refine_supremum(ns, coeffs, G, absvals)
-        return narrow_row_norms(ns, coeffs, G, 4)[0]
+    def sup():  # a narrow row in four passes, a wide one in one
+        return row_norms(ns, coeffs, G, 1 if wide_span(frequency_span(ns), G) else 4)[0]
     with pytest.MonkeyPatch.context() as mp:  # the cells the sweep picks, by the direct sum
         mp.setattr(_fftsum, "TaylorEvaluator",
                    lambda f, anchored, span: DirectEvaluator(f, anchored.coeffs, anchored.G))
@@ -248,7 +246,7 @@ def test_bernstein_upper_bound_covers_the_fine_grid_sup(rel, seed, rho_near_one)
     span = frequency_span(freqs)
     G, passes = (math.ceil(math.pi * span), 2) if rho_near_one else (16 * spec.N, 4)
     absvals = np.abs(grid_values(freqs, coeffs, G))
-    best = narrow_row_norms(freqs, coeffs, G, passes)[0]
+    best = row_norms(freqs, coeffs, G, passes)[0]
     cos = math.cos(math.pi * span / (2 * G))
     left_out = absvals[absvals < best * cos]
     upper = max(best, float(np.max(left_out)) / cos)
@@ -272,15 +270,15 @@ def test_bernstein_cut_finds_a_maximum_beyond_the_tenth_grid_peak():
     fine = float(np.max(np.abs(grid_values(freqs, coeffs, 64 * G))))
     top10 = _golden_sup(_taylor(freqs, coeffs, G, D).local, absvals, top=10)
     assert top10 < fine * (1 - 1e-3)
-    assert narrow_row_norms(freqs, coeffs, G, 4)[0] >= fine * (1 - 1e-13)
+    assert row_norms(freqs, coeffs, G, 4)[0] >= fine * (1 - 1e-13)
 
 
 @pytest.mark.parametrize("sign", ["+", "-", "both"])
 def test_int64_frequencies_fold_like_unbounded_integers(sign):
     """An int64 frequency array and the same values as an object array of
     Python integers (the dtype past 2^62) give bit-identical folds, spans,
-    offsets, grids and refined sups, on a horizontal and an oblique row; a
-    narrow row's sup and moments come from four coarse passes."""
+    offsets, grids and row norms, on a horizontal and an oblique row; a
+    narrow row is sampled in four coarse passes, a wide one in one."""
     for rel, slc in (("frac:3/2", SliceSpec.horizontal(seeded_theta(4))),
                      (SCHRODINGER, SliceSpec.oblique(seeded_theta(4), 1, 1))):
         spec = BlockSpec(parse_relation(rel), 256, sign=sign)
@@ -299,13 +297,8 @@ def test_int64_frequencies_fold_like_unbounded_integers(sign):
                                   AnchoredEvaluator(unbounded, coeffs, G).turns)
             vals = grid_values(freqs, coeffs, G)
             assert np.array_equal(vals, grid_values(unbounded, coeffs, G))
-            absvals = np.abs(vals)
-            if wide_span(span, G):
-                assert (refine_supremum(freqs, coeffs, G, absvals)
-                        == refine_supremum(unbounded, coeffs, G, absvals))
-            else:
-                assert (narrow_row_norms(freqs, coeffs, G, 4)
-                        == narrow_row_norms(unbounded, coeffs, G, 4))
+            passes = 1 if wide_span(span, G) else 4
+            assert row_norms(freqs, coeffs, G, passes) == row_norms(unbounded, coeffs, G, passes)
 
 
 @pytest.mark.parametrize("rel", [SCHRODINGER, "poly:1,0,0,0"])
@@ -495,25 +488,62 @@ def _single_grid_row(freqs, coeffs, G):
             float(np.sqrt(np.mean(absvals ** 2))), float(np.mean(absvals ** 4) ** 0.25))
 
 
+def _inline_wide_row(freqs, coeffs, G):
+    """Test oracle: sup, L^2 and L^4 of a wide row as the sweep computed them
+    inline before every row went through ``row_norms``: one G-point grid,
+    its top grid peaks refined, the means of absvals ** 2 and ** 4."""
+    absvals = np.abs(grid_values(freqs, coeffs, G))
+    return (refine_supremum(freqs, coeffs, G, absvals),
+            math.sqrt(float(np.mean(absvals ** 2))), float(np.mean(absvals ** 4)) ** 0.25)
+
+
 @settings(max_examples=40, deadline=None)
-@given(rel=st.sampled_from(RELATIONS[:5]),
+@given(rel=st.sampled_from(RELATIONS[:5] + (SCHRODINGER, "poly:1,0,0,0")),
        tp=st.one_of(st.just(TimePoint.from_time(1.0)), st.integers(0, 10_000).map(seeded_theta)),
        log2N=st.integers(4, 13), sign=st.sampled_from(("+", "-", "both")),
        weight=st.sampled_from(("unit", "reciprocal")))
 @example(rel="gravcap", tp=seeded_theta(1005), log2N=13, sign="both", weight="reciprocal")
+@example(rel=SCHRODINGER, tp=seeded_theta(3), log2N=13, sign="both", weight="unit")
 def test_coarse_passes_match_the_single_grid_oracle(rel, tp, log2N, sign, weight):
-    """A horizontal sweep row, its 16N grid computed in four passes of 4N
-    points, against one 16N-point grid refined by the cut: the same sup to
-    the bit, L^2 and L^4 to 1e-15 relative (the sums run in another order)."""
+    """A sweep row against its single-grid oracle.  The non-integer
+    relations run horizontal rows: the 16N grid in four passes of 4N points
+    against one 16N-point grid refined by the cut, the same sup to the bit,
+    L^2 and L^4 to 1e-15 relative (the sums run in another order).  The
+    polynomial relations run wide rows on the slope-1/1 oblique line
+    through tp: against the inline recipe, the same sup, grid and L^2 to
+    the bit, and L^4 to 1e-15 relative (square(square(x)) against x ** 4)."""
     spec = BlockSpec(parse_relation(rel), 1 << log2N, sign=sign, weight=weight)
     ns = spec.modes()
-    freqs, coeffs = line_spectrum(spec.relation, SliceSpec.horizontal(tp), ns, spec.weights(ns))
-    sup, l2, l4 = _single_grid_row(freqs, coeffs, 16 * spec.N)
-    row = sup_norm_sweep(rel, tp, [spec.N], sign=sign, weight=weight).rows[0]
-    assert row.grid == 16 * spec.N
+    wide = spec.relation.integer_valued
+    slc = SliceSpec.oblique(tp, 1, 1) if wide else SliceSpec.horizontal(tp)
+    freqs, coeffs = line_spectrum(spec.relation, slc, ns, spec.weights(ns))
+    G = min(16 * spec.N, MAX_GRID) if wide else 16 * spec.N
+    assert wide == wide_span(frequency_span(freqs), 16 * spec.N)
+    sup, l2, l4 = (_inline_wide_row if wide else _single_grid_row)(freqs, coeffs, G)
+    row = sup_norm_sweep(rel, slc, [spec.N], sign=sign, weight=weight).rows[0]
+    assert row.grid == G
     assert row.sup_abs == sup
-    assert row.l2 == pytest.approx(l2, rel=1e-15)
+    assert row.l2 == (l2 if wide else pytest.approx(l2, rel=1e-15))
     assert row.l4 == pytest.approx(l4, rel=1e-15)
+
+
+def test_each_sweep_row_calls_row_norms_once(monkeypatch):
+    calls = []
+
+    def counted(freqs, coeffs, G, passes):
+        calls.append((G, passes))
+        return row_norms(freqs, coeffs, G, passes)
+    monkeypatch.setattr(expsum, "row_norms", counted)
+    sup_norm_sweep("frac:3/2", seeded_theta(2), [16, 32, 64])
+    sup_norm_sweep(SCHRODINGER, SliceSpec.oblique(seeded_theta(2), 1, 1), [16, 32])
+    assert calls == [(256, 4), (512, 4), (1024, 4), (256, 1), (512, 1)]
+
+
+def test_a_wide_row_is_refused_more_than_one_pass():
+    freqs, coeffs, G = _oblique_cell(SCHRODINGER, seeded_theta(2), 64)
+    assert wide_span(frequency_span(freqs), G)
+    with pytest.raises(ValueError, match="one pass, not 4"):
+        row_norms(freqs, coeffs, G, 4)
 
 
 def _hann_peaks(D, G, peaks):
@@ -533,7 +563,7 @@ def test_maximiser_in_a_later_pass_is_refined(passes):
     freqs, coeffs = _hann_peaks(255, G, [(517.3, 1.0)])
     absvals = np.abs(grid_values(freqs, coeffs, G))
     assert int(np.argmax(absvals)) == 517 and 517 % passes != 0
-    sup, mean2, mean4 = narrow_row_norms(freqs, coeffs, G, passes)
+    sup, mean2, mean4 = row_norms(freqs, coeffs, G, passes)
     assert sup == _single_grid_supremum(freqs, coeffs, G, absvals)
     fine = float(np.max(np.abs(grid_values(freqs, coeffs, 64 * G))))
     assert fine * (1 - 1e-13) <= sup and sup > float(np.max(absvals[::passes])) * (1 + 1e-3)
@@ -558,7 +588,7 @@ def test_a_later_pass_drops_a_candidate_an_earlier_pass_admitted(monkeypatch):
     monkeypatch.setattr(_fftsum, "grid_values", recorded_grid)
     monkeypatch.setattr(TaylorEvaluator, "local",
                         lambda self, j: refined.append(j) or real_local(self, j))
-    sup = narrow_row_norms(freqs, coeffs, G, passes)[0]
+    sup = row_norms(freqs, coeffs, G, passes)[0]
     absvals = np.abs(grid_values(freqs, coeffs, G))
     cos = math.cos(math.pi * 100 / (2 * G))
     slack = CUT_SLACK * float(np.sum(np.abs(coeffs)))
@@ -584,8 +614,8 @@ def test_a_narrow_row_holds_one_coarse_grid_besides_the_taylor_powers():
     freqs, coeffs = line_spectrum(spec.relation, SliceSpec.horizontal(seeded_theta(5)),
                                   spec.modes(), spec.weights(spec.modes()))
     powers = taylor_order(math.pi * frequency_span(freqs) / G) * N * 8
-    narrow_row_norms(freqs, coeffs, G, 4)
-    assert _traced_peak(lambda: narrow_row_norms(freqs, coeffs, G, 4)) <= 16 * coarse + powers
+    row_norms(freqs, coeffs, G, 4)
+    assert _traced_peak(lambda: row_norms(freqs, coeffs, G, 4)) <= 16 * coarse + powers
 
 
 # scipy.stats.linregress 1.17.1 on these inputs: slope, intercept, stderr
