@@ -289,10 +289,14 @@ def local_maxima(absvals: np.ndarray, top: int) -> list[int]:
     which of the tied peaks is kept is unspecified, and so is the order of
     equal values; otherwise the list is the one a full descending sort
     gives.  Only wide-span rows refine at these peaks; a narrow-span row
-    refines the cells its Bernstein cut admits, local maxima or not."""
-    left = np.roll(absvals, 1)
-    right = np.roll(absvals, -1)
-    peaks = np.flatnonzero((absvals >= left) & (absvals > right))
+    refines the cells its Bernstein cut admits, local maxima or not.  G >= 2."""
+    a, peak = absvals, np.empty(absvals.size, dtype=bool)
+    np.greater_equal(a[1:-1], a[:-2], out=peak[1:-1])  # by slices: no rolled copies
+    peak[1:-1] &= a[1:-1] > a[2:]
+    peak[0] = a[0] >= a[-1] and a[0] > a[1]  # the two ends wrap around
+    peak[-1] = a[-1] >= a[-2] and a[-1] > a[0]
+    peaks = np.flatnonzero(peak)
+    del peak  # only the indices outlive the mask
     if peaks.size == 0:
         peaks = np.arange(absvals.size)
     if peaks.size > top:

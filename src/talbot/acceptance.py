@@ -384,6 +384,8 @@ def run_acceptance(numbers: Iterable[int] | None = None,
                    echo: Callable[[str], None] | None = None) -> AcceptanceReport:
     """Run the selected criteria (all by default), in numeric order."""
     wanted = sorted(set(numbers)) if numbers is not None else [n for n, _, _ in CRITERIA]
+    if not wanted:
+        raise ValueError(f"no criteria selected; valid numbers are 1..{len(CRITERIA)}")
     unknown = [n for n in wanted if n not in _BY_NUMBER]
     if unknown:
         raise ValueError(f"unknown criteria {unknown}; valid numbers are 1..{len(CRITERIA)}")

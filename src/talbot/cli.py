@@ -88,6 +88,19 @@ def _config_argv(path: str, known: dict) -> list[str]:
             for key, value in file_cfg.items() if value is not None and value is not False]
 
 
+def _parse_list(text: str, kind: type, what: str) -> list:
+    """The values of a comma list, each read by ``kind``; blank tokens are
+    skipped, and a bad token or an empty list is a ConfigError naming the
+    list by ``what``."""
+    try:
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad {what} list {text!r}") from exc
+    if not values:
+        raise ConfigError(f"empty {what} list")
+    return values
+
+
 def _parse_scales(text: str) -> list[int]:
     """Either "lo..hi" (dyadic exponents, inclusive) or comma-separated Ns."""
     text = text.strip()
@@ -98,34 +111,7 @@ def _parse_scales(text: str) -> list[int]:
         if not 0 <= lo <= hi <= top:
             raise ConfigError(f"scale exponents must satisfy 0 <= lo <= hi <= {top}, got {text!r}")
         return [1 << j for j in range(lo, hi + 1)]
-    try:
-        scales = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad scale list {text!r}") from exc
-    if not scales:
-        raise ConfigError("empty scale list")
-    return scales
-
-
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}") from exc
-
-
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad number list {text!r}") from exc
-
-
-def _parse_drop(text: str) -> tuple[int, int]:
-    parts = _parse_int_list(text)
-    if len(parts) != 2:
-        raise ConfigError(f"--drop needs two integers, got {text!r}")
-    return parts[0], parts[1]
+    return _parse_list(text, int, "scale")
 
 
 def _fraction(text: str) -> Fraction:
@@ -179,7 +165,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"the sup exponent fit needs at least four distinct scales, got {scales}")
 
     if args.seeds is not None:
-        seeds = _parse_int_list(args.seeds)
+        seeds = _parse_list(args.seeds, int, "seed")
         at_specs = [f"rand:{s}" for s in seeds]
     else:
         at_specs = [args.at]
@@ -226,7 +212,9 @@ def _cmd_dimension(args: argparse.Namespace) -> int:
     rel = parse_relation(args.rel)
     g = parse_datum(args.data)
     slc = parse_slice(args.slice)
-    drop = _parse_drop(args.drop)
+    drop = tuple(_parse_list(args.drop, int, "drop"))
+    if len(drop) != 2:
+        raise ConfigError(f"--drop needs two integers, got {args.drop!r}")
     sg = evolve_slice(rel, g, slc, M=args.truncation, length=args.length)
 
     measured, skipped = measured_parts(sg.samples)
@@ -304,7 +292,7 @@ def _cmd_l4count(args: argparse.Namespace) -> int:
     if args.h is None:
         raise ConfigError("l4count needs --h (an integer-valued frequency map)")
     h = parse_relation(args.h)
-    Ks = _parse_int_list(args.K)
+    Ks = _parse_list(args.K, int, "block size")
     if args.max_slope is not None and len(Ks) < 2:
         raise ConfigError("--max-slope gates the count slope, which needs at least two "
                           f"block sizes, got {Ks}")
@@ -344,7 +332,8 @@ def _cmd_l4count(args: argparse.Namespace) -> int:
 
 def _cmd_solver(args: argparse.Namespace) -> int:
     g = parse_datum(args.data)
-    snapshots = () if args.snapshots is None else tuple(_parse_float_list(args.snapshots))
+    snapshots = (() if args.snapshots is None
+                 else tuple(_parse_list(args.snapshots, float, "snapshot time")))
     check_residual_length(args.residual_length, args.M)
     try:
         if args.subcommand == "nls":
@@ -427,7 +416,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_acceptance(args: argparse.Namespace) -> int:
-    numbers = None if args.only is None else _parse_int_list(args.only)
+    numbers = None if args.only is None else _parse_list(args.only, int, "criterion")
     try:
         report = run_acceptance(numbers, echo=lambda line: print(line, file=sys.stderr))
     except ValueError as exc:

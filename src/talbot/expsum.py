@@ -34,7 +34,6 @@ from .fixedpoint import ONE, FixedReal
 
 MAX_BLOCK = 1 << 20
 MAX_GRID = 1 << 20
-TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ the blocks read are kept, and the twiddle table is built in place, so a
 default Besov profile peaks at about 1.7 (real) and 1.9 (complex) times the
 16*L bytes of one spectrum under tracemalloc.
 
+Box counting and the Hölder exponent refuse complex samples; a complex
+field's parts come from ``measured_parts``, the one rule for rounding noise.
+
 The Weierstrass family W(x) = sum 2^{-j gamma} cos(2^j x) serves as the
 calibration oracle: its graph has box dimension 2 - gamma, Hölder exponent
 gamma, and one Fourier mode per dyadic block.
@@ -55,14 +58,15 @@ def measured_parts(field: np.ndarray) -> tuple[dict[str, np.ndarray], dict[str, 
     return measured, skipped
 
 
-def _as_real_samples(samples) -> np.ndarray:
-    arr = samples.samples if hasattr(samples, "samples") else samples
-    arr = np.asarray(arr)
-    if np.iscomplexobj(arr):
-        if np.max(np.abs(arr.imag)) > 1e-9 * max(1.0, np.max(np.abs(arr.real))):
+def _samples(samples, real: bool) -> np.ndarray:
+    """The samples of an array or of an object with a ``samples`` array:
+    1-d, a power-of-two length >= MIN_SAMPLES, finite, and where ``real``
+    float64 and not complex.  Float64 and complex input is never copied."""
+    arr = np.asarray(samples.samples if hasattr(samples, "samples") else samples)
+    if real:
+        if np.iscomplexobj(arr):
             raise ValueError("samples are complex; pass .real or .imag explicitly")
-        arr = arr.real
-    arr = np.asarray(arr, dtype=np.float64)
+        arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 1 or len(arr) < MIN_SAMPLES or not is_pow2(len(arr)):
         raise ValueError(f"need a 1-d power-of-two sample array of length >= {MIN_SAMPLES}")
     if not np.all(np.isfinite(arr)):
@@ -109,7 +113,7 @@ def box_dimension(samples, drop: tuple[int, int] = (2, 2)) -> BoxCountResult:
     recovers its known dimension only without it).  A window of fewer than
     two scales is a ValueError.  A constant input is flagged degenerate
     (dimension 1)."""
-    ys = _as_real_samples(samples)
+    ys = _samples(samples, real=True)
     ks = list(range(2, int(math.log2(len(ys))) - 5))
     lo, hi = drop
     kept = len(ks) - lo - hi
@@ -155,7 +159,7 @@ def holder_exponent(samples, lag_min: int = 32, lag_max: int = 1024) -> Exponent
     the local increments directly, so the slope tracks gamma for C^gamma
     graphs (~0 across a jump, ~1 for C^1); wide lags saturate at the global
     oscillation and are excluded by default."""
-    ys = _as_real_samples(samples)
+    ys = _samples(samples, real=True)
     # a zero lag passes here and fails the range check below
     if not (is_pow2(lag_min or 1) and is_pow2(lag_max or 1)):
         raise ValueError("lags must be powers of two")
@@ -244,12 +248,8 @@ def besov_profile(samples, ps: Sequence = (1, 2, math.inf)) -> BesovProfile:
     e(k/L) twiddle table is built in place.  Under tracemalloc the default
     ps peak at about 1.7 * 16 * L bytes over real input and 1.9 * 16 * L
     over complex128 input, besides pocketfft's own scratch."""
-    given = np.asarray(samples.samples if hasattr(samples, "samples") else samples)
+    given = _samples(samples, real=False)
     real, arr = not np.iscomplexobj(given), given.astype(np.complex128, copy=False)
-    if arr.ndim != 1 or len(arr) < MIN_SAMPLES or not is_pow2(len(arr)):
-        raise ValueError(f"need a 1-d power-of-two sample array of length >= {MIN_SAMPLES}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("samples must be finite")
     L = len(arr)
     full = np.fft.fft(arr, norm="forward", out=None if arr is given else arr)
     spec = np.concatenate((full[:L // 8], full[L - L // 8:]))  # the bins |n| < L/8
@@ -273,7 +273,7 @@ def besov_profile(samples, ps: Sequence = (1, 2, math.inf)) -> BesovProfile:
             elif p == 2:
                 band = np.concatenate((spec[N:2 * N], spec[M - 2 * N + 1:M - N + 1]))
                 by_p[p].append(float(np.sqrt(np.sum(band.real ** 2 + band.imag ** 2))))
-            elif p in (math.inf, "inf"):
+            elif p == math.inf:
                 by_p[p].append(float(np.max(a)))
             else:
                 by_p[p].append(float(np.mean(a ** p) ** (1.0 / p)))

@@ -144,10 +144,10 @@ class StepFunction:
         return f"StepFunction({bits})"
 
 
-def _parse_breakpoint(token: str) -> Fraction:
-    """A breakpoint token in radians: exact for 0 and (rational)*pi forms
-    ("pi", "pi/2", "3pi/2", "2pi/3"); plain numerics are rounded to 2^-48
-    of a turn."""
+def parse_position(token: str) -> Fraction:
+    """A torus position given in radians, as turns in [0, 1): exact for 0
+    and (rational)*pi forms ("pi", "pi/2", "3pi/2", "2pi/3"); plain
+    numerics ("3.14") are rounded to 2^-48 of a turn."""
     tok = token.strip().lower()
     try:
         if "pi" in tok:
@@ -156,19 +156,13 @@ def _parse_breakpoint(token: str) -> Fraction:
             if tail.startswith("/"):
                 num /= int(tail[1:])
             elif tail:
-                raise ValueError(f"bad breakpoint token {token!r}")
+                raise ValueError(f"bad position token {token!r}")
             return (num / 2) % 1  # x*pi radians = x/2 turns
         val = Fraction(tok)
     except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in breakpoint token {token!r}") from exc
+        raise ValueError(f"zero denominator in position token {token!r}") from exc
     turns = val / (2 * pi_fixed().as_fraction())
     return (turns % 1).limit_denominator(1 << 48)
-
-
-def parse_position(token: str) -> Fraction:
-    """A torus position given in radians ("pi/2", "3.14", "0"), returned as
-    exact turns in [0, 1); pi-forms are exact."""
-    return _parse_breakpoint(token)
 
 
 def parse_datum(spec: str):
@@ -186,7 +180,7 @@ def parse_datum(spec: str):
     raw = [t for t in parts[1].split(",") if t.strip()]
     if not raw:
         raise ValueError("datum needs at least one breakpoint")
-    breaks = [_parse_breakpoint(t) for t in raw]
+    breaks = [parse_position(t) for t in raw]
     if len(parts) == 3:
         vals = []
         for t in parts[2].split(","):

@@ -69,6 +69,12 @@ def test_run_acceptance_rejects_unknown_numbers():
         acceptance.run_acceptance([12])
 
 
+def test_run_acceptance_rejects_an_empty_selection():
+    # an empty selection would pass having run nothing
+    with pytest.raises(ValueError, match="no criteria selected"):
+        acceptance.run_acceptance([])
+
+
 def test_registry_is_complete():
     numbers = [num for num, _, _ in acceptance.CRITERIA]
     assert numbers == list(range(1, 12))

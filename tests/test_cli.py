@@ -467,6 +467,33 @@ def test_acceptance_unknown_criterion(capsys):
     assert run(capsys, "acceptance", "--only", "99")[0] == 2
 
 
+# -- comma lists ----------------------------------------------------------------------
+
+SWEEP = ("sweep", "--rel", "poly:-1,0,0")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((*SWEEP, "--seeds", ",", "--scales", "6..9"), "empty seed list"),
+    ((*SWEEP, "--seeds", "1,x", "--scales", "6..9"), "bad seed list '1,x'"),
+    (("l4count", "--h", "poly:1,1,0", "--K", ","), "empty block size list"),
+    (("l4count", "--h", "poly:1,1,0", "--K", "16,3.5"), "bad block size list '16,3.5'"),
+    (("acceptance", "--only", ","), "empty criterion list"),
+    (("acceptance", "--only", "1,x"), "bad criterion list '1,x'"),
+    (("nls", "--M", "64", "--snapshots", ","), "empty snapshot time list"),
+    (("kdv", "--M", "64", "--snapshots", "0.1,x"), "bad snapshot time list '0.1,x'"),
+    (("dimension", "--rel", "poly:-1,0,0", "--slice", "horiz:rat:1/3", "--drop", ","),
+     "empty drop list"),
+    ((*SWEEP, "--at", "rat:0/1", "--scales", ","), "empty scale list"),
+    ((*SWEEP, "--at", "rat:0/1", "--scales", "64,x,256"), "bad scale list '64,x,256'"),
+])
+def test_comma_list_flags_refuse_bad_or_empty_lists(capsys, argv, message):
+    # an empty --only ran nothing and passed; an empty --seeds or --K swept
+    # nothing and an empty --snapshots took none: each exits 2 before any work
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"config error: {message}\n"
+
+
 # -- configuration ----------------------------------------------------------------------
 
 def test_config_file_fills_missing_flags(capsys, tmp_path):

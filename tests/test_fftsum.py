@@ -384,6 +384,31 @@ def test_local_maxima_keep_the_top_values_when_peaks_tie():
     assert len(set(flat)) == 3 and all(0 <= j < 16 for j in flat)
 
 
+@pytest.mark.parametrize("G", [2, 3, 64, 1 << 12])
+def test_local_maxima_match_the_oracle_on_random_moduli_and_wrapped_plateaus(G):
+    rng = np.random.default_rng(G)
+    distinct = rng.random(G)
+    levels = rng.integers(0, 3, G).astype(np.float64)  # ties and plateaus everywhere
+    wrapped = np.zeros(G)
+    wrapped[-2:] = wrapped[:2] = 5.0  # one plateau across the wrap-around
+    wrapped[G // 2] = 1.0
+    for top in (1, 3, 10, G):
+        assert local_maxima(distinct, top) == _local_maxima_sorting_all(distinct, top)
+        for absvals in (levels, wrapped):
+            got, want = local_maxima(absvals, top), _local_maxima_sorting_all(absvals, top)
+            # ties stay free: the same values, each at a circular local maximum
+            assert absvals[got].tolist() == absvals[want].tolist()
+            assert set(got) <= set(_local_maxima_sorting_all(absvals, G))
+
+
+def test_local_maxima_hold_no_full_length_copy_of_the_moduli():
+    # two rolled copies and three masks took 3.0 MiB beside the 1 MiB of
+    # moduli at G = 2^17; the slices and the ~G/3 peak indices take 1.0
+    G = 1 << 17
+    absvals = np.random.default_rng(5).random(G)
+    assert _traced_peak(lambda: local_maxima(absvals, TOP)) <= 1.1 * absvals.nbytes
+
+
 def _one_mode_phasor(t):
     """e(t) for each turn count t, probed through an AnchoredEvaluator of the
     single mode f = 1 on a G = 1 grid, where the offset of delta = t is t."""

@@ -429,6 +429,31 @@ def test_measured_parts_skip_a_part_below_the_noise_floor():
     assert list(measured_parts(np.zeros(L, dtype=np.complex128))[0]) == ["re", "im"]
 
 
+def test_box_and_holder_refuse_complex_samples_and_take_measured_parts():
+    # an imaginary part of 1e-12 is refused, not dropped: measured_parts is
+    # the one rule that decides whether a part is rounding noise
+    field = np.sin(2.0 * np.pi * X) + 1e-12j * np.cos(2.0 * np.pi * X)
+    for estimate in (box_dimension, holder_exponent):
+        with pytest.raises(ValueError, match="samples are complex"):
+            estimate(field)
+    measured, _ = measured_parts(field)
+    for part in measured.values():  # strided views, read as they are
+        assert box_dimension(part) == box_dimension(part.copy())
+        assert holder_exponent(part) == holder_exponent(part.copy())
+
+
+def test_the_sample_check_returns_its_input_uncopied():
+    field = np.exp(2j * np.pi * X)
+    grid = SampleGrid(samples=field, period=1.0, truncation=L // 4)
+    for given, real in ((field.real, True), (field.imag, True), (field, False), (grid, False)):
+        arr = given.samples if isinstance(given, SampleGrid) else given
+        assert np.shares_memory(fractal._samples(given, real), arr)
+    for bad in (np.zeros((2, L // 2)), np.zeros(L - 1), np.zeros(fractal.MIN_SAMPLES // 2)):
+        for real in (True, False):
+            with pytest.raises(ValueError, match="power-of-two"):
+                fractal._samples(bad, real)
+
+
 # -- calibration family ---------------------------------------------------------------
 
 @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7])

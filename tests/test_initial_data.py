@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talbot import StepFunction, parse_datum, parse_position
+from talbot import StepFunction, parse_datum, parse_position, parse_slice
 
 
 def _half_indicator() -> StepFunction:
@@ -179,6 +179,15 @@ def test_parse_position():
     assert parse_position("pi/2") == Fraction(1, 4)
     assert parse_position("0") == Fraction(0)
     assert float(parse_position("3.141592653589793")) == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("token, turns", [("pi/3", Fraction(1, 6)), ("-2pi/3", Fraction(2, 3)),
+                                          ("3pi/2", Fraction(3, 4))])
+def test_datum_breakpoints_and_slice_positions_read_the_same_exact_turn(token, turns):
+    # one reader for both: a step breakpoint and a vertical slice's x0
+    assert parse_position(token) == turns
+    assert tuple(parse_datum(f"step:{token}").breakpoints) == (turns,)
+    assert parse_slice(f"vert:{token}:0,1/2").x0 == turns
 
 
 @settings(max_examples=30, deadline=None)

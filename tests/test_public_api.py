@@ -7,15 +7,20 @@ uses, and neither are the tests.  It checks five things:
 
 * every exported name appears as a ``Name`` or an ``Attribute`` outside its
   own definition;
-* so does every module-level function and class of the package, private
-  ones included;
-* so does every public method (or property) of an exported class;
+* every module-level function and class of the package, private ones
+  included, is read as its own module's: by bare name in that module, and
+  elsewhere through a ``from`` import of it from that module (or from a
+  module that re-imports it) or as an attribute of that imported module;
+* every public method (or property) of an exported class appears as a
+  ``Name`` or an ``Attribute`` outside its own definition;
 * every defaulted parameter of a function or method of the package, private
   ones included, is set by some call of that name: by keyword, by position,
   or through ``*`` or ``**``.  A call that only forwards its caller's own
   defaulted parameter, one that no call sets either, does not count;
 * every module-level UPPER_CASE constant of the package, private ones
-  included, is read somewhere; its own assignment is not a read.
+  included, is read as its own module's, as functions are; its own
+  assignment is not a read, and neither is a read of a constant of the same
+  name in another module.
 """
 import ast
 import functools
@@ -26,6 +31,7 @@ from pathlib import Path
 import talbot
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "talbot"
 
 #: Exported names allowed without a caller, each with the reason.
 KEEP = {
@@ -42,12 +48,12 @@ KEEP_PARAMETERS = {
     "main(argv)": "the console-script entry point reads sys.argv; tests pass argv",
 }
 
-#: Module-level constants allowed with no reader, with the reason.
+#: Module-level constants ("module.NAME") allowed with no reader, with the reason.
 KEEP_CONSTANTS: dict[str, str] = {}
 
 
 def _sources() -> list[Path]:
-    package = sorted((ROOT / "src" / "talbot").glob("*.py"))
+    package = sorted(PACKAGE.glob("*.py"))
     return [p for p in package if p.name != "__init__.py"] + sorted((ROOT / "perfbench").glob("*.py"))
 
 
@@ -105,12 +111,12 @@ def _definitions() -> list[tuple[str, ast.FunctionDef, bool, bool]]:
     return out
 
 
-def _constants() -> dict[str, str]:
-    """UPPER_CASE name -> its module, for every module-level constant of the
+def _constants() -> set[tuple[str, str]]:
+    """(module, UPPER_CASE name) for every module-level constant of the
     package."""
-    out = {}
+    out = set()
     for path in _sources():
-        if path.parent.name != "talbot":
+        if path.parent != PACKAGE:
             continue
         for node in _tree(path).body:
             if isinstance(node, ast.Assign):
@@ -119,18 +125,86 @@ def _constants() -> dict[str, str]:
                 targets = [node.target]
             else:
                 continue
-            for target in targets:
-                if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id):
-                    out[target.id] = path.stem
+            out.update((path.stem, target.id) for target in targets
+                       if isinstance(target, ast.Name)
+                       and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id))
     return out
 
 
-def _module_level() -> dict[str, str]:
-    """Name -> its module, for every module-level function and class of the
+def _module_level() -> set[tuple[str, str]]:
+    """(module, name) for every module-level function and class of the
     package."""
-    return {node.name: path.stem for path in _sources() if path.parent.name == "talbot"
+    return {(path.stem, node.name) for path in _sources() if path.parent == PACKAGE
             for node in _tree(path).body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def _package_source(node: ast.ImportFrom) -> str | None:
+    """The package module a ``from`` import reads ("__init__" for the
+    package itself), or None for an import from outside the package."""
+    if node.level:  # relative imports appear only inside the package
+        return node.module or "__init__"
+    head, _, rest = (node.module or "").partition(".")
+    return (rest or "__init__") if head == "talbot" else None
+
+
+@functools.lru_cache(maxsize=None)
+def _imports(path: Path) -> tuple[dict[str, tuple[str, str]], dict[str, str]]:
+    """What a source imports from the package: local name -> (module,
+    name) for names, and local name -> module for modules."""
+    names: dict[str, tuple[str, str]] = {}
+    modules: dict[str, str] = {}
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            modules.update({a.asname or a.name: "__init__" for a in node.names
+                            if a.name == "talbot"})
+        elif isinstance(node, ast.ImportFrom) and (source := _package_source(node)):
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if source == "__init__" and (PACKAGE / f"{alias.name}.py").is_file():
+                    modules[local] = alias.name
+                else:
+                    names[local] = (source, alias.name)
+    return names, modules
+
+
+def _origin(module: str, name: str) -> tuple[str, str]:
+    """(defining module, name) of a name read from ``module``, following
+    re-imports such as ``__init__``'s."""
+    names, _ = _imports(PACKAGE / f"{module}.py")
+    return _origin(*names[name]) if name in names else (module, name)
+
+
+def _reads() -> set[tuple[str, str]]:
+    """(module, name) for every package name loaded outside a def or class
+    of that name: by bare name in its own module, elsewhere through a
+    ``from`` import of it or as an attribute of its imported module."""
+    reads: set[tuple[str, str]] = set()
+
+    def visit(node: ast.AST, enclosing: frozenset, own: str | None,
+              names: dict, modules: dict) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(getattr(node, "ctx", None), ast.Load):
+            if isinstance(node, ast.Name) and node.id not in enclosing:
+                if node.id in names:
+                    reads.add(_origin(*names[node.id]))
+                elif own:
+                    reads.add((own, node.id))
+            elif (isinstance(node, ast.Attribute) and node.attr not in enclosing
+                  and isinstance(node.value, ast.Name) and node.value.id in modules):
+                reads.add(_origin(modules[node.value.id], node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing, own, names, modules)
+
+    for path in _sources():
+        own = path.stem if path.parent == PACKAGE else None
+        visit(_tree(path), frozenset(), own, *_imports(path))
+    return reads
+
+
+def _dotted(pairs) -> list[str]:
+    return sorted(f"{module}.{name}" for module, name in pairs)
 
 
 def _public_methods() -> dict[str, str]:
@@ -214,10 +288,9 @@ def test_every_export_has_a_caller():
 
 
 def test_every_module_level_function_and_class_has_a_caller():
-    defined = _module_level()
-    dead = set(defined) - _used_names() - set(KEEP)
+    dead = {(module, name) for module, name in _module_level() - _reads() if name not in KEEP}
     assert not dead, ("module-level functions and classes never used by the package or "
-                      f"perfbench: {sorted(f'{defined[name]}.{name}' for name in dead)}")
+                      f"perfbench: {_dotted(dead)}")
 
 
 def test_keep_list_is_current():
@@ -248,12 +321,13 @@ def test_method_and_parameter_keep_lists_are_current():
 def test_every_constant_is_read():
     constants = _constants()
     # the scan sees the Horner rotation's threshold and coefficient tables
-    assert {"ROTATION_TAYLOR_MAX", "_COS", "_SIN"} <= set(constants)
-    unread = set(constants) - _used_names() - set(KEEP_CONSTANTS)
+    assert {("nonlinear", "ROTATION_TAYLOR_MAX"), ("nonlinear", "_COS"),
+            ("nonlinear", "_SIN")} <= constants
+    unread = set(_dotted(constants - _reads())) - set(KEEP_CONSTANTS)
     assert not unread, ("constants that no code in the package or perfbench reads: "
-                        f"{sorted(f'{constants[name]}.{name}' for name in unread)}")
+                        f"{sorted(unread)}")
 
 
 def test_constant_keep_list_is_current():
-    assert set(KEEP_CONSTANTS) <= set(_constants())
-    assert not set(KEEP_CONSTANTS) & _used_names()
+    assert set(KEEP_CONSTANTS) <= set(_dotted(_constants()))
+    assert not set(KEEP_CONSTANTS) & set(_dotted(_reads()))
