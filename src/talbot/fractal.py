@@ -7,11 +7,12 @@ pairwise for each coarser one.  Each Besov block is evaluated band-limited,
 by 4N-point inverse FFTs with exact integer twiddles (half-length real ones
 for real samples), in cache-sized row chunks into one L-sample modulus
 buffer; its L^2 norm comes from the spectrum by Parseval.  Block norms agree
-with a full-length masked inverse FFT per block to 1e-12 relative.  Past the
-forward FFT (in place into the complex copy of real input) only the L/4 bins
-the blocks read are kept, and the twiddle table is built in place, so a
-default Besov profile peaks at about 1.7 (real) and 1.9 (complex) times the
-16*L bytes of one spectrum under tracemalloc.
+with a full-length masked inverse FFT per block to 1e-12 relative.  Real
+samples take one half-length real forward FFT, their negative bins exact
+conjugates; past the forward FFT only the L/4 bins the blocks read are kept,
+and the twiddle table is built in place, so a default Besov profile peaks at
+about 1.7 (real) and 1.9 (complex) times the 16*L bytes of one spectrum
+under tracemalloc, and an L^2-only one at 0.875 (real) and 1.25 (complex).
 
 Box counting and the Hölder exponent refuse complex samples; a complex
 field's parts come from ``measured_parts``, the one rule for rounding noise.
@@ -23,6 +24,7 @@ gamma, and one Fourier mode per dyadic block.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -243,18 +245,29 @@ def besov_profile(samples, ps: Sequence = (1, 2, math.inf)) -> BesovProfile:
     full-length one; real input takes half-length real transforms.
 
     Blocks stop at 2N <= L/8, so only the L/4 bins with |n| < L/8 outlive
-    the forward FFT, which runs in place into the complex copy that real or
-    non-complex128 input needs (a caller's array is never written), and the
-    e(k/L) twiddle table is built in place.  Under tracemalloc the default
-    ps peak at about 1.7 * 16 * L bytes over real input and 1.9 * 16 * L
-    over complex128 input, besides pocketfft's own scratch."""
+    the forward FFT: a half-length real one of real input's float64 values,
+    the negative bins exact conjugates, or a full-length one in place into
+    the copy that complex64 input needs; a caller's array is never written.
+    The e(k/L) twiddle table is built in place.  Under tracemalloc the
+    default ps peak at about 1.7 * 16 * L bytes over real input and
+    1.9 * 16 * L over complex128 input, and ps=(2,) at 0.875 and 1.25 * 16 * L,
+    besides pocketfft's own scratch.  Each p must be a finite number >= 1 or
+    math.inf, else ValueError."""
     given = _samples(samples, real=False)
-    real, arr = not np.iscomplexobj(given), given.astype(np.complex128, copy=False)
-    L = len(arr)
-    full = np.fft.fft(arr, norm="forward", out=None if arr is given else arr)
-    spec = np.concatenate((full[:L // 8], full[L - L // 8:]))  # the bins |n| < L/8
+    for p in ps:
+        if not (isinstance(p, numbers.Real) and p >= 1):  # NaN fails p >= 1
+            raise ValueError(f"Besov p must be a finite number >= 1 or math.inf, got {p!r}")
+    real, L = not np.iscomplexobj(given), len(given)
+    if real:  # one half-length real FFT; bin -m is conj(bin m) exactly
+        full = np.fft.rfft(given.astype(np.float64, copy=False), norm="forward")
+        negative = np.conjugate(full[L // 8:0:-1])
+    else:
+        full = given.astype(np.complex128, copy=False)
+        full = np.fft.fft(full, norm="forward", out=None if full is given else full)
+        negative = full[L - L // 8:]
+    spec = np.concatenate((full[:L // 8], negative))  # the bins |n| < L/8
     M = len(spec)  # bin -m is spec[M - m]
-    del given, arr, full  # only spec outlives the forward FFT
+    del given, full, negative  # only spec outlives the forward FFT
     need_samples = any(p != 2 for p in ps)
     table, a = None, None
     if need_samples:

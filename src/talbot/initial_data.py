@@ -169,8 +169,8 @@ def parse_datum(spec: str):
     """Parse a datum specification.
 
     Grammar: ``step:<breakpoints>[:<values>]`` with radian breakpoint
-    tokens (pi-forms exact) and optional complex values, default
-    alternating 1,0.
+    tokens (pi-forms exact) and optional complex values, one per
+    breakpoint, default alternating 1,0.
     """
     if not spec.startswith("step:"):
         raise ValueError(f"unknown datum spec {spec!r}")
@@ -189,6 +189,8 @@ def parse_datum(spec: str):
                 vals.append(complex(Fraction(t)))
             except (ValueError, ZeroDivisionError):
                 vals.append(complex(t))
+        if len(vals) != len(breaks):
+            raise ValueError(f"datum has {len(breaks)} breakpoints but {len(vals)} values")
     else:
         vals = [complex((j + 1) % 2) for j in range(len(breaks))]
     order = sorted(range(len(breaks)), key=lambda j: breaks[j])

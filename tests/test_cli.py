@@ -427,6 +427,17 @@ def test_zero_denominator_is_a_config_error(capsys, argv):
     assert "config error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("quantize", "--rel", "poly:-1,0,0", "--a", "1", "--q", "2", "--data", "step:0:1,2,3"),
+    ("dimension", "--rel", "poly:-1,0,0", "--slice", "horiz:rat:1/3", "--data", "step:0,pi:1"),
+])
+def test_datum_with_a_value_count_unlike_its_breakpoint_count_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "config error:" in err and "breakpoints but" in err
+
+
 @pytest.mark.parametrize("slc", ["vert:0:1/4,1/4", "vert:0:1/2,1/4"])
 def test_empty_or_reversed_vertical_slice_is_a_config_error(capsys, tmp_path, slc):
     csv_path = tmp_path / "trace.csv"

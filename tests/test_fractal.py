@@ -211,6 +211,17 @@ def test_besov_validation():
         besov_profile(np.zeros(1 << 10))
 
 
+@pytest.mark.parametrize("p", [0, -1, math.nan, 0.5, -math.inf, "inf"])
+def test_besov_refuses_p_below_one_or_not_a_number_before_the_transform(p, monkeypatch):
+    def no_transform(*args, **kwargs):
+        raise AssertionError("the forward FFT ran")
+    monkeypatch.setattr(np.fft, "rfft", no_transform)
+    monkeypatch.setattr(np.fft, "fft", no_transform)
+    for ys in (np.sin(2.0 * np.pi * X), np.exp(2j * np.pi * X)):
+        with pytest.raises(ValueError, match="finite number >= 1 or math.inf"):
+            besov_profile(ys, ps=(2, p))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_besov_rejects_non_finite_samples(bad):
     ys = np.sin(2.0 * np.pi * X).astype(np.complex128)
@@ -287,18 +298,50 @@ def test_besov_l2_only_matches_default_profile():
     assert alone.gamma(2) == default.gamma(2)
 
 
-@pytest.mark.parametrize("kind", ["real", "weierstrass"])
-def test_besov_real_input_matches_its_complex_copy(kind):
-    # real input takes half-length real transforms; the complex copy the
-    # full-length complex ones, and both share the Parseval L^2 norms
-    ys = _oracle_input(kind, L)
+def _assert_near_its_complex_copy(ys):
+    # real input takes one half-length real forward FFT and half-length real
+    # block transforms; the complex copy full-length complex ones, so every
+    # norm, the Parseval L^2 ones included, agrees to rounding only
     real, cplx = besov_profile(ys, ps=ORACLE_PS), besov_profile(ys.astype(np.complex128), ps=ORACLE_PS)
     assert real.Ns == cplx.Ns
-    assert real.norms[2] == cplx.norms[2]
-    assert real.gamma(2) == cplx.gamma(2)
-    for p in (1, 3, math.inf):
+    for p in ORACLE_PS:
         np.testing.assert_allclose(real.norms[p], cplx.norms[p], rtol=1e-13, atol=0.0)
         assert real.gamma(p) == pytest.approx(cplx.gamma(p), rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["real", "weierstrass"])
+def test_besov_real_input_matches_its_complex_copy(kind):
+    _assert_near_its_complex_copy(_oracle_input(kind, L))
+
+
+@pytest.mark.parametrize("kind", ["real", "weierstrass"])
+@pytest.mark.parametrize("form", ["float32", "int64", "strided"])
+def test_besov_other_real_forms_match_their_complex_copy_and_stay_unchanged(kind, form):
+    # these take a float64 copy or, for the .real view of a complex array,
+    # are read with their strides
+    ys = _oracle_input(kind, L)
+    ys = {"float32": ys.astype(np.float32), "int64": np.rint(1e6 * ys).astype(np.int64),
+          "strided": (ys + 1j).real}[form]
+    before = ys.copy()
+    _assert_near_its_complex_copy(ys)
+    assert ys.dtype == before.dtype and np.array_equal(ys, before)
+
+
+@pytest.mark.parametrize("kind", ["real", "weierstrass"])
+def test_besov_real_spectrum_has_exactly_conjugate_negative_bins(kind, monkeypatch):
+    seen = []
+    block_moduli = fractal._block_moduli
+
+    def spy(spec, *args):
+        seen.append(spec)
+        return block_moduli(spec, *args)
+    monkeypatch.setattr(fractal, "_block_moduli", spy)
+    besov_profile(_oracle_input(kind, L), ps=(math.inf,))
+    spec = seen[0]
+    M = len(spec)
+    assert M == L // 4 and all(s is spec for s in seen)
+    negative = spec[:M // 2:-1]  # bins -1, -2, ..., 1 - L/8
+    assert np.conjugate(spec[1:M // 2]).tobytes() == negative.tobytes()
 
 
 def _block_samples_one_shot(spec, table, N, real):
@@ -321,7 +364,11 @@ def _besov_norms_one_shot(samples, ps):
     from ``_block_samples_one_shot`` as a fresh array."""
     real = not np.iscomplexobj(samples)
     L = len(samples)
-    spec = np.fft.fft(np.asarray(samples, dtype=np.complex128), norm="forward")
+    if real:  # the negative bins are exact conjugates of the positive ones
+        half = np.fft.rfft(np.asarray(samples, dtype=np.float64), norm="forward")
+        spec = np.concatenate((half[:L // 2], np.conjugate(half[L // 2:0:-1])))
+    else:
+        spec = np.fft.fft(np.asarray(samples, dtype=np.complex128), norm="forward")
     table = np.exp(2j * np.pi / L * np.arange(L // 2))
     norms = {p: [] for p in ps}
     N = 1
@@ -379,14 +426,25 @@ def test_besov_samples_cost_at_most_one_and_a_half_spectra(kind):
     assert extra <= 1.5 * 16 * n
 
 
+def test_besov_l2_of_real_input_holds_no_full_length_complex_array():
+    # one half-length real FFT (L/2 + 1 bins) plus the L/4 kept bins and the
+    # L/8 conjugates: 0.875 spectra at L = 2^18, where the complex copy and
+    # its full-length transform held 1.25
+    n = 1 << 18
+    ys = _oracle_input("real", n)
+    besov_profile(ys, ps=(2,))
+    assert _peak_bytes(ys, (2,)) <= 1.0 * 16 * n
+
+
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_besov_default_profile_peaks_below_two_spectra(kind):
-    # only the L/4 bins the blocks read outlive the forward FFT, which runs
-    # in place into the complex copy of real input, and the twiddle table is
-    # built in place: at L = 2^18 the call peaks near 1.7 spectra over real
-    # input and 1.9 over complex input (the widest block's one-row chunk
-    # buffers over the kept bins, the table and the modulus buffer), where
-    # the full spectrum and out-of-place transforms held 3.4 and 2.7
+    # only the L/4 bins the blocks read outlive the forward FFT (a half-length
+    # real one over real input, in place into the copy that complex64 input
+    # needs), and the twiddle table is built in place: at L = 2^18 the call
+    # peaks near 1.7 spectra over real input and 1.9 over complex input (the
+    # widest block's one-row chunk buffers over the kept bins, the table and
+    # the modulus buffer), where the full spectrum and out-of-place
+    # transforms held 3.4 and 2.7
     n = 1 << 18
     ys = _oracle_input(kind, n)
     besov_profile(ys)
@@ -394,9 +452,9 @@ def test_besov_default_profile_peaks_below_two_spectra(kind):
 
 
 def test_besov_profile_leaves_its_input_unchanged():
-    # a copy made from real or complex64 input is transformed in place; a
-    # caller's complex128 array, a SampleGrid's samples and a real array are
-    # only read, and every input gives the norms of its complex128 values
+    # a copy made from complex64 input is transformed in place; a caller's
+    # complex128 array, a SampleGrid's samples and a real array are only
+    # read, and equal samples give equal norms
     real = _oracle_input("real", L)
     cplx = _oracle_input("complex", L)
     grid = SampleGrid(samples=cplx.copy(), period=1.0, truncation=L // 4)

@@ -175,6 +175,13 @@ def test_parse_datum_errors():
         parse_datum("step:0,pie")
 
 
+@pytest.mark.parametrize("spec, breaks, values", [("step:0:1,2,3", 1, 3), ("step:0,pi:1", 2, 1),
+                                                  ("step:0,pi/2,pi:1,0", 3, 2)])
+def test_parse_datum_refuses_a_value_count_unlike_its_breakpoint_count(spec, breaks, values):
+    with pytest.raises(ValueError, match=f"datum has {breaks} breakpoints but {values} values"):
+        parse_datum(spec)
+
+
 def test_parse_position():
     assert parse_position("pi/2") == Fraction(1, 4)
     assert parse_position("0") == Fraction(0)
