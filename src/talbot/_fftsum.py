@@ -32,8 +32,9 @@ share one golden-section search:
   L = 2^11, into k_n = rint(u_n) and r_n = u_n - k_n, so that
   e(f_n*delta/G) = e(k_n/L) e(r_n/L).  With B_n = A_n e(k_n/L), A_n formed
   once per peak and e(k/L) from a table, S = sum_k c_k mu_k for
-  c_k = (2*pi*i/L)^k/k!, k < 6 (series tail below 2^-60): an N-term gather
-  and one (6, N) matrix product per probe, no complex exponential.  Refined
+  c_k = (2*pi*i/L)^k/k!, k < 6 (series tail below 2^-60): a gather and a
+  (6, n) matrix product per block of n <= 2^13 terms, whose buffers stay
+  in L2, the moments added across blocks; no complex exponential.  Refined
   sups match the direct complex-exponential sum to 1e-11 relative; single
   probes differ from it only by the rounding both make of phases of up to
   max|f|/G turns (~5e-10 of the sup on cubic rows at N = 2^11).
@@ -239,6 +240,9 @@ _PHASOR = np.exp((2j * np.pi / PHASOR_TABLE) * np.arange(PHASOR_TABLE))
 #: (2*pi*i/PHASOR_TABLE)^k / k!; the order makes the truncation error below 2^-60.
 _PHASOR_SERIES = np.array([(2j * np.pi / PHASOR_TABLE) ** k / math.factorial(k)
                            for k in range(taylor_order(math.pi / PHASOR_TABLE))])
+#: Terms per block of a wide-span probe: at about 100 bytes a term, a block's
+#: buffers stay in a 2 MiB L2, which an N-term probe overflows from N = 2^15.
+_TERMS = 1 << 13
 
 
 class AnchoredEvaluator:
@@ -247,31 +251,44 @@ class AnchoredEvaluator:
 
     The anchor phase (f*j mod G)/G is exact integer arithmetic and A_n is
     formed once per peak j.  The offset u_n = f_n*delta*L/G table steps,
-    L = PHASOR_TABLE, is rounded once to a double; each probe is then a
-    table gather and one ``_moments`` product (module docstring)."""
+    L = PHASOR_TABLE, is rounded once to a double; each probe is then, per
+    block of _TERMS terms, a table gather and one ``_moments`` product,
+    the six moments added across blocks (module docstring).  The block
+    views are built once, so a probe slices and allocates no N-term array,
+    and a row of N <= _TERMS runs in one block."""
 
     def __init__(self, freqs: np.ndarray, coeffs: np.ndarray, G: int):
         check_offsets(freqs, f"G={G}")
         self.anchored = AnchoredCoefficients(freqs, coeffs, G)
         self.turns = freqs.astype(np.float64) / G  # offset turns per unit delta
         self.coeffs = self.anchored.coeffs
-        # per-probe buffers, reused so that no probe allocates an N-term array
+        # one block's work buffers, reused by every block of every probe
         n = self.coeffs.size
-        self._offsets = np.empty(n)
-        self._index = np.empty(n, dtype=np.int64)
-        self._terms = np.empty(n, dtype=np.complex128)
-        self._powers = np.empty((_PHASOR_SERIES.size, n))
-        self._powers[0] = 1.0
+        width = min(n, _TERMS)
+        offsets, index = np.empty(width), np.empty(width, dtype=np.int64)
+        terms = np.empty(width, dtype=np.complex128)
+        powers = np.empty((_PHASOR_SERIES.size, width))
+        powers[0] = 1.0
+        self._blocks = []
+        for lo in range(0, n, width):
+            m = min(width, n - lo)  # the last block may be ragged
+            self._blocks.append((self.turns[lo:lo + m], self.anchored._A[lo:lo + m],
+                                 offsets[:m], index[:m], terms[:m], powers[:, :m]))
 
     def __call__(self, j: int, delta: float) -> complex:
-        u = np.multiply(self.turns, delta * PHASOR_TABLE, out=self._offsets)
-        k = np.rint(u, out=self._index, casting="unsafe")
-        np.subtract(u, k, out=self._powers[1])  # r_n, exact
-        k &= PHASOR_TABLE - 1
-        # k is in range, so "clip" changes nothing; "raise" would buffer out
-        B = _PHASOR.take(k, out=self._terms, mode="clip")
-        B *= self.anchored(j)
-        return complex(_PHASOR_SERIES @ _moments(B, _powers(self._powers)))
+        self.anchored(j)  # refills the buffer that the blocks' A views read
+        moments = None
+        for turns, A, offsets, index, terms, powers in self._blocks:
+            u = np.multiply(turns, delta * PHASOR_TABLE, out=offsets)
+            k = np.rint(u, out=index, casting="unsafe")
+            np.subtract(u, k, out=powers[1])  # r_n, exact
+            k &= PHASOR_TABLE - 1
+            # k is in range, so "clip" changes nothing; "raise" would buffer out
+            B = _PHASOR.take(k, out=terms, mode="clip")
+            B *= A
+            block = _moments(B, _powers(powers))
+            moments = block if moments is None else moments + block
+        return complex(_PHASOR_SERIES @ moments)
 
     def local(self, j: int) -> Callable[[float], float]:
         """delta -> |S((2*pi/G)*(j + delta))| by the N-term sum."""

@@ -252,11 +252,13 @@ def besov_profile(samples, ps: Sequence = (1, 2, math.inf)) -> BesovProfile:
     default ps peak at about 1.7 * 16 * L bytes over real input and
     1.9 * 16 * L over complex128 input, and ps=(2,) at 0.875 and 1.25 * 16 * L,
     besides pocketfft's own scratch.  Each p must be a finite number >= 1 or
-    math.inf, else ValueError."""
+    math.inf, and appear once, else ValueError."""
     given = _samples(samples, real=False)
-    for p in ps:
+    for i, p in enumerate(ps):
         if not (isinstance(p, numbers.Real) and p >= 1):  # NaN fails p >= 1
             raise ValueError(f"Besov p must be a finite number >= 1 or math.inf, got {p!r}")
+        if p in ps[:i]:  # one list of norms per distinct p
+            raise ValueError(f"Besov p = {p!r} is repeated")
     real, L = not np.iscomplexobj(given), len(given)
     if real:  # one half-length real FFT; bin -m is conj(bin m) exactly
         full = np.fft.rfft(given.astype(np.float64, copy=False), norm="forward")

@@ -443,36 +443,57 @@ def test_unit_phasor_at_table_points():
 @pytest.mark.parametrize("rel", [SCHRODINGER, "poly:1,0,0,0", "bo"])
 @pytest.mark.parametrize("sign", ["+", "both"])
 @pytest.mark.parametrize("weight", ["unit", "reciprocal"])
-def test_table_phasor_probes_match_direct_sum(rel, sign, weight):
+def test_table_phasor_probes_match_direct_sum(rel, sign, weight, monkeypatch):
     """Every probe of the wide-span refinement, and the refined sup, against
     the plain direct sum on oblique cells, N = 2^4..2^11.  Both paths round
     phases of up to max|f|/G turns to doubles, so besides 1e-11 of the grid
     sup a probe may differ by four half-ulps of that turn count, in radians,
     times |coeffs|_2 (a random walk of N rounding errors).  On cubic rows
     (~2^21 turns at N = 2^11) that allowance dominates; elsewhere 1e-11
-    does.  The refined sups agree to 1e-11 on every row."""
+    does.  The refined sups agree to 1e-11 on every row.  Each row runs
+    in one block of the default _TERMS, then in blocks of 48 terms, the
+    last ragged (from 64 terms on); the blocked sup equals the one-block
+    sup to 1e-15 relative."""
     for log2N in range(4, 12):
         freqs, coeffs, G = _oblique_cell(rel, seeded_theta(50 + log2N), 1 << log2N,
                                          sign, weight)
         absvals = np.abs(grid_values(freqs, coeffs, G))
         grid_sup = float(np.max(absvals))
-        ev, oracle = AnchoredEvaluator(freqs, coeffs, G), DirectEvaluator(freqs, coeffs, G)
+        oracle = DirectEvaluator(freqs, coeffs, G)
+        direct_sup = _direct_sup(freqs, coeffs, G, absvals)
         rounding = (2.0 ** -51 * 2.0 * np.pi * max(abs(f) for f in freqs) / G
                     * float(np.sqrt(np.sum(np.abs(coeffs) ** 2))))
-        probes = []
+        sups = []
+        for terms in (_fftsum._TERMS, 48):
+            with monkeypatch.context() as mp:
+                mp.setattr(_fftsum, "_TERMS", terms)
+                ev, probes = AnchoredEvaluator(freqs, coeffs, G), []
+                assert len(ev._blocks) == -(-coeffs.size // terms)
 
-        def recorded(j):
-            def at(delta):
-                value = ev(j, delta)
-                probes.append((j, delta, value))
-                return abs(value)
-            return at
-        got = _golden_sup(recorded, absvals)
-        assert len(probes) == 32 * len(local_maxima(absvals, 10))
-        for j, delta, value in probes:
-            assert abs(value - oracle(j, delta)) <= 1e-11 * grid_sup + rounding
-        assert got == refine_supremum(freqs, coeffs, G, absvals)
-        assert got == pytest.approx(_direct_sup(freqs, coeffs, G, absvals), rel=1e-11)
+                def recorded(j):
+                    def at(delta):
+                        value = ev(j, delta)
+                        probes.append((j, delta, value))
+                        return abs(value)
+                    return at
+                got = _golden_sup(recorded, absvals)
+                assert len(probes) == 32 * len(local_maxima(absvals, 10))
+                for j, delta, value in probes:
+                    assert abs(value - oracle(j, delta)) <= 1e-11 * grid_sup + rounding
+                assert got == refine_supremum(freqs, coeffs, G, absvals)
+                assert got == pytest.approx(direct_sup, rel=1e-11)
+                sups.append(got)
+        assert sups[1] == pytest.approx(sups[0], rel=1e-15)
+
+
+def test_a_wide_probe_holds_one_block_of_work_buffers():
+    # besides the N-long turns, folded frequencies and anchored buffer, the
+    # evaluator holds one block's offsets, index, terms and six power rows
+    # (80 bytes a term), not N-long ones
+    N = 1 << 15
+    freqs, coeffs, G = _oblique_cell(SCHRODINGER, seeded_theta(1101), N)
+    kept = (8 + 8 + 16) * coeffs.size
+    assert _traced_peak(lambda: AnchoredEvaluator(freqs, coeffs, G)) - kept <= 100 * _fftsum._TERMS
 
 
 def test_oblique_rows_warn_and_default_horizontal_rows_do_not():

@@ -1,5 +1,6 @@
 """Box counting, Hölder and Besov estimators, and the calibration family."""
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -220,6 +221,19 @@ def test_besov_refuses_p_below_one_or_not_a_number_before_the_transform(p, monke
     for ys in (np.sin(2.0 * np.pi * X), np.exp(2j * np.pi * X)):
         with pytest.raises(ValueError, match="finite number >= 1 or math.inf"):
             besov_profile(ys, ps=(2, p))
+
+
+@pytest.mark.parametrize("ps", [(2, 2.0), (math.inf, float("inf"), 1)])
+def test_besov_refuses_a_repeated_p_before_the_transform(ps, monkeypatch):
+    # by_p keeps one list per distinct p: a repeated p would append twice a block
+    ys = weierstrass(0.4, J=9, length=1 << 12)
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("the forward FFT ran")
+    monkeypatch.setattr(np.fft, "rfft", no_transform)
+    monkeypatch.setattr(np.fft, "fft", no_transform)
+    with pytest.raises(ValueError, match=re.escape(f"Besov p = {ps[1]!r} is repeated")):
+        besov_profile(ys, ps=ps)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
