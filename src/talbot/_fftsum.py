@@ -10,8 +10,9 @@ A grid can also be computed in s coarse passes: with G = s*G_c, sample
 s*j + r of the G-point grid is sample j of the G_c-point grid of the
 coefficients b_n e((f_n r mod G)/G), by the same folding identity.  Only
 one G_c-point array is then held at a time.  ``row_norms`` is the one row
-primitive: every sweep row, narrow or wide, is sampled in passes, summed
-into its L^2 and L^4 means and refined by it.
+primitive: it plans every sweep row, narrow or wide (its passes, the grid
+cap MAX_GRID, the offset check and the lower-bound warning), samples it in
+passes, sums its L^2 and L^4 means and refines its sup.
 
 Off-grid values for refinement, z = (2*pi/G)*(j + delta) with |delta| <= 1,
 are evaluated against an anchor grid point j so no large products enter a
@@ -98,6 +99,8 @@ def fold_frequencies(freqs: np.ndarray, G: int) -> np.ndarray:
 
 #: Largest grid any sum is evaluated on: 64 MiB of complex samples.
 GRID_CAP = 1 << 22
+#: Most points one pass of a sweep row holds: 16 MiB of complex samples.
+MAX_GRID = 1 << 20
 
 
 def check_grid(G: int) -> None:
@@ -343,11 +346,6 @@ def golden_section_peak(f: Callable[[float], float], lo: float,
     return d, fd
 
 
-def wide_span(span: int, G: int) -> bool:
-    """pi*span > G: no Bernstein cut, so the refined sup is a lower bound."""
-    return math.pi * span > G
-
-
 def refine_supremum(freqs: np.ndarray, coeffs: np.ndarray, G: int,
                     absvals: np.ndarray) -> float:
     """Golden-section refinement of a wide-span row's grid supremum
@@ -363,24 +361,35 @@ def refine_supremum(freqs: np.ndarray, coeffs: np.ndarray, G: int,
 
 
 def row_norms(freqs: np.ndarray, coeffs: np.ndarray, G: int,
-              passes: int) -> tuple[float, float, float]:
-    """sup |S|, and the means of |S|^2 and |S|^4 over the G-point grid, of
-    one sweep row: the grid in ``passes`` coarse passes (``passes`` divides
-    G) into one reused modulus buffer, squared in place for the sums.
+              row: str) -> tuple[float, float, float, int, list[str]]:
+    """sup |S|, the means of |S|^2 and |S|^4 over the grid, its size and its
+    warnings, for the sweep row labelled ``row`` that asks for G points.
 
-    A wide-span row (pi*span > G) takes one pass, any other count is a
-    ValueError, and its sup is ``refine_supremum`` of that pass's moduli.
-    A narrow-span row's pass keeps the samples its running cut
-    best*cos(pi*span/(2G)) less the slack admits (a later pass only raises
-    best, so these are the points one G-point grid would keep).  With the
-    buffer freed, they are refined in descending |S_j| by the Taylor
-    evaluator, best rising with each refined value, until the first below
-    the cut.  The grid point nearest the maximiser is never below the cut
-    (module docstring), so it is refined, local maximum or not."""
+    A wide-span row (pi*span > G) is offset-checked, then sampled in one
+    pass of min(G, MAX_GRID) points, the grid it reports; its sup is
+    ``refine_supremum`` of those moduli, a lower bound it warns of.  A
+    narrow-span row takes passes of G_c = min(G/4, MAX_GRID) points (a
+    ValueError unless 4 and G_c both divide G) into one reused modulus
+    buffer, squared in place for the sums.  Each pass keeps the samples its
+    running cut best*cos(pi*span/(2G)) less the slack admits (a later pass
+    only raises best, so these are the points one G-point grid would keep).
+    With the buffer freed, they are refined in descending |S_j| by the
+    Taylor evaluator, best rising with each refined value, until the first
+    below the cut.  The grid point nearest the maximiser is never below the
+    cut (module docstring), so it is refined, local maximum or not."""
     span = frequency_span(freqs)
-    wide = wide_span(span, G)
-    if wide and passes != 1:
-        raise ValueError(f"a wide-span row is sampled in one pass, not {passes}")
+    wide, warnings = math.pi * span > G, []
+    if wide:
+        check_offsets(freqs, row)
+        G, passes = min(G, MAX_GRID), 1
+        warnings.append(f"{row}: span {span} is wide against grid {G} (pi*span > G); "
+                        f"the sup is the best of the {TOP} refined grid peaks, a lower bound")
+    else:
+        coarse = min(G // 4, MAX_GRID)
+        if G < 4 or G % 4 or G % coarse:
+            raise ValueError(f"{row}: a grid of {G} points is no whole number of "
+                             f"passes of min(G/4, {MAX_GRID}) points")
+        passes = G // coarse
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     anchored = None if wide else AnchoredCoefficients(freqs, coeffs, G)  # a wide row has only r = 0
     cos = math.cos(math.pi * span / (2 * G))
@@ -407,4 +416,4 @@ def row_norms(freqs: np.ndarray, coeffs: np.ndarray, G: int,
             if values[k] < best * cos - slack:
                 break
             best = max(best, golden_section_peak(ev.local(int(cells[k])), -1.0, 1.0)[1])
-    return best, sum2 / G, sum4 / G
+    return best, sum2 / G, sum4 / G, G, warnings

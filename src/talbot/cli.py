@@ -101,6 +101,15 @@ def _parse_list(text: str, kind: type, what: str) -> list:
     return values
 
 
+def _distinct(values: list, what: str) -> list:
+    """``values``, or a ConfigError naming the first that repeats: each is
+    one point of a fit, and a repeat would count as an independent one."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{what} {value} is repeated in {values}")
+    return values
+
+
 def _parse_scales(text: str) -> list[int]:
     """Either "lo..hi" (dyadic exponents, inclusive) or comma-separated Ns."""
     text = text.strip()
@@ -160,8 +169,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if (args.at is None) == (args.seeds is None):
         raise ConfigError("sweep needs exactly one of --at or --seeds")
     rel = parse_relation(args.rel)
-    scales = _parse_scales(args.scales)
-    if len(set(scales)) < 4:
+    scales = _distinct(_parse_scales(args.scales), "scale")
+    if len(scales) < 4:
         raise ConfigError(f"the sup exponent fit needs at least four distinct scales, got {scales}")
 
     if args.seeds is not None:
@@ -292,7 +301,7 @@ def _cmd_l4count(args: argparse.Namespace) -> int:
     if args.h is None:
         raise ConfigError("l4count needs --h (an integer-valued frequency map)")
     h = parse_relation(args.h)
-    Ks = _parse_list(args.K, int, "block size")
+    Ks = _distinct(_parse_list(args.K, int, "block size"), "block size")
     if args.max_slope is not None and len(Ks) < 2:
         raise ConfigError("--max-slope gates the count slope, which needs at least two "
                           f"block sizes, got {Ks}")

@@ -24,8 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._fftsum import (TOP, check_offsets, frequency_span, is_pow2, l4_quadrature,
-                      row_norms, wide_span)
+from ._fftsum import is_pow2, l4_quadrature, row_norms
 from .dispersion import (LINEAR, DispersionRelation, FractionalPower, IntPolynomial,
                          oblique_frequencies, parse_relation, theta_omega_frac_array)
 from .diophantine import ctr_constant
@@ -33,7 +32,6 @@ from .evolution import SliceSpec, line_spectrum
 from .fixedpoint import ONE, FixedReal
 
 MAX_BLOCK = 1 << 20
-MAX_GRID = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +142,9 @@ def fit_exponent(scales: Sequence[int], values: Sequence[float]) -> ExponentFit:
         raise ValueError("scales and values must have equal length")
     if len(scales) < 4:
         raise ValueError("an exponent fit needs at least four scales")
-    if len(set(scales)) < 2:
-        raise ValueError("degenerate fit: all scales identical")
+    repeated = [scale for i, scale in enumerate(scales) if scale in scales[:i]]
+    if repeated:
+        raise ValueError(f"scale {repeated[0]} is repeated: each scale is one point of the fit")
     vals = [float(v) for v in values]
     if any(v <= 0.0 for v in vals):
         raise ValueError("exponent fits need strictly positive values")
@@ -205,55 +204,34 @@ def _sweep_label(slc: SliceSpec) -> str:
     return slc.t.describe()
 
 
-def fine_grid(N: int) -> int:
-    """The 16N-point grid a row of block size N is sampled on.  Every
-    horizontal row, |n| in [N, 2N) on one side or both, spans at most
-    4N - 2 < 16N/pi frequencies, so the grid's Bernstein cut covers it."""
-    return 16 * N
-
-
-def _sweep_cell(relation: DispersionRelation, slc: SliceSpec, N: int,
-                weight: str, sign: str) -> tuple[SweepRow, list[str]]:
-    spec = BlockSpec(relation, N, sign=sign, weight=weight)
-    ns = spec.modes()
-    freqs, coeffs = line_spectrum(relation, slc, ns, spec.weights(ns))
-    check_offsets(freqs, f"N={N}")
-
-    G = fine_grid(N)
-    span = frequency_span(freqs)
-    warnings: list[str] = []
-    if wide_span(span, G):
-        G, passes = min(G, MAX_GRID), 1
-        warnings.append(f"N={N}: span {span} is wide against grid {G} (pi*span > G); "
-                        f"the sup is the best of the {TOP} refined grid peaks, a lower bound")
-    else:  # coarse passes of min(G/4, MAX_GRID) points
-        passes = G // min(G // 4, MAX_GRID)
-    sup, mean2, mean4 = row_norms(freqs, coeffs, G, passes)
-    return SweepRow(N=N, sup_abs=sup, l2=math.sqrt(mean2), l4=mean4 ** 0.25, grid=G), warnings
-
-
 def sup_norm_sweep(relation: DispersionRelation | str, at, scales: Iterable[int], *,
                    weight: str = "unit", sign: str = "+") -> SweepResult:
     """Sup/L^2/L^4 norms of the block sums across dyadic scales.
 
     ``at`` is a horizontal or oblique SliceSpec, or a TimePoint or raw
     turns value, which stands for the horizontal slice at that time.
-    Each block is sampled on a grid of G = 16*N points, and every row goes
-    through the one row primitive ``_fftsum.row_norms``; L^2 and L^4 are
-    means over all G samples.  A narrow-span row (pi*span <= G: every
-    horizontal row) computes that grid in coarse passes of
-    min(G/4, MAX_GRID) points, keeping only the samples that can lie
-    nearest the maximiser, and refines each of them by golden-section
-    search.  A wide-span row (oblique rows) is sampled in one pass of
-    min(G, MAX_GRID) points and refines its top grid peaks; it warns that
-    its sup is a lower bound.  Scales run in the given order."""
+    Each block's row asks ``_fftsum.row_norms`` for a grid of G = 16*N
+    points, and that function plans, samples and refines it; L^2 and L^4
+    are means over all the grid's samples.  A narrow-span row
+    (pi*span <= G: every horizontal row, whose span is at most
+    4N - 2 < 16N/pi) computes that grid in coarse passes, keeping only the
+    samples that can lie nearest the maximiser, and refines each of them
+    by golden-section search.  A wide-span row (oblique rows) is sampled
+    in one pass of at most ``_fftsum.MAX_GRID`` points and refines its top
+    grid peaks; it warns that its sup is a lower bound.  Scales run in the
+    given order."""
     rel = parse_relation(relation) if isinstance(relation, str) else relation
     slc = at if isinstance(at, SliceSpec) else SliceSpec.horizontal(at)
     if slc.kind == "vertical":
         raise ValueError("a sweep needs a horizontal or oblique line, not a vertical one")
-    outcomes = [_sweep_cell(rel, slc, int(N), weight, sign) for N in scales]
-    rows = [row for row, _ in outcomes]
-    warnings = [w for _, ws in outcomes for w in ws]
+    rows, warnings = [], []
+    for N in scales:
+        spec = BlockSpec(rel, int(N), sign=sign, weight=weight)
+        ns = spec.modes()
+        freqs, coeffs = line_spectrum(rel, slc, ns, spec.weights(ns))
+        sup, mean2, mean4, G, notes = row_norms(freqs, coeffs, 16 * spec.N, f"N={spec.N}")
+        rows.append(SweepRow(N=spec.N, sup_abs=sup, l2=math.sqrt(mean2), l4=mean4 ** 0.25, grid=G))
+        warnings += notes
     return SweepResult(relation=rel.spec, at=_sweep_label(slc), rows=rows, warnings=warnings)
 
 

@@ -146,6 +146,20 @@ def test_sweep_with_fewer_than_four_scales_exits_2_before_any_row(capsys, monkey
     assert "config error: the sup exponent fit needs at least four distinct scales" in err
 
 
+@pytest.mark.parametrize("scales", ["8,8,16,32,64", "8,16,8,32,64,64"])
+def test_sweep_with_a_repeated_scale_exits_2_before_any_row(capsys, monkeypatch, scales):
+    # a repeated N was fitted as one more independent point: on kl:sqrt2 the
+    # sup slope of 8,8,16,32,64 read 0.5309 with stderr 0.057, not 0.5162 and 0.079
+    def no_rows(*args, **kwargs):
+        raise AssertionError("sup_norm_sweep ran before the scales were checked")
+    monkeypatch.setattr(cli, "sup_norm_sweep", no_rows)
+    code, out, err = run(capsys, "sweep", "--rel", "poly:-1,0,0", "--at", "kl:sqrt2",
+                         "--scales", scales)
+    assert code == 2
+    assert out == ""
+    assert f"config error: scale 8 is repeated in [{scales.replace(',', ', ')}]" in err
+
+
 def test_sweep_row_past_the_offset_bound_exits_2_before_its_grid(capsys, monkeypatch):
     # cubic oblique frequencies n - n^3 reach 2^54 at N = 2^17, where
     # refinement offsets f*delta/G would no longer start from an exact double
@@ -215,12 +229,24 @@ def test_l4count_counts_and_quadrature(capsys):
 
 
 def test_l4count_identical_block_sizes_have_no_slope(capsys):
-    # a count slope through two equal K is undefined, so it cannot be gated
+    # a count slope through two equal K is undefined, so it cannot be gated:
+    # the repeated K is refused before any count
     code, out, err = run(capsys, "l4count", "--h", "poly:1,1,0", "--K", "16,16",
                          "--max-slope", "2.25")
     assert code == 2
     assert out == ""
-    assert "config error: Cannot calculate a linear regression" in err
+    assert "config error: block size 16 is repeated in [16, 16]" in err
+
+
+def test_l4count_repeated_block_size_exits_2_before_any_count(capsys, monkeypatch):
+    # with a third K the slope was defined, and the repeated K counted twice in it
+    def no_count(*args, **kwargs):
+        raise AssertionError("l4_quadruple_oracle ran before the block sizes were checked")
+    monkeypatch.setattr(cli, "l4_quadruple_oracle", no_count)
+    code, out, err = run(capsys, "l4count", "--h", "poly:1,1,0", "--K", "16,16,32")
+    assert code == 2
+    assert out == ""
+    assert "config error: block size 16 is repeated in [16, 16, 32]" in err
 
 
 def test_l4count_slope_gate_needs_two_block_sizes(capsys):

@@ -19,14 +19,14 @@ import talbot
 from talbot import _fftsum, expsum
 from talbot import (BlockSpec, SliceSpec, fit_exponent, parse_relation,
                     seeded_theta, sup_norm_sweep, theta_omega_frac_array)
-from talbot._fftsum import (CUT_SLACK, PHASOR_TABLE, TOP, AnchoredCoefficients,
+from talbot._fftsum import (CUT_SLACK, MAX_GRID, PHASOR_TABLE, TOP, AnchoredCoefficients,
                             AnchoredEvaluator, TaylorEvaluator, fold_frequencies,
                             frequency_span, golden_section_peak, grid_values, local_maxima,
                             next_pow2, next_smooth, refine_supremum, row_norms,
-                            taylor_order, wide_span)
-from talbot.dispersion import TimePoint
+                            taylor_order)
+from talbot.dispersion import TimePoint, kl_theta
 from talbot.evolution import line_spectrum
-from talbot.expsum import MAX_BLOCK, MAX_GRID, fine_grid, least_squares_line
+from talbot.expsum import MAX_BLOCK, least_squares_line
 from test_fractal import _traced_peak
 
 SCHRODINGER = "poly:-1,0,0"
@@ -172,7 +172,7 @@ def test_taylor_path_matches_direct_golden_section(rel, theta, log2N, oversample
     assert _golden_sup(taylor.local, absvals) == pytest.approx(want, rel=1e-12)
 
     def sup():  # a narrow row in four passes, a wide one in one
-        return row_norms(ns, coeffs, G, 1 if wide_span(frequency_span(ns), G) else 4)[0]
+        return row_norms(ns, coeffs, G, "row")[0]
     with pytest.MonkeyPatch.context() as mp:  # the cells the sweep picks, by the direct sum
         mp.setattr(_fftsum, "TaylorEvaluator",
                    lambda f, anchored, span: DirectEvaluator(f, anchored.coeffs, anchored.G))
@@ -237,16 +237,16 @@ def test_bernstein_upper_bound_covers_the_fine_grid_sup(rel, seed, rho_near_one)
     """max(best, max over the cells the cut leaves out of |S_j|/cos(pi*D/2G))
     bounds the supremum, so it is never below the sup of a 64 times finer
     grid (up to the FFTs' rounding), at the default 16N grid and at the
-    least grid with rho = pi*D/G <= 1 (1606 points, sampled in two passes;
-    16N in four)."""
+    least multiple of four with rho = pi*D/G <= 1 (1608 points; both are
+    sampled in four passes)."""
     spec = BlockSpec(parse_relation(rel), 512)
     ns = spec.modes()
     freqs, coeffs = line_spectrum(spec.relation, SliceSpec.horizontal(seeded_theta(seed)),
                                   ns, spec.weights(ns))
     span = frequency_span(freqs)
-    G, passes = (math.ceil(math.pi * span), 2) if rho_near_one else (16 * spec.N, 4)
+    G = 4 * math.ceil(math.pi * span / 4) if rho_near_one else 16 * spec.N
     absvals = np.abs(grid_values(freqs, coeffs, G))
-    best = row_norms(freqs, coeffs, G, passes)[0]
+    best = row_norms(freqs, coeffs, G, "row")[0]
     cos = math.cos(math.pi * span / (2 * G))
     left_out = absvals[absvals < best * cos]
     upper = max(best, float(np.max(left_out)) / cos)
@@ -270,7 +270,7 @@ def test_bernstein_cut_finds_a_maximum_beyond_the_tenth_grid_peak():
     fine = float(np.max(np.abs(grid_values(freqs, coeffs, 64 * G))))
     top10 = _golden_sup(_taylor(freqs, coeffs, G, D).local, absvals, top=10)
     assert top10 < fine * (1 - 1e-3)
-    assert row_norms(freqs, coeffs, G, 4)[0] >= fine * (1 - 1e-13)
+    assert row_norms(freqs, coeffs, G, "row")[0] >= fine * (1 - 1e-13)
 
 
 @pytest.mark.parametrize("sign", ["+", "-", "both"])
@@ -297,8 +297,7 @@ def test_int64_frequencies_fold_like_unbounded_integers(sign):
                                   AnchoredEvaluator(unbounded, coeffs, G).turns)
             vals = grid_values(freqs, coeffs, G)
             assert np.array_equal(vals, grid_values(unbounded, coeffs, G))
-            passes = 1 if wide_span(span, G) else 4
-            assert row_norms(freqs, coeffs, G, passes) == row_norms(unbounded, coeffs, G, passes)
+            assert row_norms(freqs, coeffs, G, "row") == row_norms(unbounded, coeffs, G, "row")
 
 
 @pytest.mark.parametrize("rel", [SCHRODINGER, "poly:1,0,0,0"])
@@ -520,11 +519,64 @@ def test_horizontal_rows_are_narrow_on_the_uncapped_sweep_grid():
     # coarse passes sample whatever its size: no horizontal row takes the
     # wide top-10-peak branch.  Rows are not run, only spans and grids compared
     for N in (1 << k for k in range(MAX_BLOCK.bit_length())):
-        assert fine_grid(N) == 16 * N
         for sign in ("+", "-", "both"):
             span = frequency_span(BlockSpec(parse_relation(SCHRODINGER), N, sign=sign).modes())
             assert span == (4 * N - 2 if sign == "both" else N - 1)
-            assert not wide_span(span, fine_grid(N))
+            assert math.pi * span <= 16 * N
+
+
+class _FlatTaylor:
+    """A TaylorEvaluator stand-in that builds no powers: every probe reads 1."""
+
+    def __init__(self, freqs, anchored, span):
+        pass
+
+    def local(self, j):
+        return lambda delta: 1.0
+
+
+@pytest.mark.parametrize("at, log2N", [(SliceSpec.oblique(seeded_theta(3), 1, 1), 17),
+                                       (SliceSpec.oblique(seeded_theta(3), 1, 1), 18),
+                                       (seeded_theta(3), 19), (seeded_theta(3), 20)],
+                         ids=["oblique-2^17", "oblique-2^18", "horizontal-2^19",
+                              "horizontal-2^20"])
+def test_rows_past_the_grid_cap_sample_passes_of_at_most_max_grid_points(at, log2N,
+                                                                         monkeypatch):
+    """The plan of the largest rows, which no other test samples: a wide
+    quadratic oblique row takes one pass capped at MAX_GRID = 2^20 and
+    reports that grid, and a horizontal row's 16N grid takes 16N/MAX_GRID
+    passes of MAX_GRID points (8 at N = 2^19, 16 at N = 2^20).  grid_values
+    only records its sizes and returns one unit sample, and the refinements
+    are stubbed, so no large grid is computed."""
+    sizes = []
+
+    def recorded(freqs, coeffs, G):
+        sizes.append(G)
+        grid = np.zeros(G, dtype=complex)
+        grid[0] = 1.0
+        return grid
+    monkeypatch.setattr(_fftsum, "grid_values", recorded)
+    monkeypatch.setattr(_fftsum, "refine_supremum", lambda f, c, G, absvals: 1.0)
+    monkeypatch.setattr(_fftsum, "TaylorEvaluator", _FlatTaylor)
+    N = 1 << log2N
+    wide = isinstance(at, SliceSpec)
+    sweep = sup_norm_sweep(SCHRODINGER, at, [N])
+    assert sizes == [MAX_GRID] * (1 if wide else 16 * N // MAX_GRID)
+    assert sweep.rows[0].grid == (MAX_GRID if wide else 16 * N)
+    assert sweep.rows[0].sup_abs == 1.0
+    assert len(sweep.warnings) == wide
+
+
+def test_a_narrow_row_past_the_offset_bound_runs():
+    # one mode at f = 1 - 10^19, |f| = 2^63.12: its span 0 is narrow, and the
+    # Taylor path works from exact centred frequencies and f mod G, so only
+    # wide rows, whose probes start from f as a double, check the 2^53 bound
+    rel, at = "poly:10000000000000000000,0,0", SliceSpec.oblique(kl_theta("sqrt2"), 1, 1)
+    freqs, _ = line_spectrum(parse_relation(rel), at, np.array([1]), np.ones(1))
+    assert abs(int(freqs[0])) >= 1 << 63
+    sweep = sup_norm_sweep(rel, at, [1])
+    assert [(row.sup_abs, row.grid) for row in sweep.rows] == [(1.0, 16)]
+    assert sweep.warnings == []
 
 
 def _single_grid_row(freqs, coeffs, G):
@@ -564,7 +616,7 @@ def test_coarse_passes_match_the_single_grid_oracle(rel, tp, log2N, sign, weight
     slc = SliceSpec.oblique(tp, 1, 1) if wide else SliceSpec.horizontal(tp)
     freqs, coeffs = line_spectrum(spec.relation, slc, ns, spec.weights(ns))
     G = min(16 * spec.N, MAX_GRID) if wide else 16 * spec.N
-    assert wide == wide_span(frequency_span(freqs), 16 * spec.N)
+    assert wide == (math.pi * frequency_span(freqs) > 16 * spec.N)
     sup, l2, l4 = (_inline_wide_row if wide else _single_grid_row)(freqs, coeffs, G)
     row = sup_norm_sweep(rel, slc, [spec.N], sign=sign, weight=weight).rows[0]
     assert row.grid == G
@@ -574,22 +626,31 @@ def test_coarse_passes_match_the_single_grid_oracle(rel, tp, log2N, sign, weight
 
 
 def test_each_sweep_row_calls_row_norms_once(monkeypatch):
+    # the 16N grid and the row label go in, the grid the row was sampled on comes out
     calls = []
 
-    def counted(freqs, coeffs, G, passes):
-        calls.append((G, passes))
-        return row_norms(freqs, coeffs, G, passes)
+    def counted(freqs, coeffs, G, row):
+        out = row_norms(freqs, coeffs, G, row)
+        calls.append((G, row, out[3]))
+        return out
     monkeypatch.setattr(expsum, "row_norms", counted)
     sup_norm_sweep("frac:3/2", seeded_theta(2), [16, 32, 64])
     sup_norm_sweep(SCHRODINGER, SliceSpec.oblique(seeded_theta(2), 1, 1), [16, 32])
-    assert calls == [(256, 4), (512, 4), (1024, 4), (256, 1), (512, 1)]
+    assert calls == [(256, "N=16", 256), (512, "N=32", 512), (1024, "N=64", 1024),
+                     (256, "N=16", 256), (512, "N=32", 512)]
 
 
-def test_a_wide_row_is_refused_more_than_one_pass():
-    freqs, coeffs, G = _oblique_cell(SCHRODINGER, seeded_theta(2), 64)
-    assert wide_span(frequency_span(freqs), G)
-    with pytest.raises(ValueError, match="one pass, not 4"):
-        row_norms(freqs, coeffs, G, 4)
+@pytest.mark.parametrize("G", [1606, 1002, 6, 3, 4 * MAX_GRID + 4])
+def test_a_narrow_row_refuses_a_grid_its_passes_do_not_divide(G):
+    # passes of G_c = min(G/4, MAX_GRID) points: four of 401 points would
+    # drop two of 1606 samples (mean |S|^2 255.681 for a row whose mean is
+    # 256), and four of 250 two of 1002; G/4 is no whole number at 6 and 3,
+    # and past 4*MAX_GRID a G must be a multiple of MAX_GRID
+    freqs = np.arange(256) if G > 1000 else np.array([0])
+    coeffs = np.ones(freqs.size, dtype=complex)
+    assert math.pi * frequency_span(freqs) <= G
+    with pytest.raises(ValueError, match=f"row: a grid of {G} points is no whole number"):
+        row_norms(freqs, coeffs, G, "row")
 
 
 def _hann_peaks(D, G, peaks):
@@ -600,16 +661,19 @@ def _hann_peaks(D, G, peaks):
     return freqs, window * sum(h * np.exp(-2j * np.pi * freqs * at / G) for at, h in peaks)
 
 
-@pytest.mark.parametrize("passes", [2, 4, 8])
-def test_maximiser_in_a_later_pass_is_refined(passes):
+@pytest.mark.parametrize("passes", [4, 8])
+def test_maximiser_in_a_later_pass_is_refined(passes, monkeypatch):
     # the one peak sits 0.3 cell past fine point 517, which is sample 517 //
-    # passes of pass 517 % passes (1, 1 and 5): pass 0 never samples it, and
-    # a refinement started at the wrong fine point stays a cell or more away
+    # passes of pass 517 % passes (1 and 5): pass 0 never samples it, and a
+    # refinement started at the wrong fine point stays a cell or more away.
+    # G = 1024 takes passes of G/4 points; capping a pass at 128 points makes eight
     G = 1024
+    monkeypatch.setattr(_fftsum, "MAX_GRID", G // passes)
     freqs, coeffs = _hann_peaks(255, G, [(517.3, 1.0)])
     absvals = np.abs(grid_values(freqs, coeffs, G))
     assert int(np.argmax(absvals)) == 517 and 517 % passes != 0
-    sup, mean2, mean4 = row_norms(freqs, coeffs, G, passes)
+    sup, mean2, mean4, grid, warnings = row_norms(freqs, coeffs, G, "row")
+    assert (grid, warnings) == (G, [])
     assert sup == _single_grid_supremum(freqs, coeffs, G, absvals)
     fine = float(np.max(np.abs(grid_values(freqs, coeffs, 64 * G))))
     assert fine * (1 - 1e-13) <= sup and sup > float(np.max(absvals[::passes])) * (1 + 1e-3)
@@ -634,7 +698,7 @@ def test_a_later_pass_drops_a_candidate_an_earlier_pass_admitted(monkeypatch):
     monkeypatch.setattr(_fftsum, "grid_values", recorded_grid)
     monkeypatch.setattr(TaylorEvaluator, "local",
                         lambda self, j: refined.append(j) or real_local(self, j))
-    sup = row_norms(freqs, coeffs, G, passes)[0]
+    sup = row_norms(freqs, coeffs, G, "row")[0]
     absvals = np.abs(grid_values(freqs, coeffs, G))
     cos = math.cos(math.pi * 100 / (2 * G))
     slack = CUT_SLACK * float(np.sum(np.abs(coeffs)))
@@ -655,13 +719,13 @@ def test_a_narrow_row_holds_one_coarse_grid_besides_the_taylor_powers():
     # per pass, would pass that bound.  One 16N grid with its moduli and their
     # powers, as the sweep held it, peaked at 6.0 * 16 * G_c
     N = 1 << 14
-    G, coarse = fine_grid(N), fine_grid(N) // 4
+    G, coarse = 16 * N, 4 * N
     spec = BlockSpec(parse_relation("frac:3/2"), N)
     freqs, coeffs = line_spectrum(spec.relation, SliceSpec.horizontal(seeded_theta(5)),
                                   spec.modes(), spec.weights(spec.modes()))
     powers = taylor_order(math.pi * frequency_span(freqs) / G) * N * 8
-    row_norms(freqs, coeffs, G, 4)
-    assert _traced_peak(lambda: row_norms(freqs, coeffs, G, 4)) <= 16 * coarse + powers
+    row_norms(freqs, coeffs, G, "row")
+    assert _traced_peak(lambda: row_norms(freqs, coeffs, G, "row")) <= 16 * coarse + powers
 
 
 # scipy.stats.linregress 1.17.1 on these inputs: slope, intercept, stderr
@@ -726,6 +790,9 @@ def test_least_squares_line_is_bit_identical_to_linregress(points):
 def test_fit_exponent_rejects_identical_scales():
     with pytest.raises(ValueError):
         fit_exponent([8, 8, 8, 8], [1.0, 2.0, 3.0, 4.0])
+    # one repeated scale would count as one more independent point of the fit
+    with pytest.raises(ValueError, match="scale 8 is repeated"):
+        fit_exponent([8, 16, 8, 32, 64], [1.0, 2.0, 1.1, 3.0, 4.0])
 
 
 def test_import_leaves_scipy_unloaded():
