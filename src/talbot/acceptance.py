@@ -32,7 +32,7 @@ from .dispersion import (IntPolynomial, TimePoint, kl_theta, parse_relation,
                          seeded_theta)
 from .evolution import SliceSpec, evolve_slice, quantize_verify
 from .expsum import (airy_l4_identity_check, bprocess_dual_compare,
-                     l4_quadruple_oracle, least_squares_line, sup_norm_sweep)
+                     fit_exponent, l4_quadruple_oracle, sup_norm_sweep)
 from .fixedpoint import sqrt2
 from .fractal import (besov_profile, box_dimension, holder_exponent,
                       measured_parts, weierstrass)
@@ -208,7 +208,7 @@ def criterion_6() -> list[Check]:
     for label, coeffs in (("h(n)=n+n^2", (1, 1, 0)),
                           ("h(n)=3n-n^3", (-1, 0, 3, 0))):
         counts = [l4_quadruple_oracle(IntPolynomial(coeffs), K).count for K in Ks]
-        slope = least_squares_line(np.log2(Ks), np.log2(counts), Ks).slope
+        slope = fit_exponent(Ks, counts).slope
         checks.append(_check(f"{label}: count slope over K={list(Ks)}",
                              f"{slope:.4f} (counts {counts})", "<= 2.25",
                              slope <= 2.25))
@@ -315,22 +315,15 @@ def criterion_10() -> list[Check]:
                          ref.l2_drift <= 1e-6))
 
     lams = (0.25, 0.5, 1.0)
-    rs = []
-    for lam in lams:
-        gl = StepFunction(g.breakpoints, [lam * v for v in g.values])
-        tr = nls_wick_solve(gl, sign=1, M=1 << 10, dt=1e-4, t_max=0.1)
-        rs.append(_rms(smoothing_residual(tr).samples))
-    slope = least_squares_line(np.log2(lams), np.log2(rs), ()).slope
-    checks.append(_check("cubic flow: residual amplitude-scaling slope",
-                         f"{slope:.4f}", "3 within 0.2", abs(slope - 3) <= 0.2))
-    rs = []
-    for lam in lams:
-        gl = StepFunction(g0.breakpoints, [lam * v for v in g0.values])
-        tr = kdv_solve(gl, M=1 << 10, dt=2e-5, t_max=0.1)
-        rs.append(_rms(smoothing_residual(tr).samples))
-    slope = least_squares_line(np.log2(lams), np.log2(rs), ()).slope
-    checks.append(_check("quadratic flow: residual amplitude-scaling slope",
-                         f"{slope:.4f}", "2 within 0.2", abs(slope - 2) <= 0.2))
+    for flow, datum, solve, dt, order in (("cubic", g, nls_wick_solve, 1e-4, 3),
+                                          ("quadratic", g0, kdv_solve, 2e-5, 2)):
+        rs = []
+        for lam in lams:
+            gl = StepFunction(datum.breakpoints, [lam * v for v in datum.values])
+            rs.append(_rms(smoothing_residual(solve(gl, M=1 << 10, dt=dt, t_max=0.1)).samples))
+        slope = fit_exponent(lams, rs).slope
+        checks.append(_check(f"{flow} flow: residual amplitude-scaling slope", f"{slope:.4f}",
+                             f"{order} within 0.2", abs(slope - order) <= 0.2))
     return checks
 
 

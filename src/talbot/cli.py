@@ -42,7 +42,7 @@ from .bounds import (bound_table, exponent_pair_bound, format_bound,
 from .acceptance import run_acceptance
 from .dispersion import TimePoint, oblique_frequencies, parse_relation, parse_theta
 from .evolution import SliceSpec, evolve_slice, parse_slice, quantize_verify
-from .expsum import MAX_BLOCK, l4_quadruple_oracle, least_squares_line, sup_norm_sweep
+from .expsum import MAX_BLOCK, fit_exponent, l4_quadruple_oracle, sup_norm_sweep
 from .fractal import besov_profile, box_dimension, holder_exponent, measured_parts
 from .initial_data import parse_datum
 from .nonlinear import (BlowUpError, check_residual_length, kdv_solve, nls_wick_solve,
@@ -121,6 +121,18 @@ def _parse_scales(text: str) -> list[int]:
             raise ConfigError(f"scale exponents must satisfy 0 <= lo <= hi <= {top}, got {text!r}")
         return [1 << j for j in range(lo, hi + 1)]
     return _parse_list(text, int, "scale")
+
+
+def _threshold(text: str) -> float:
+    """A threshold flag's value: a finite number.  Every comparison with NaN
+    is false, so a NaN threshold would never fail."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _fraction(text: str) -> Fraction:
@@ -321,8 +333,7 @@ def _cmd_l4count(args: argparse.Namespace) -> int:
                             f"relative error {rel_err:.3e} > 1e-9")
     body: dict = {"h": h.spec, "rows": rows}
     if len(Ks) >= 2:
-        counts = [r["count"] for r in rows]
-        slope = least_squares_line(np.log2(Ks), np.log2(counts), Ks).slope
+        slope = fit_exponent(Ks, [r["count"] for r in rows]).slope
         body["count_slope"] = slope
         if args.max_slope is not None and slope > args.max_slope:
             failures.append(f"count slope {slope:.4f} > {args.max_slope}")
@@ -474,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mode weights (default %(default)s)")
     sweep.add_argument("--sign", choices=("+", "-", "both"), default="+",
                        help="block sign (default %(default)s)")
-    sweep.add_argument("--min-slope", type=float, help="fail if a sup slope is below this")
-    sweep.add_argument("--max-slope", type=float, help="fail if a sup slope is above this")
+    sweep.add_argument("--min-slope", type=_threshold, help="fail if a sup slope is below this")
+    sweep.add_argument("--max-slope", type=_threshold, help="fail if a sup slope is above this")
     sweep.add_argument("--csv", help="write per-scale norms here")
     sweep.set_defaults(handler=_cmd_sweep)
 
@@ -496,9 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="smallest Holder lag in samples (default %(default)s)")
     dim.add_argument("--lag-max", type=int, default=1024,
                      help="largest Holder lag in samples (default %(default)s)")
-    dim.add_argument("--min-dim", type=float, help="fail if max(re,im) box dimension is below")
-    dim.add_argument("--max-dim", type=float, help="fail if max(re,im) box dimension is above")
-    dim.add_argument("--min-holder", type=float, help="fail if min(re,im) Holder is below")
+    dim.add_argument("--min-dim", type=_threshold, help="fail if max(re,im) box dimension is below")
+    dim.add_argument("--max-dim", type=_threshold, help="fail if max(re,im) box dimension is above")
+    dim.add_argument("--min-holder", type=_threshold, help="fail if min(re,im) Holder is below")
     dim.add_argument("--csv", help="write slice samples here")
     dim.set_defaults(handler=_cmd_dimension)
 
@@ -513,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="series cutoff M (default %(default)s)")
     quant.add_argument("--length", type=int, default=1 << 13,
                        help="comparison grid (default %(default)s)")
-    quant.add_argument("--max-deviation", type=float, default=2e-3,
+    quant.add_argument("--max-deviation", type=_threshold, default=2e-3,
                        help="off-jump deviation threshold (default %(default)s)")
     quant.add_argument("--csv", help="write translate weights here")
     quant.set_defaults(handler=_cmd_quantize)
@@ -523,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     l4c.add_argument("--h", help="integer-valued frequency map, e.g. poly:1,1,0")
     l4c.add_argument("--K", default="16,32,64",
                      help="comma list of dyadic block sizes (default %(default)s)")
-    l4c.add_argument("--max-slope", type=float, help="fail if the count slope exceeds this")
+    l4c.add_argument("--max-slope", type=_threshold, help="fail if the count slope exceeds this")
     l4c.add_argument("--skip-quadrature", action="store_true", help="skip the FFT cross-check")
     l4c.add_argument("--csv", help="write per-K rows here")
     l4c.set_defaults(handler=_cmd_l4count)
@@ -542,9 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
         sol.add_argument("--snapshots", help="comma list of snapshot times, each a multiple of dt")
         sol.add_argument("--residual-length", type=int, default=1 << 12,
                          help="residual sample count (default %(default)s)")
-        sol.add_argument("--min-holder", type=float,
+        sol.add_argument("--min-holder", type=_threshold,
                          help="fail if the residual Holder exponent is below this")
-        sol.add_argument("--max-l2-drift", type=float, help="fail if L2 drift exceeds this")
+        sol.add_argument("--max-l2-drift", type=_threshold, help="fail if L2 drift exceeds this")
         sol.add_argument("--csv", help="write final-field samples here")
         sol.add_argument("--residual-csv", help="write residual samples here")
         sol.set_defaults(handler=_cmd_solver)

@@ -95,13 +95,14 @@ def block_sum(spec: BlockSpec, t, x=0) -> complex:
 
 @dataclass(frozen=True)
 class ExponentFit:
-    """Least-squares fit of log2(value) against log2(scale)."""
+    """Least-squares fit of log2(value) against log2(scale), with the
+    scales as given."""
 
     slope: float
     intercept: float
     stderr: float
     r_squared: float
-    scales: tuple[int, ...]
+    scales: tuple[float, ...]
 
     def payload(self) -> dict:
         return {
@@ -113,7 +114,7 @@ class ExponentFit:
 
 
 def least_squares_line(xs: np.ndarray, ys: np.ndarray,
-                       scales: Sequence[int]) -> ExponentFit:
+                       scales: Sequence[float]) -> ExponentFit:
     """Ordinary least-squares line through (xs, ys), by the formula of
     scipy.stats.linregress: moments from np.cov(bias=1), r clipped to
     [-1, 1], slope stderr sqrt((1 - r^2) ssy / ssx / (n - 2)), 0 for n = 2."""
@@ -133,24 +134,24 @@ def least_squares_line(xs: np.ndarray, ys: np.ndarray,
     stderr = 0.0 if n == 2 else np.sqrt((1 - r ** 2) * ssym / ssxm / (n - 2))
     return ExponentFit(slope=float(slope), intercept=float(intercept),
                        stderr=float(stderr) if np.isfinite(stderr) else 0.0,
-                       r_squared=float(r) ** 2, scales=tuple(int(s) for s in scales))
+                       r_squared=float(r) ** 2, scales=tuple(scales))
 
 
-def fit_exponent(scales: Sequence[int], values: Sequence[float]) -> ExponentFit:
-    """Fit values ~ C * scale^slope through log-log least squares."""
+def fit_exponent(scales: Sequence[float], values: Sequence[float]) -> ExponentFit:
+    """Fit values ~ C * scale^slope through log-log least squares: the one
+    fit behind every printed slope, dimension and decay rate."""
     if len(scales) != len(values):
         raise ValueError("scales and values must have equal length")
-    if len(scales) < 4:
-        raise ValueError("an exponent fit needs at least four scales")
+    if len(scales) < 2:
+        raise ValueError("an exponent fit needs at least two points")
     repeated = [scale for i, scale in enumerate(scales) if scale in scales[:i]]
     if repeated:
         raise ValueError(f"scale {repeated[0]} is repeated: each scale is one point of the fit")
     vals = [float(v) for v in values]
     if any(v <= 0.0 for v in vals):
         raise ValueError("exponent fits need strictly positive values")
-    xs = np.log2(np.array([float(s) for s in scales]))
-    ys = np.log2(np.array(vals))
-    return least_squares_line(xs, ys, scales)
+    return least_squares_line(np.log2(np.array([float(s) for s in scales])),
+                              np.log2(np.array(vals)), scales)
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +187,8 @@ class SweepResult:
         return fit_exponent(self.scales(), [row.l4 for row in self.rows])
 
     def fit_payload(self) -> dict:
-        out = {"relation": self.relation, "at": self.at,
-               "sup": self.sup_fit().payload()}
-        try:
-            out["l2"] = self.l2_fit().payload()
-            out["l4"] = self.l4_fit().payload()
-        except ValueError:
-            pass
+        out = {"relation": self.relation, "at": self.at, "sup": self.sup_fit().payload(),
+               "l2": self.l2_fit().payload(), "l4": self.l4_fit().payload()}
         if self.warnings:
             out["warnings"] = list(self.warnings)
         return out

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from ._fftsum import is_pow2
-from .expsum import ExponentFit, least_squares_line
+from .expsum import ExponentFit, fit_exponent
 
 MIN_SAMPLES = 1 << 12
 #: Besov fits use the blocks N >= FIT_MIN_BLOCK.
@@ -141,9 +141,7 @@ def box_dimension(samples, drop: tuple[int, int] = (2, 2)) -> BoxCountResult:
                           scales=tuple(1 << k for k in ks))
     else:
         window = ks[lo:len(ks) - hi]
-        excess = np.array([max(over[k], 1) for k in window], dtype=np.float64)
-        fit = least_squares_line(np.array(window, dtype=np.float64), np.log2(excess),
-                                 [1 << k for k in window])
+        fit = fit_exponent([1 << k for k in window], [max(over[k], 1) for k in window])
     return BoxCountResult(eps_list=tuple(0.5 ** k for k in ks),
                           counts=tuple(over[k] + (1 << k) for k in ks), fit=fit,
                           degenerate=degenerate)
@@ -177,9 +175,7 @@ def holder_exponent(samples, lag_min: int = 32, lag_max: int = 1024) -> Exponent
         return ExponentFit(slope=0.0, intercept=0.0, stderr=0.0, r_squared=0.0,
                            scales=tuple(lags))
     keep = [i for i, h in enumerate(hs) if h > 0.0]
-    return least_squares_line(np.log2(np.array([lags[i] for i in keep], dtype=np.float64)),
-                              np.log2(np.array([hs[i] for i in keep])),
-                              [lags[i] for i in keep])
+    return fit_exponent([lags[i] for i in keep], [hs[i] for i in keep])
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +293,8 @@ def besov_profile(samples, ps: Sequence = (1, 2, math.inf)) -> BesovProfile:
 
     fits = {}
     for p in ps:
-        vals = np.array(by_p[p])
-        keep = [i for i, Nv in enumerate(Ns) if Nv >= FIT_MIN_BLOCK and vals[i] > 1e-13]
-        if len(keep) < 4:
-            fits[p] = None
-            continue
-        xs = np.log2(np.array([Ns[i] for i in keep], dtype=np.float64))
-        fits[p] = least_squares_line(xs, np.log2(vals[keep]), [Ns[i] for i in keep])
+        kept = [(Nv, v) for Nv, v in zip(Ns, by_p[p]) if Nv >= FIT_MIN_BLOCK and v > 1e-13]
+        fits[p] = fit_exponent(*zip(*kept)) if len(kept) >= 4 else None
     return BesovProfile(Ns=tuple(Ns), norms={p: tuple(v) for p, v in by_p.items()},
                         fits=fits)
 

@@ -187,10 +187,12 @@ def _solver_checks(M: int, dt: float, t_max: float, snapshot_times) -> tuple[int
         raise ValueError(f"M must lie in [1, {MAX_MODES}]")
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"dt must lie in (0, {MAX_DT}]")
-    if t_max < 0.0:
-        raise ValueError("t_max must be nonnegative")
+    if not 0.0 <= t_max < math.inf:
+        raise ValueError(f"t_max must be finite and nonnegative, got {t_max!r}")
 
     def step_of(t: float, name: str) -> int:
+        if not math.isfinite(t):   # only a snapshot time can reach here non-finite
+            raise ValueError(f"{name} is not a finite number")
         i = int(round(t / dt))
         if abs(i * dt - t) > 1e-9 + 1e-9 * abs(t):
             raise ValueError(f"{name} must be an integer multiple of dt")

@@ -6,7 +6,7 @@ value, a fitted exponent with a pinned window, or a budgeted discrepancy) and
 records every sub-check with its observed and required values.  A failure
 here prints the full check table of the offending criterion.
 
-The observed strings of criteria 3, 5, 7 and 8 are also kept in a ledger,
+The observed strings of every criterion are also kept in a ledger,
 ``acceptance_observed.json``, by criterion and label; a value that moves
 fails its criterion's test, naming the label and the old and new value.
 The ledger sets no threshold.  A change that moves a value on purpose
@@ -20,7 +20,6 @@ import pytest
 from talbot import acceptance
 
 LEDGER = Path(__file__).with_name("acceptance_observed.json")
-LEDGER_CRITERIA = (3, 5, 7, 8)
 
 
 def _observed(result) -> dict:
@@ -34,14 +33,13 @@ def _assert_passed(result):
         lines.append(f"  [{mark}] {chk.label}: observed {chk.observed}, "
                      f"required {chk.required}")
     assert result.passed, "\n".join(lines)
-    kept = json.loads(LEDGER.read_text(encoding="utf-8")).get(str(result.number))
-    if kept is not None:
-        got = _observed(result)
-        moved = [f"  {label}: {kept.get(label, '(absent)')} -> {got.get(label, '(absent)')}"
-                 for label in [*kept, *(label for label in got if label not in kept)]
-                 if kept.get(label) != got.get(label)]
-        assert not moved, "\n".join([f"criterion {result.number}: observed values moved "
-                                      f"from {LEDGER.name}", *moved])
+    kept = json.loads(LEDGER.read_text(encoding="utf-8")).get(str(result.number), {})
+    got = _observed(result)
+    moved = [f"  {label}: {kept.get(label, '(absent)')} -> {got.get(label, '(absent)')}"
+             for label in [*kept, *(label for label in got if label not in kept)]
+             if kept.get(label) != got.get(label)]
+    assert not moved, "\n".join([f"criterion {result.number}: observed values moved "
+                                  f"from {LEDGER.name}", *moved])
 
 
 def test_criterion_1_rational_time_quantization():
@@ -105,6 +103,6 @@ def test_registry_is_complete():
 
 
 if __name__ == "__main__":
-    report = acceptance.run_acceptance(LEDGER_CRITERIA)
+    report = acceptance.run_acceptance()
     ledger = {str(result.number): _observed(result) for result in report.results}
     LEDGER.write_text(json.dumps(ledger, indent=2) + "\n", encoding="utf-8")

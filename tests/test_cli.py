@@ -1,6 +1,7 @@
 """End-to-end command-line runs, in process via talbot.cli.main()."""
 import argparse
 import json
+import math
 import time
 
 import pytest
@@ -352,6 +353,22 @@ def test_solver_snapshot_between_steps_is_a_config_error(capsys, kind):
     assert "config error: snapshot time 0.00015 must be an integer multiple of dt" in err
 
 
+@pytest.mark.parametrize("kind", ["nls", "kdv"])
+@pytest.mark.parametrize("flags, message", [
+    (("--t-max", "inf"), "t_max must be finite and nonnegative, got inf"),
+    (("--t-max", "1e400"), "t_max must be finite and nonnegative, got inf"),
+    (("--t-max", "nan"), "t_max must be finite and nonnegative, got nan"),
+    (("--snapshots", "inf"), "snapshot time inf is not a finite number"),
+    (("--snapshots", "0.001,1e400"), "snapshot time inf is not a finite number"),
+])
+def test_solver_non_finite_time_is_a_config_error(capsys, kind, flags, message):
+    # an infinite time overflowed the step count with a traceback and exit 1
+    code, out, err = run(capsys, kind, "--M", "16", *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("kind, solver", [("nls", "nls_wick_solve"), ("kdv", "kdv_solve")])
 @pytest.mark.parametrize("length", ["1000", "1024"])  # not a power of two; below 2M+1 = 2049
 def test_bad_residual_length_exits_2_before_the_solve(capsys, monkeypatch, kind, solver, length):
@@ -670,7 +687,7 @@ def _non_default(action: argparse.Action):
         return True
     if action.choices:
         return list(action.choices)[-1]
-    return {int: 3, float: 0.25}.get(action.type, "x")
+    return {int: 3, float: 0.25, cli._threshold: 0.25}.get(action.type, "x")
 
 
 @pytest.mark.parametrize("subcommand, action", _options_of_every_subcommand(),
@@ -707,3 +724,34 @@ def test_config_value_of_the_wrong_kind_exits_2(capsys, tmp_path, argv, options,
     err = capsys.readouterr().err
     assert code == 2
     assert message in err
+
+
+THRESHOLD_FLAGS = [("sweep", "--min-slope"), ("sweep", "--max-slope"),
+                   ("dimension", "--min-dim"), ("dimension", "--max-dim"),
+                   ("dimension", "--min-holder"), ("quantize", "--max-deviation"),
+                   ("l4count", "--max-slope"), ("nls", "--min-holder"),
+                   ("nls", "--max-l2-drift"), ("kdv", "--min-holder"),
+                   ("kdv", "--max-l2-drift")]
+
+
+@pytest.mark.parametrize("subcommand, flag", THRESHOLD_FLAGS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_threshold_that_is_not_finite_exits_2_before_any_work(
+        capsys, monkeypatch, tmp_path, subcommand, flag, value, source):
+    # every comparison with NaN is false, so a NaN threshold never failed a run
+    def no_work(args):
+        raise AssertionError("the run started with a threshold that is not finite")
+    for handler in ("_cmd_sweep", "_cmd_dimension", "_cmd_quantize", "_cmd_l4count",
+                    "_cmd_solver"):
+        monkeypatch.setattr(cli, handler, no_work)
+    if source == "flag":
+        argv = [subcommand, f"{flag}={value}"]   # "-inf" alone would read as a flag
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag.lstrip("-").replace("-", "_"): value}))
+        argv = [subcommand, "--config", str(cfg)]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"argument {flag}: '{value}' is not a finite number" in capsys.readouterr().err

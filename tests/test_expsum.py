@@ -80,8 +80,30 @@ def test_fit_exponent_recovers_power_law_exactly():
 
 
 def test_fit_exponent_needs_enough_points():
-    with pytest.raises(ValueError):
-        fit_exponent([16, 32], [1.0, 2.0])
+    with pytest.raises(ValueError, match="at least two points"):
+        fit_exponent([16], [1.0])
+
+
+def test_fit_exponent_fits_two_points():
+    fit = fit_exponent([16, 32], [1.0, 2.0])
+    assert (fit.slope, fit.stderr, fit.scales) == (1.0, 0.0, (16, 32))
+
+
+def test_fit_exponent_keeps_the_scales_as_given():
+    # amplitude scales were cast to int: 0.25, 0.5, 1.0 read back as 0, 0, 1
+    fit = fit_exponent((0.25, 0.5, 1.0), [1 / 64, 1 / 8, 1.0])
+    assert fit.scales == (0.25, 0.5, 1.0)
+    assert fit.slope == pytest.approx(3.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("scales, values, message", [
+    ([16, 32, 64], [1.0, 2.0], "equal length"),
+    ([16, 32, 64], [1.0, 0.0, 2.0], "strictly positive"),
+    ([16, 32, 64], [1.0, -2.0, 2.0], "strictly positive"),
+])
+def test_fit_exponent_refuses_bad_points(scales, values, message):
+    with pytest.raises(ValueError, match=message):
+        fit_exponent(scales, values)
 
 
 # -- L^p norms --------------------------------------------------------------------

@@ -159,19 +159,19 @@ def _holder_moduli_roll(ys, lags):
 @pytest.mark.parametrize("kind", ORACLE_GRAPHS)
 def test_holder_moduli_match_roll_oracle_bitwise(kind, monkeypatch):
     ys = ORACLE_GRAPHS[kind]()
-    seen, fit_line = [], fractal.least_squares_line
+    seen, real_fit = [], fractal.fit_exponent
 
-    def capture(xs, vals, scales):
-        seen.append((xs, vals))
-        return fit_line(xs, vals, scales)
-    monkeypatch.setattr(fractal, "least_squares_line", capture)
+    def capture(scales, values):
+        seen.append((scales, values))
+        return real_fit(scales, values)
+    monkeypatch.setattr(fractal, "fit_exponent", capture)
     fit = holder_exponent(ys, lag_min=1, lag_max=L // 4)
     lags = [1 << i for i in range(int(math.log2(L // 4)) + 1)]
     want = _holder_moduli_roll(ys, lags)
     keep = [i for i, h in enumerate(want) if h > 0.0]
-    (xs, vals), = seen
-    assert np.array_equal(xs, np.log2(np.array([lags[i] for i in keep], dtype=np.float64)))
-    assert np.array_equal(vals, np.log2(np.array([want[i] for i in keep])))
+    (scales, values), = seen
+    assert list(scales) == [lags[i] for i in keep]
+    assert np.array_equal(values, [want[i] for i in keep])
     assert fit.scales == tuple(lags[i] for i in keep)
 
 

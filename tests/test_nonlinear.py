@@ -375,6 +375,20 @@ def test_solver_parameter_validation():
                        dt=1e-3, t_max=0.01)  # too many modes
 
 
+@pytest.mark.parametrize("solve", [nls_wick_solve, kdv_solve])
+@pytest.mark.parametrize("t_max, snapshot, message", [
+    (math.inf, 0.0, "t_max must be finite and nonnegative, got inf"),
+    (math.nan, 0.0, "t_max must be finite and nonnegative, got nan"),
+    (0.01, math.inf, "snapshot time inf is not a finite number"),
+    (0.01, -math.inf, "snapshot time -inf is not a finite number"),
+    (0.01, math.nan, "snapshot time nan is not a finite number"),
+])
+def test_solvers_refuse_a_non_finite_time(solve, t_max, snapshot, message):
+    # an infinite time overflowed the step count; a NaN one failed to convert
+    with pytest.raises(ValueError, match=message):
+        solve(cosine_datum(8), M=8, dt=1e-3, t_max=t_max, snapshot_times=(snapshot,))
+
+
 def test_snapshot_validation():
     M = 8
     g = mode_array(M, n_0=0.1)
