@@ -31,7 +31,7 @@ from .fractal import (BesovProfile, BoxCountResult, besov_profile,
 from .initial_data import StepFunction, parse_datum, parse_position
 from .nonlinear import (BlowUpError, SpectralField, Trajectory, kdv_solve,
                         linear_flow_modes, nls_wick_solve, smoothing_residual,
-                        wick_constant, write_snapshot_csv)
+                        wick_constant)
 
 __version__ = "1.0.0"
 

@@ -10,13 +10,16 @@ nls, kdv    split-step solves with a smoothing-residual regularity report
 bounds      exact rational bound tables
 acceptance  the numbered acceptance experiments
 
-Every run emits a JSON report whose ``config`` block echoes the resolved
-configuration (flags merged over an optional ``--config`` JSON file), the
-library version, and any seeds; the wall-clock timestamp and the run's wall
-seconds (``elapsed_s``) appear only in that report, never in CSV artifacts,
-so identical configurations produce byte-identical CSV.  Threshold flags
-(``--max-slope``, ``--min-holder``, ...) turn measurements into pass/fail
-checks.
+Every subcommand but ``bounds`` emits a JSON report, to stdout or ``--out``,
+whose ``config`` block echoes the resolved configuration (flags merged over
+an optional ``--config`` JSON file), the library version, and any seeds;
+``bounds`` prints the exact value and writes that report only with
+``--out``.  The wall-clock timestamp and the run's wall seconds
+(``elapsed_s``) appear only in the report, never in CSV artifacts, which
+``_write_csv`` writes (a float cell as ``repr(float(v))``, any other as
+``str(v)``), so identical configurations produce byte-identical CSV.
+Threshold flags (``--max-slope``, ``--min-holder``, ...) turn measurements
+into pass/fail checks, each verdict by ``_gate``.
 
 Exit codes: 0 -- all requested thresholds met; 1 -- a threshold failed
 (reports are still written); 2 -- configuration error.
@@ -29,7 +32,7 @@ import math
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,13 +43,13 @@ from .bounds import (bound_table, exponent_pair_bound, format_bound,
                      strichartz_lower, t32_dimension_interval, t32_exponent,
                      vdc_beta, vinogradov_interval, weyl_exponent)
 from .acceptance import run_acceptance
-from .dispersion import TimePoint, oblique_frequencies, parse_relation, parse_theta
-from .evolution import SliceSpec, evolve_slice, parse_slice, quantize_verify
+from .dispersion import oblique_frequencies, parse_relation
+from .evolution import evolve_slice, parse_slice, quantize_verify
 from .expsum import MAX_BLOCK, fit_exponent, l4_quadruple_oracle, sup_norm_sweep
-from .fractal import besov_profile, box_dimension, holder_exponent, measured_parts
+from .fractal import MIN_SAMPLES, besov_profile, box_dimension, holder_exponent, measured_parts
 from .initial_data import parse_datum
 from .nonlinear import (BlowUpError, check_residual_length, kdv_solve, nls_wick_solve,
-                        smoothing_residual, write_snapshot_csv)
+                        smoothing_residual)
 
 
 class ConfigError(Exception):
@@ -142,6 +145,36 @@ def _fraction(text: str) -> Fraction:
         raise ConfigError(f"bad rational {text!r}") from exc
 
 
+def _gate(what: str, value: float, fmt: str, lo: float | None = None,
+          hi: float | None = None) -> list[str]:
+    """The verdicts of a threshold flag pair: ``value`` (formatted by
+    ``fmt``) below ``lo`` or above ``hi``; an unset flag is None."""
+    failures = []
+    if lo is not None and value < lo:
+        failures.append(f"{what} {value:{fmt}} < {lo}")
+    if hi is not None and value > hi:
+        failures.append(f"{what} {value:{fmt}} > {hi}")
+    return failures
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    """A CSV table: each float cell as ``repr(float(v))`` (numpy 2 reprs a
+    numpy scalar as ``np.float64(...)``), any other cell as ``str(v)``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
+def _sample_rows(samples: np.ndarray, period: float) -> Iterator[tuple[float, float, float]]:
+    """The rows x, re, im of uniform samples over [0, period), where sample
+    j sits at x = j * (period / len)."""
+    vals = np.asarray(samples, dtype=np.complex128)
+    xs = np.arange(len(vals)) * (period / len(vals))
+    return zip(xs.tolist(), vals.real.tolist(), vals.imag.tolist())
+
+
 def _write_json(payload: dict, path: str | None) -> None:
     text = json.dumps(payload, indent=2, default=str)
     if path:
@@ -185,41 +218,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if len(scales) < 4:
         raise ConfigError(f"the sup exponent fit needs at least four distinct scales, got {scales}")
 
-    if args.seeds is not None:
-        seeds = _parse_list(args.seeds, int, "seed")
-        at_specs = [f"rand:{s}" for s in seeds]
-    else:
-        at_specs = [args.at]
-    oblique = None
-    if args.oblique is not None:
-        k_text, _, ell_text = args.oblique.partition("/")
-        try:
-            oblique = (int(k_text), int(ell_text or "1"))
-        except ValueError as exc:
-            raise ConfigError(f"bad --oblique {args.oblique!r}") from exc
+    ats = ([args.at] if args.seeds is None
+           else [f"rand:{s}" for s in _parse_list(args.seeds, int, "seed")])
+    slices = [parse_slice(f"horiz:{at}" if args.oblique is None
+                          else f"obliq:{at}:{args.oblique}") for at in ats]
 
     results = []
     failures: list[str] = []
-    csv_lines = ["at,N,sup_abs,l2,l4,grid,refined"]
-    for spec in at_specs:
-        tp = parse_theta(spec)
-        at = SliceSpec.oblique(tp, *oblique) if oblique else tp
-        sweep = sup_norm_sweep(rel, at, scales, weight=args.weight, sign=args.sign)
-        degenerate = isinstance(at, TimePoint) and at.is_rational and at.theta == 0
+    csv_rows = []
+    for slc in slices:
+        sweep = sup_norm_sweep(rel, slc, scales, weight=args.weight, sign=args.sign)
         entry = sweep.fit_payload()
-        entry["degenerate_control"] = degenerate
+        entry["degenerate_control"] = (slc.kind == "horizontal" and slc.t.is_rational
+                                       and slc.t.theta == 0)
         results.append(entry)
-        for row in sweep.rows:
-            csv_lines.append(f"{sweep.at},{row.N},{row.sup_abs!r},{row.l2!r},"
-                             f"{row.l4!r},{row.grid},1")
-        slope = sweep.sup_fit().slope
-        if args.min_slope is not None and slope < args.min_slope:
-            failures.append(f"at={sweep.at}: sup slope {slope:.4f} < {args.min_slope}")
-        if args.max_slope is not None and slope > args.max_slope:
-            failures.append(f"at={sweep.at}: sup slope {slope:.4f} > {args.max_slope}")
+        csv_rows += [(sweep.at, row.N, row.sup_abs, row.l2, row.l4, row.grid, 1)
+                     for row in sweep.rows]
+        failures += _gate(f"at={sweep.at}: sup slope", sweep.sup_fit().slope, ".4f",
+                          args.min_slope, args.max_slope)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(csv_lines) + "\n")
+        _write_csv(args.csv, "at,N,sup_abs,l2,l4,grid,refined", csv_rows)
     return _finish(args, {"results": results}, failures)
 
 
@@ -260,15 +278,10 @@ def _cmd_dimension(args: argparse.Namespace) -> int:
     body["box_dimension"] = max(dims.values())
     body["holder_exponent"] = min(holders.values())
 
-    failures: list[str] = []
-    if args.min_dim is not None and body["box_dimension"] < args.min_dim:
-        failures.append(f"box dimension {body['box_dimension']:.4f} < {args.min_dim}")
-    if args.max_dim is not None and body["box_dimension"] > args.max_dim:
-        failures.append(f"box dimension {body['box_dimension']:.4f} > {args.max_dim}")
-    if args.min_holder is not None and body["holder_exponent"] < args.min_holder:
-        failures.append(f"Holder exponent {body['holder_exponent']:.4f} < {args.min_holder}")
+    failures = (_gate("box dimension", body["box_dimension"], ".4f", args.min_dim, args.max_dim)
+                + _gate("Holder exponent", body["holder_exponent"], ".4f", args.min_holder))
     if args.csv:
-        write_snapshot_csv(sg, args.csv)
+        _write_csv(args.csv, "x,re,im", _sample_rows(sg.samples, sg.period))
     return _finish(args, body, failures)
 
 
@@ -292,16 +305,12 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
         "coefficients": [[c.real, c.imag] for c in check.coefficients.tolist()],
         "reconstruction_pieces": check.reconstruction.pieces,
     }
-    failures: list[str] = []
-    if check.deviation > args.max_deviation:
-        failures.append(f"off-jump deviation {check.deviation:.3e} > {args.max_deviation}")
+    failures = _gate("off-jump deviation", check.deviation, ".3e", hi=args.max_deviation)
     if abs(mass - 1.0) > 1e-12:
         failures.append(f"coefficient mass {mass!r} differs from 1 by more than 1e-12")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("m,re,im\n")
-            for m, c in enumerate(check.coefficients.tolist()):
-                fh.write(f"{m},{c.real!r},{c.imag!r}\n")
+        rows = ((m, c.real, c.imag) for m, c in enumerate(check.coefficients.tolist()))
+        _write_csv(args.csv, "m,re,im", rows)
     return _finish(args, body, failures)
 
 
@@ -335,14 +344,10 @@ def _cmd_l4count(args: argparse.Namespace) -> int:
     if len(Ks) >= 2:
         slope = fit_exponent(Ks, [r["count"] for r in rows]).slope
         body["count_slope"] = slope
-        if args.max_slope is not None and slope > args.max_slope:
-            failures.append(f"count slope {slope:.4f} > {args.max_slope}")
+        failures += _gate("count slope", slope, ".4f", hi=args.max_slope)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("K,count,quadrature,relative_error\n")
-            for r in rows:
-                fh.write(f"{r['K']},{r['count']},{r['quadrature']!r},"
-                         f"{r['relative_error']!r}\n")
+        _write_csv(args.csv, "K,count,quadrature,relative_error",
+                   ((r["K"], r["count"], r["quadrature"], r["relative_error"]) for r in rows))
     return _finish(args, body, failures)
 
 
@@ -355,6 +360,9 @@ def _cmd_solver(args: argparse.Namespace) -> int:
     snapshots = (() if args.snapshots is None
                  else tuple(_parse_list(args.snapshots, float, "snapshot time")))
     check_residual_length(args.residual_length, args.M)
+    if args.residual_length < MIN_SAMPLES:
+        raise ConfigError(f"--residual-length {args.residual_length} is below the {MIN_SAMPLES} "
+                          "samples of the residual's Holder exponent")
     try:
         if args.subcommand == "nls":
             traj = nls_wick_solve(g, sign=args.sign, M=args.M, dt=args.dt,
@@ -375,15 +383,12 @@ def _cmd_solver(args: argparse.Namespace) -> int:
         "residual_holder": holder,
         "residual_rms": float(np.sqrt(np.mean(np.abs(residual.samples) ** 2))),
     }
-    failures: list[str] = []
-    if args.min_holder is not None and holder < args.min_holder:
-        failures.append(f"residual Holder {holder:.4f} < {args.min_holder}")
-    if args.max_l2_drift is not None and traj.l2_drift > args.max_l2_drift:
-        failures.append(f"L2 drift {traj.l2_drift:.3e} > {args.max_l2_drift}")
+    failures = (_gate("residual Holder", holder, ".4f", args.min_holder)
+                + _gate("L2 drift", traj.l2_drift, ".3e", hi=args.max_l2_drift))
     if args.csv:
-        write_snapshot_csv(traj.final, args.csv)
+        _write_csv(args.csv, "x,re,im", _sample_rows(traj.final.values(), 2.0 * math.pi))
     if args.residual_csv:
-        write_snapshot_csv(residual, args.residual_csv)
+        _write_csv(args.residual_csv, "x,re,im", _sample_rows(residual.samples, residual.period))
     return _finish(args, body, failures)
 
 
@@ -477,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--at", help="theta spec: rat:a/q, kl:name, rand:seed, or decimal")
     sweep.add_argument("--seeds", help="comma list of seeds, each swept at rand:seed")
     sweep.add_argument("--oblique", metavar="K/ELL",
-                       help="sweep the oblique slice with this slope instead of a fixed time")
+                       help="sweep the oblique slice obliq:<at>:K/ELL instead of a fixed time")
     sweep.add_argument("--scales", default="8..16",
                        help="dyadic exponent range lo..hi or comma list of Ns "
                             "(default %(default)s)")

@@ -115,10 +115,11 @@ def parse_slice(spec: str) -> SliceSpec:
         return SliceSpec.vertical(parse_position(x0_text), parse_theta(lo), parse_theta(hi))
     if head == "obliq":
         c_text, _, slope = rest.rpartition(":")
-        k_text, _, ell_text = slope.partition("/")
-        if not (c_text and k_text and ell_text):
-            raise ValueError(f"bad oblique slice {spec!r}")
-        return SliceSpec.oblique(parse_theta(c_text), int(k_text), int(ell_text))
+        try:
+            k, ell = map(int, slope.split("/")) if c_text else ()
+        except ValueError:
+            raise ValueError(f"bad oblique slice {spec!r}") from None
+        return SliceSpec.oblique(parse_theta(c_text), k, ell)
     raise ValueError(f"unknown slice kind in {spec!r}")
 
 
@@ -169,14 +170,6 @@ class SampleGrid:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    @property
-    def spacing(self) -> float:
-        return self.period / len(self.samples)
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.arange(len(self.samples)) * self.spacing
 
 
 def _datum_coefficients(g, M: int) -> np.ndarray:

@@ -375,17 +375,3 @@ def smoothing_residual(traj: Trajectory, length: int = 1 << 12) -> SampleGrid:
                       provenance={"kind": f"{traj.kind}-residual",
                                   "time": f.time, "M": traj.M,
                                   "dt": traj.dt, "sign": traj.sign})
-
-
-def write_snapshot_csv(field_or_grid, path) -> None:
-    """CSV dump (x, Re u, Im u) of a SpectralField or a SampleGrid."""
-    if isinstance(field_or_grid, SpectralField):
-        vals = field_or_grid.values()
-        xs = np.arange(len(vals)) * (2.0 * math.pi / len(vals))
-    else:
-        vals = np.asarray(field_or_grid.samples)
-        xs = field_or_grid.positions
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,re,im\n")
-        for x, v in zip(xs.tolist(), np.asarray(vals, dtype=np.complex128).tolist()):
-            fh.write(f"{x!r},{v.real!r},{v.imag!r}\n")

@@ -4,9 +4,11 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
-from talbot import __version__, _fftsum, cli, evolution
+from talbot import (__version__, _fftsum, cli, evolution, kdv_solve, nls_wick_solve,
+                    parse_datum, smoothing_residual)
 from talbot.cli import ConfigError, main
 
 
@@ -125,6 +127,20 @@ def test_sweep_seeded_and_oblique(capsys):
     report = json.loads(out)
     assert len(report["results"]) == 2
     assert all("oblique" in entry["at"] for entry in report["results"])
+
+
+@pytest.mark.parametrize("slope", ["a/b", "1", "1/"])
+def test_sweep_oblique_slope_other_than_k_over_ell_exits_2(capsys, monkeypatch, slope):
+    # the sweep reads its line through parse_slice, as dimension --slice does:
+    # "1" and "1/" were read as 1/1, and "a/b" was refused without the slice
+    def no_rows(*args, **kwargs):
+        raise AssertionError("sup_norm_sweep ran on a bad slope")
+    monkeypatch.setattr(cli, "sup_norm_sweep", no_rows)
+    code, out, err = run(capsys, "sweep", "--rel", "poly:-1,0,0", "--at", "kl:sqrt2",
+                         "--oblique", slope, "--scales", "6..9")
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: bad oblique slice 'obliq:kl:sqrt2:{slope}'\n"
 
 
 def test_sweep_usage_errors(capsys):
@@ -370,15 +386,24 @@ def test_solver_non_finite_time_is_a_config_error(capsys, kind, flags, message):
 
 
 @pytest.mark.parametrize("kind, solver", [("nls", "nls_wick_solve"), ("kdv", "kdv_solve")])
-@pytest.mark.parametrize("length", ["1000", "1024"])  # not a power of two; below 2M+1 = 2049
-def test_bad_residual_length_exits_2_before_the_solve(capsys, monkeypatch, kind, solver, length):
+@pytest.mark.parametrize("M, length, message", [
+    # not a power of two
+    pytest.param("1024", "1000", "length must be a power of two >= 2M+1", id="1000"),
+    # below 2M+1 = 2049
+    pytest.param("1024", "1024", "length must be a power of two >= 2M+1", id="1024"),
+    # below the Holder exponent's 4096 samples: refused only after the whole solve
+    pytest.param("512", "2048", "--residual-length 2048 is below the 4096 samples of the "
+                                "residual's Holder exponent", id="2048"),
+])
+def test_bad_residual_length_exits_2_before_the_solve(capsys, monkeypatch, kind, solver,
+                                                      M, length, message):
     def no_solve(*args, **kwargs):
         raise AssertionError("the solver ran before the residual length was checked")
     monkeypatch.setattr(cli, solver, no_solve)
-    code, out, err = run(capsys, kind, "--residual-length", length)
+    code, out, err = run(capsys, kind, "--M", M, "--residual-length", length)
     assert code == 2
     assert out == ""
-    assert "config error: length must be a power of two >= 2M+1" in err
+    assert err == f"config error: {message}\n"
 
 
 def _unreachable(*args, **kwargs):
@@ -401,6 +426,49 @@ def test_grid_above_the_cap_exits_2_before_any_series_or_step(capsys, monkeypatc
     assert code == 2
     assert out == ""
     assert f"grid of {length} points too large" in err
+
+
+# -- CSV tables ---------------------------------------------------------------------
+
+def test_csv_cells_are_repr_of_float_or_str(tmp_path):
+    # a numpy scalar's repr is np.float64(...) under numpy 2, so floats are cast
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), "a,b,c,d", [(np.float64(0.1), 3, None, "oblique(k=1, ell=1)")])
+    assert path.read_text() == "a,b,c,d\n0.1,3,None,oblique(k=1, ell=1)\n"
+
+
+def _sample_lines(samples: np.ndarray, period: float) -> list[str]:
+    """The x,re,im table of uniform samples over [0, period), cell by cell."""
+    xs = np.arange(len(samples)) * (period / len(samples))
+    return ["x,re,im"] + [f"{x!r},{v.real!r},{v.imag!r}" for x, v in
+                          zip(xs.tolist(), samples.astype(np.complex128).tolist())]
+
+
+@pytest.mark.parametrize("kind, solve, data", [("nls", nls_wick_solve, "step:0,pi"),
+                                               ("kdv", kdv_solve, "step:0,pi:0.5,-0.5")])
+def test_solver_csvs_hold_every_sample_of_the_final_field_and_the_residual(
+        capsys, tmp_path, kind, solve, data):
+    final, res = tmp_path / "final.csv", tmp_path / "res.csv"
+    code, _, _ = run(capsys, kind, "--M", "8", "--dt", "1e-3", "--t-max", "0.01",
+                     "--csv", str(final), "--residual-csv", str(res))
+    assert code == 0
+    traj = solve(parse_datum(data), M=8, dt=1e-3, t_max=0.01)
+    assert final.read_text().splitlines() == _sample_lines(traj.final.values(), 2 * math.pi)
+    assert res.read_text().splitlines() == _sample_lines(smoothing_residual(traj).samples,
+                                                         2 * math.pi)
+
+
+def test_dimension_csv_spans_the_period_of_its_slice(capsys, tmp_path):
+    # an oblique slice of slope k/ell runs over [0, 2 pi ell)
+    csv_path = tmp_path / "slice.csv"
+    code, _, _ = run(capsys, "dimension", "--rel", "poly:-1,0,0", "--slice",
+                     "obliq:rat:1/3:1/2", "--truncation", "256", "--length", "16384",
+                     "--csv", str(csv_path))
+    assert code == 0
+    sg = evolution.evolve_slice("poly:-1,0,0", parse_datum("step:0,pi"),
+                                evolution.parse_slice("obliq:rat:1/3:1/2"),
+                                M=256, length=16384)
+    assert csv_path.read_text().splitlines() == _sample_lines(sg.samples, 4 * math.pi)
 
 
 # -- dimension ------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from talbot import (BlowUpError, SpectralField, StepFunction, kdv_solve,
                     linear_flow_modes, nls_wick_solve, smoothing_residual,
-                    wick_constant, write_snapshot_csv)
+                    wick_constant)
 from talbot._fftsum import next_pow2, next_smooth
 from talbot.acceptance import _step_datum
 from talbot.nonlinear import (BLOWUP_LINF, KDV_RELATION, NLS_RELATION, ROTATION_TAYLOR_MAX,
@@ -484,7 +484,7 @@ def test_kdv_residual_is_real():
     assert res.samples.dtype == np.float64
 
 
-# -- spectral fields and CSV dumps ---------------------------------------------------------
+# -- spectral fields -----------------------------------------------------------------------
 
 def test_spectral_field_values():
     field = SpectralField(modes=mode_array(4, n_0=2.0), step=0, time=0.0)
@@ -492,29 +492,6 @@ def test_spectral_field_values():
     wave = SpectralField(modes=mode_array(4, n_1=1.0), step=0, time=0.0).values()
     np.testing.assert_allclose(wave, np.exp(2j * np.pi * np.arange(16) / 16), atol=1e-14)
 
-
-def test_write_snapshot_csv(tmp_path):
-    field = SpectralField(modes=mode_array(4, n_0=1.5), step=0, time=0.0)
-    path = tmp_path / "snap.csv"
-    write_snapshot_csv(field, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,re,im"
-    assert len(lines) == 1 + 16
-    x, re, im = lines[1].split(",")
-    assert float(x) == 0.0
-    assert float(re) == pytest.approx(1.5)
-    assert float(im) == pytest.approx(0.0)
-
-
-def test_write_snapshot_csv_of_residual(tmp_path):
-    M = 8
-    traj = nls_wick_solve(mode_array(M, n_0=0.5), M=M, dt=1e-3, t_max=0.01)
-    res = smoothing_residual(traj, length=32)
-    path = tmp_path / "res.csv"
-    write_snapshot_csv(res, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,re,im"
-    assert len(lines) == 1 + 32
 
 
 # -- the nonlinear rotation -------------------------------------------------------------
